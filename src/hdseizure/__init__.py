@@ -23,7 +23,7 @@ from .dataio import (
     write_record,
     write_report,
 )
-from .encoding import Codebooks, build_codebooks, encode_window, encode_windows, fit_ranges
+from .encoding import Codebooks, build_codebooks, encode_windows, fit_ranges
 from .errors import (
     CorruptModelError,
     DegenerateCohortError,

@@ -46,6 +46,7 @@ from .errors import (
 )
 from .evaluation import (
     EvalConfig,
+    _feature_count,
     _map_jobs,
     cv_generalized,
     cv_personalized,
@@ -207,7 +208,7 @@ def _load_model_dir(dirpath):
 
 
 def _pooled_codebooks(cohort, cfg: EvalConfig):
-    nfeat = cohort[0][0].num_features
+    nfeat = _feature_count([fm for recs in cohort for fm in recs])
     base = build_codebooks(nfeat, cfg.num_levels, cfg.dim, cfg.seed)
     pooled = np.vstack([fm.values for recs in cohort for fm in recs])
     return fit_ranges(base, pooled)

@@ -8,11 +8,11 @@ majority bundle over features of bind(id[f], level[quantize(x[f])]).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidDimensionError
+from .errors import DegenerateInputError, InvalidDimensionError
 from .hypervector import Hypervector, random_hypervector, tie_break_vector
 
 DEFAULT_DIM = 10000
@@ -48,19 +48,23 @@ class Codebooks:
         return self.feature_min is not None
 
     def unpacked_bits(self):
-        """Cached {0,1} uint8 matrices and batch-encoding tables.
+        """Cached tables of the block-structured encoding kernel.
 
-        Returns (id_bits (F,D), level_bits (L,D), base_count (D,),
-        signed_base (F,D) float32) where base = id ^ level_0; the last two
-        drive the block-structured encoding kernel.
+        Returns (signed_base (F, D) float32, threshold (D,) float32).
+        With base = id ^ level_0, signed_base is +1 where a base bit is 0
+        and -1 where it is 1: the change in a dimension's bound-bit count
+        when a feature's level bit flips. threshold folds the majority
+        rule and the tie-break bit into one comparison; see
+        `encode_windows`.
         """
         if self._unpacked is None:
             ids = np.stack([v.to_bools() for v in self.id_vectors])
-            levels = np.stack([v.to_bools() for v in self.level_vectors])
-            base = np.bitwise_xor(ids, levels[0][None, :])
+            base = np.bitwise_xor(ids, self.level_vectors[0].to_bools()[None, :])
             total = base.sum(axis=0, dtype=np.int32)
             signed = (1 - 2 * base.astype(np.int8)).astype(np.float32)
-            self._unpacked = (ids, levels, total, signed)
+            tie = tie_break_vector(self.seed, self.dim).to_bools().astype(np.int32)
+            threshold = ((self.num_features - tie - 2 * total) / 2).astype(np.float32)
+            self._unpacked = (signed, threshold)
         return self._unpacked
 
 
@@ -99,18 +103,32 @@ def build_codebooks(
     )
 
 
-def fit_ranges(codebooks: Codebooks, values: np.ndarray) -> Codebooks:
-    """Return codebooks with per-feature (min, max) taken from `values`.
-
-    Ranges must come from the training split only; test-time values
-    outside them clamp silently. Constant features are kept but warned
-    about, and later quantize to level 0.
-    """
+def _feature_matrix(codebooks: Codebooks, values) -> np.ndarray:
+    """`values` as a finite float64 (windows, features) matrix."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] != codebooks.num_features:
         raise ValueError(
             f"expected (windows, {codebooks.num_features}) matrix, got {values.shape}"
         )
+    bad = ~np.isfinite(values)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise DegenerateInputError(
+            f"{int(bad.sum())} non-finite feature value(s), first at window {row}, "
+            f"feature {col}: {values[row, col]}"
+        )
+    return values
+
+
+def fit_ranges(codebooks: Codebooks, values: np.ndarray) -> Codebooks:
+    """Return codebooks with per-feature (min, max) taken from `values`.
+
+    Ranges must come from the training split only; test-time values
+    outside them clamp silently. Constant features are kept but warned
+    about, and later quantize to level 0. NaN or infinite values are
+    rejected. The result shares the kernel tables of `codebooks`.
+    """
+    values = _feature_matrix(codebooks, values)
     if values.shape[0] == 0:
         raise ValueError("cannot fit ranges on an empty matrix")
     lo = values.min(axis=0)
@@ -122,16 +140,7 @@ def fit_ranges(codebooks: Codebooks, values: np.ndarray) -> Codebooks:
             "they will encode at level 0",
             stacklevel=2,
         )
-    return Codebooks(
-        dim=codebooks.dim,
-        num_levels=codebooks.num_levels,
-        seed=codebooks.seed,
-        id_vectors=codebooks.id_vectors,
-        level_vectors=codebooks.level_vectors,
-        feature_min=lo,
-        feature_max=hi,
-        _unpacked=codebooks._unpacked,
-    )
+    return replace(codebooks, feature_min=lo, feature_max=hi, _unpacked=codebooks.unpacked_bits())
 
 
 def quantize(value: float, lo: float, hi: float, num_levels: int) -> int:
@@ -154,46 +163,29 @@ def _quantize_rows(codebooks: Codebooks, values: np.ndarray) -> np.ndarray:
     return np.where(ok, idx, 0)
 
 
-def encode_window(features, codebooks: Codebooks) -> Hypervector:
-    """Encode one feature vector; majority ties break from the codebook seed."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape != (codebooks.num_features,):
-        raise ValueError(
-            f"expected {codebooks.num_features} features, got shape {features.shape}"
-        )
-    return encode_windows(features[None, :], codebooks)[0]
-
-
-def encode_windows(values, codebooks: Codebooks) -> list:
-    """Encode a (windows, features) matrix; returns one Hypervector per row.
+def encode_windows(values, codebooks: Codebooks) -> np.ndarray:
+    """Encode a (windows, features) matrix into packed (windows, ceil(dim/8))
+    uint8 rows, one hypervector per window in `Hypervector` bit layout.
 
     Bit-exact equal to bundling bind(id[f], level[q(x[f])]) per row with
     the codebook seed as the tie-break seed.
     """
     if not codebooks.is_fitted:
         raise ValueError("codebooks have no fitted feature ranges; call fit_ranges")
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[1] != codebooks.num_features:
-        raise ValueError(
-            f"expected (windows, {codebooks.num_features}) matrix, got {values.shape}"
-        )
-    _, _, total, signed = codebooks.unpacked_bits()
+    values = _feature_matrix(codebooks, values)
+    signed, threshold = codebooks.unpacked_bits()
     q = _quantize_rows(codebooks, values)
-    nwin, nfeat = q.shape
     dim, nlev = codebooks.dim, codebooks.num_levels
     block = dim // (2 * (nlev - 1))
-    # level[q] = level[0] ^ (ones on [0, q*block)), so within flip block j the
-    # bound bit count is base_count + sum over features with q > j of +-1;
-    # that inner sum is a (windows x features) @ (features x block) product.
-    counts = np.empty((nwin, dim), dtype=np.int32)
-    counts[:, (nlev - 1) * block :] = total[(nlev - 1) * block :]
+    # level[q] = level[0] ^ (ones on [0, q*block)), so within flip block j a
+    # window's bound-bit count is base_count + (q > j) @ signed_base; the
+    # bit is set when twice that count beats the feature count, or equals
+    # it and the tie-break bit is set. The float32 sums are exact integers.
+    bits = np.empty((q.shape[0], dim), dtype=bool)
+    rest = slice((nlev - 1) * block, dim)
+    bits[:, rest] = threshold[rest] < 0
     for j in range(nlev - 1):
         sel = slice(j * block, (j + 1) * block)
         above = (q > j).astype(np.float32)
-        counts[:, sel] = total[sel] + (above @ signed[:, sel]).astype(np.int32)
-    bits = (2 * counts > nfeat).astype(np.uint8)
-    tied = 2 * counts == nfeat
-    if tied.any():
-        tie_bits = tie_break_vector(codebooks.seed, codebooks.dim).to_bools()
-        bits = np.where(tied, tie_bits[None, :], bits)
-    return [Hypervector.from_bools(row) for row in bits]
+        np.greater(above @ signed[:, sel], threshold[sel], out=bits[:, sel])
+    return np.packbits(bits, axis=1, bitorder="little")

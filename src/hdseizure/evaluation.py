@@ -26,7 +26,7 @@ from .encoding import (
 from .errors import IncompatibleModelsError, InsufficientDataError
 from .generalization import MergeConfig, generalize
 from .hybrid import HYBRID_MODES, compose_hybrid
-from .hypervector import hamming_to_rows, pack_rows
+from .hypervector import hamming_to_rows
 from .training import ClassModel, TrainConfig, train
 
 METRIC_LEVELS = ("duration", "episode")
@@ -157,8 +157,8 @@ def _metrics_block(truth, predictions: dict) -> dict:
     return metrics
 
 
-def _classify_rows(encodings, model: ClassModel):
-    rows = pack_rows(encodings)
+def _classify_rows(rows, model: ClassModel):
+    """Nearest-prototype labels and p(seizure) for packed encoded rows."""
     d_s = hamming_to_rows(rows, model.seizure)
     d_ns = hamming_to_rows(rows, model.non_seizure)
     raw = (d_s < d_ns).astype(np.uint8)
@@ -186,10 +186,6 @@ def _report(subject_id, model_kind, truth, raw, p_seizure, cfg: EvalConfig) -> E
     )
 
 
-def _training_samples(encodings, labels):
-    return list(zip(encodings, (int(y) for y in labels)))
-
-
 def _subject_id_of(records) -> str:
     for fm in records:
         if fm.subject_id:
@@ -208,7 +204,7 @@ def _stack_labels(records):
 def _feature_count(records) -> int:
     counts = {fm.num_features for fm in records}
     if len(counts) != 1:
-        raise ValueError(f"records disagree on feature count: {sorted(counts)}")
+        raise IncompatibleModelsError(f"records disagree on feature count: {sorted(counts)}")
     return counts.pop()
 
 
@@ -239,10 +235,11 @@ def cv_personalized(records, cfg: EvalConfig = None, subject_id: str = "") -> Ev
     for k in range(len(records)):
         train_recs = [r for i, r in enumerate(records) if i != k]
         books = fit_ranges(base, _stack_values(train_recs))
-        enc_train = encode_windows(_stack_values(train_recs), books)
         model = train(
-            _training_samples(enc_train, _stack_labels(train_recs)),
+            encode_windows(_stack_values(train_recs), books),
+            _stack_labels(train_recs),
             cfg.train,
+            dim=books.dim,
             subject_id=subject_id,
         )
         enc_test = encode_windows(records[k].values, books)
@@ -257,19 +254,18 @@ def cv_personalized(records, cfg: EvalConfig = None, subject_id: str = "") -> Ev
 
 def train_personalized(records, books: Codebooks, cfg: EvalConfig, subject_id: str = "") -> ClassModel:
     """Train one personalized model on all of a subject's records."""
-    enc = encode_windows(_stack_values(records), books)
     return train(
-        _training_samples(enc, _stack_labels(records)),
+        encode_windows(_stack_values(records), books),
+        _stack_labels(records),
         cfg.train,
+        dim=books.dim,
         subject_id=subject_id or _subject_id_of(records),
     )
 
 
-def _loso_fold(cohort, held_out: int, cfg: EvalConfig):
+def _loso_fold(cohort, held_out: int, base: Codebooks, cfg: EvalConfig):
     """Ranges, per-subject models and the merged model for one fold."""
     train_subjects = [recs for i, recs in enumerate(cohort) if i != held_out]
-    nfeat = _feature_count([fm for recs in cohort for fm in recs])
-    base = build_codebooks(nfeat, cfg.num_levels, cfg.dim, cfg.seed)
     books = fit_ranges(base, np.vstack([_stack_values(recs) for recs in train_subjects]))
     models = [train_personalized(recs, books, cfg) for recs in train_subjects]
     merged = generalize(models, cfg.merge, tie_break_seed=cfg.seed)
@@ -285,9 +281,11 @@ def cv_generalized(cohort, cfg: EvalConfig = None):
         raise InsufficientDataError(
             f"leave-one-subject-out needs >= 2 subjects, got {len(cohort)}"
         )
+    nfeat = _feature_count([fm for recs in cohort for fm in recs])
+    base = build_codebooks(nfeat, cfg.num_levels, cfg.dim, cfg.seed)
 
     def run(i):
-        books, _, merged = _loso_fold(cohort, i, cfg)
+        books, _, merged = _loso_fold(cohort, i, base, cfg)
         enc = encode_windows(_stack_values(cohort[i]), books)
         raw, p = _classify_rows(enc, merged)
         return _report(
@@ -333,7 +331,8 @@ def transfer_eval(source, target_cohort, mode: str = "generalized", cfg: EvalCon
             raise IncompatibleModelsError(
                 "source and target cohorts use different feature counts"
             )
-        source_models, source_books = None, None
+        source_models = None
+        base = build_codebooks(target_nfeat, cfg.num_levels, cfg.dim, cfg.seed)
     else:
         source_models = [source] if isinstance(source, ClassModel) else list(source)
         if source_codebooks is None:
@@ -354,8 +353,6 @@ def transfer_eval(source, target_cohort, mode: str = "generalized", cfg: EvalCon
             eligible = [recs for recs in source if _subject_id_of(recs) != target_id or not target_id]
             if not eligible:
                 raise InsufficientDataError("no source subjects left after exclusion")
-            nfeat = target_nfeat
-            base = build_codebooks(nfeat, cfg.num_levels, cfg.dim, cfg.seed)
             books = fit_ranges(base, np.vstack([_stack_values(recs) for recs in eligible]))
             models = [train_personalized(recs, books, cfg) for recs in eligible]
         else:

@@ -8,10 +8,13 @@ a wrongly-predicting class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import MissingClassError
-from .hypervector import Accumulator, Hypervector, bundle, hamming_distance
+from .hypervector import Hypervector, _packed_size, hamming_distance, tie_break_vector
 
 MODEL_KINDS = ("personalized", "generalized", "hybrid")
 
@@ -51,39 +54,76 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in ("standard", "online"):
             raise ValueError(f"mode must be 'standard' or 'online', got {self.mode!r}")
-        if not self.alpha >= 0 or self.alpha != self.alpha:
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
-def _split_classes(samples):
-    samples = list(samples)
-    for _, label in samples:
-        if label not in (0, 1):
-            raise ValueError(f"labels must be 0 or 1, got {label!r}")
-    if not any(label == SEIZURE for _, label in samples):
+def _check_samples(samples, labels, dim: int):
+    """Validate a packed (N, ceil(dim/8)) sample matrix and its 0/1 labels."""
+    samples = np.asarray(samples)
+    labels = np.asarray(labels)
+    if samples.dtype != np.uint8 or samples.ndim != 2 or samples.shape[1] != _packed_size(dim):
+        raise ValueError(
+            f"samples must be a uint8 (N, {_packed_size(dim)}) matrix for dim {dim}, "
+            f"got {samples.dtype} {samples.shape}"
+        )
+    if labels.shape != (samples.shape[0],):
+        raise ValueError(f"expected {samples.shape[0]} labels, got shape {labels.shape}")
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError(f"labels must be 0 or 1, got {sorted(set(labels.tolist()))}")
+    if not (labels == SEIZURE).any():
         raise MissingClassError("no seizure samples")
-    if not any(label == NON_SEIZURE for _, label in samples):
+    if not (labels == NON_SEIZURE).any():
         raise MissingClassError("no non-seizure samples")
-    return samples
+    return samples, labels.astype(np.int64)
 
 
-def train(samples, cfg: TrainConfig, **kwargs) -> ClassModel:
+def train(samples, labels, cfg: TrainConfig, *, dim: int, **kwargs) -> ClassModel:
+    """Train on packed rows `samples` with 0/1 `labels`; `dim` is the bit count."""
     if cfg.mode == "standard":
-        return train_standard(samples, cfg, **kwargs)
-    return train_online(samples, cfg, **kwargs)
+        return train_standard(samples, labels, cfg, dim=dim, **kwargs)
+    return train_online(samples, labels, cfg, dim=dim, **kwargs)
 
 
-def train_standard(samples, cfg: TrainConfig, **meta) -> ClassModel:
+def _unpack(rows: np.ndarray, dim: int) -> np.ndarray:
+    return np.unpackbits(rows, axis=1, count=dim, bitorder="little")
+
+
+def _sign_threshold(seed: int, dim: int) -> np.ndarray:
+    """Per-dimension threshold t with (acc > t) == the sign rule of
+    `Accumulator.normalize`: 1 where positive, the tie bit where zero.
+
+    t is 0 where the tie bit is 0, and the negative float nearest zero
+    where it is 1, so that there the comparison reads acc >= 0.
+    """
+    tie = tie_break_vector(seed, dim).to_bools().astype(bool)
+    return np.where(tie, np.nextafter(0.0, -1.0), 0.0)
+
+
+def _sign(values: np.ndarray, threshold: np.ndarray) -> np.ndarray:
+    return np.packbits(values > threshold, bitorder="little")
+
+
+def train_standard(samples, labels, cfg: TrainConfig, *, dim: int, **meta) -> ClassModel:
     """Each class vector is the majority bundle of its samples."""
-    samples = _split_classes(samples)
-    s_vec = bundle((v for v, y in samples if y == SEIZURE), tie_break_seed=cfg.seed)
-    ns_vec = bundle((v for v, y in samples if y == NON_SEIZURE), tie_break_seed=cfg.seed)
-    return ClassModel(seizure=s_vec, non_seizure=ns_vec, **meta)
+    samples, labels = _check_samples(samples, labels, dim)
+    tie = tie_break_vector(cfg.seed, dim).to_bools().astype(bool)
+
+    def majority(rows):
+        counts = _unpack(rows, dim).sum(axis=0, dtype=np.int64)
+        bits = np.where(2 * counts == len(rows), tie, 2 * counts > len(rows))
+        return Hypervector.from_bools(bits)
+
+    return ClassModel(
+        seizure=majority(samples[labels == SEIZURE]),
+        non_seizure=majority(samples[labels == NON_SEIZURE]),
+        **meta,
+    )
 
 
-def train_online(samples, cfg: TrainConfig, stats: dict = None, **meta) -> ClassModel:
+def train_online(samples, labels, cfg: TrainConfig, *, dim: int, stats: dict = None, **meta) -> ClassModel:
     """OnlineHD-style single-pass training, repeated for cfg.epochs.
 
     Each class accumulator starts from the first sample of that class.
@@ -92,36 +132,53 @@ def train_online(samples, cfg: TrainConfig, stats: dict = None, **meta) -> Class
     model currently predicts the wrong class W, the sample is also
     subtracted from acc_W with weight alpha * s_W. Similarities are taken
     before either accumulator is touched.
+
+    Accumulators are float64 bipolar sums, so every +-w lands exactly as
+    in `Accumulator.add`; each class keeps its packed sign and recomputes
+    it only after its accumulator changed.
     """
-    samples = _split_classes(samples)
-    acc = {SEIZURE: None, NON_SEIZURE: None}
+    samples, labels = _check_samples(samples, labels, dim)
+    bipolar = _unpack(samples, dim).view(np.int8)
+    bipolar *= 2
+    bipolar -= 1
+    threshold = _sign_threshold(cfg.seed, dim)
+    acc = [None, None]
+    sign = [None, None]
+
+    def similarity(x, c):
+        if sign[c] is None:
+            sign[c] = _sign(acc[c], threshold)
+        diff = np.add.reduce(np.bitwise_count(np.bitwise_xor(x, sign[c])), dtype=np.int64)
+        return 1.0 - int(diff) / dim
+
+    def add(c, row, weight):
+        if weight:
+            acc[c] += weight * row
+            sign[c] = None
+
     mispredictions = 0
-    subtractions = 0
     for _ in range(cfg.epochs):
-        for x, label in samples:
+        for x, row, label in zip(samples, bipolar, labels.tolist()):
             if acc[label] is None:
-                acc[label] = Accumulator.from_vector(x)
+                acc[label] = row.astype(np.float64)
                 continue
-            other = SEIZURE if label == NON_SEIZURE else NON_SEIZURE
-            s_own = 1.0 - hamming_distance(x, acc[label].normalize(cfg.seed))
-            s_other = None
-            if acc[other] is not None:
-                s_other = 1.0 - hamming_distance(x, acc[other].normalize(cfg.seed))
-            acc[label].add(x, cfg.alpha * (1.0 - s_own))
+            other = 1 - label
+            s_own = similarity(x, label)
+            s_other = None if acc[other] is None else similarity(x, other)
+            add(label, row, cfg.alpha * (1.0 - s_own))
             if s_other is not None:
                 d_s = 1.0 - (s_own if label == SEIZURE else s_other)
                 d_ns = 1.0 - (s_other if label == SEIZURE else s_own)
                 predicted = SEIZURE if d_s < d_ns else NON_SEIZURE
                 if predicted != label:
                     mispredictions += 1
-                    subtractions += 1
-                    acc[other].add(x, -cfg.alpha * s_other)
+                    add(other, row, -cfg.alpha * s_other)
     if stats is not None:
         stats["mispredictions"] = mispredictions
-        stats["subtractions"] = subtractions
+        stats["subtractions"] = mispredictions
     return ClassModel(
-        seizure=acc[SEIZURE].normalize(cfg.seed),
-        non_seizure=acc[NON_SEIZURE].normalize(cfg.seed),
+        seizure=Hypervector(_sign(acc[SEIZURE], threshold), dim),
+        non_seizure=Hypervector(_sign(acc[NON_SEIZURE], threshold), dim),
         **meta,
     )
 

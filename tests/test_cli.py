@@ -251,6 +251,59 @@ class TestErrorPaths:
         assert "different encoder" in capsys.readouterr().err
 
 
+class TestBadInputExitCodes:
+    @pytest.fixture(scope="class")
+    def feats(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("bad_inputs")
+        cohort, feats = str(root / "cohort"), str(root / "feats")
+        assert run(["synth", *TINY, "--out", cohort]) == 0
+        assert run(["features", *TINY, "--cohort", cohort, "--out", feats]) == 0
+        return feats
+
+    @staticmethod
+    def edited_copy(feats, dest, edit):
+        """Copy a feature directory, passing s000__r01.csv's rows through `edit`."""
+        dest.mkdir()
+        for name in os.listdir(feats):
+            text = open(os.path.join(feats, name)).read()
+            if name == "s000__r01.csv":
+                text = "".join(edit(i, line) for i, line in enumerate(text.splitlines(True)))
+            (dest / name).write_text(text)
+        return str(dest)
+
+    def test_non_finite_alpha_is_config_error(self, feats, tmp_path, capsys):
+        rc = run(["train", *TINY, "--alpha", "inf", "--features", feats,
+                  "--out", str(tmp_path / "m")])
+        assert rc == 3
+        assert "alpha must be finite" in capsys.readouterr().err
+
+    def test_nan_feature_is_data_error(self, feats, tmp_path, capsys):
+        def nan_cell(i, line):
+            if i != 3:
+                return line
+            cells = line.split(",")
+            cells[4] = "nan"
+            return ",".join(cells)
+
+        bad = self.edited_copy(feats, tmp_path / "nan_feats", nan_cell)
+        rc = run(["eval", *TINY, "--features", bad, "--out", str(tmp_path / "e")])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert err.startswith("DATA:") and "non-finite" in err
+
+    def test_feature_count_mismatch_is_data_error(self, feats, tmp_path, capsys):
+        def drop_last_column(i, line):
+            return line.rstrip("\r\n").rsplit(",", 1)[0] + "\n"
+
+        bad = self.edited_copy(feats, tmp_path / "short_feats", drop_last_column)
+        for command in (["eval", "--features", bad, "--out", str(tmp_path / "e")],
+                        ["train", "--features", bad, "--out", str(tmp_path / "m")]):
+            rc = run([command[0], *TINY, *command[1:]])
+            assert rc == 5, command[0]
+            err = capsys.readouterr().err
+            assert err.startswith("DATA:") and "disagree on feature count" in err
+
+
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, tmp_path):
         out_a = tmp_path / "a"

@@ -2,17 +2,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import encode_window as reference_encoding
 
 from hdseizure.encoding import (
     Codebooks,
     build_codebooks,
-    encode_window,
     encode_windows,
     fit_ranges,
     quantize,
 )
-from hdseizure.errors import InvalidDimensionError
-from hdseizure.hypervector import bind, bundle, hamming_distance
+from hdseizure.errors import DegenerateInputError, InvalidDimensionError
+from hdseizure.hypervector import Hypervector, bind, bundle, hamming_distance
 
 
 def fitted_codebooks(num_features, lo=0.0, hi=1.0, dim=256, levels=20, seed=3):
@@ -21,13 +23,13 @@ def fitted_codebooks(num_features, lo=0.0, hi=1.0, dim=256, levels=20, seed=3):
     return fit_ranges(cb, ranges)
 
 
-def reference_encoding(features, cb):
-    """Independent route: explicit bind per feature, then a majority bundle."""
-    bound = []
-    for f, value in enumerate(features):
-        q = quantize(value, cb.feature_min[f], cb.feature_max[f], cb.num_levels)
-        bound.append(bind(cb.id_vectors[f], cb.level_vectors[q]))
-    return bundle(bound, tie_break_seed=cb.seed)
+def as_vectors(rows, cb):
+    return [Hypervector(row, cb.dim) for row in rows]
+
+
+def encode_window(features, cb):
+    """One window through the packed encoder, as a Hypervector."""
+    return as_vectors(encode_windows(np.asarray(features, dtype=np.float64)[None, :], cb), cb)[0]
 
 
 class TestLevelChain:
@@ -125,8 +127,8 @@ class TestEncodeWindow:
     def test_matches_reference_for_even_counts(self):
         # even feature counts hit the tie-break path; must agree exactly
         rng = np.random.default_rng(11)
-        for nfeat in (2, 4, 6):
-            cb = fitted_codebooks(nfeat, dim=128, seed=nfeat)
+        for nfeat, dim in ((2, 128), (4, 128), (6, 128), (2, 1001), (4, 1001)):
+            cb = fitted_codebooks(nfeat, dim=dim, seed=nfeat)
             for _ in range(10):
                 x = rng.uniform(0, 1, size=nfeat)
                 assert encode_window(x, cb) == reference_encoding(x, cb)
@@ -147,7 +149,7 @@ class TestEncodeWindows:
         rng = np.random.default_rng(17)
         cb = fitted_codebooks(22, dim=10000, seed=4)
         rows = rng.uniform(0, 1, size=(8, 22))
-        batch = encode_windows(rows, cb)
+        batch = as_vectors(encode_windows(rows, cb), cb)
         for k in range(8):
             assert batch[k] == reference_encoding(rows[k], cb)
 
@@ -157,7 +159,7 @@ class TestEncodeWindows:
         cb = fit_ranges(cb, train)
         wild = np.array([[-1e6, 0.0, 1e6, 15.0]])
         clamped = np.clip(wild, cb.feature_min, cb.feature_max)
-        assert encode_windows(wild, cb)[0] == encode_windows(clamped, cb)[0]
+        assert np.array_equal(encode_windows(wild, cb)[0], encode_windows(clamped, cb)[0])
 
     def test_degenerate_feature_encodes_level_zero(self):
         cb = build_codebooks(2, 20, dim=128, seed=1)
@@ -181,7 +183,7 @@ class TestEncodeWindows:
             f = rng.integers(20)
             x2[f] = np.clip(x2[f] + 1.0 / 20, 0, 1)
             r1, r2 = rng.uniform(0, 1, size=(2, 20))
-            e = encode_windows(np.stack([x, x2, r1, r2]), cb)
+            e = as_vectors(encode_windows(np.stack([x, x2, r1, r2]), cb), cb)
             near.append(hamming_distance(e[0], e[1]))
             far.append(hamming_distance(e[2], e[3]))
         assert np.mean(near) < np.mean(far)
@@ -192,3 +194,63 @@ class TestEncodeWindows:
             fit_ranges(cb, np.zeros((5, 2)))
         with pytest.raises(ValueError):
             fit_ranges(cb, np.zeros((0, 3)))
+
+    def test_returns_packed_rows(self):
+        cb = fitted_codebooks(3, dim=1001)
+        rows = encode_windows(np.full((5, 3), 0.5), cb)
+        assert rows.dtype == np.uint8 and rows.shape == (5, 126)
+        assert encode_windows(np.zeros((0, 3)), cb).shape == (0, 126)
+
+
+@st.composite
+def encoder_cases(draw):
+    nfeat = draw(st.integers(1, 8))
+    dim = draw(st.sampled_from([64, 200, 1001]))
+    levels = draw(st.integers(2, 12))
+    seed = draw(st.integers(0, 2**31))
+    nwin = draw(st.integers(1, 6))
+    # a few distinct values per feature, so equal values, constant features
+    # and values outside the fitted range all occur
+    grid = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 0.75, 1.0, 2.0])
+    fit = draw(st.lists(st.lists(grid, min_size=nfeat, max_size=nfeat), min_size=1, max_size=4))
+    rows = draw(st.lists(st.lists(grid, min_size=nfeat, max_size=nfeat), min_size=nwin, max_size=nwin))
+    return nfeat, dim, levels, seed, np.array(fit), np.array(rows)
+
+
+class TestEncoderMatchesOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(encoder_cases())
+    def test_bit_identical_to_scalar_oracle(self, case):
+        nfeat, dim, levels, seed, fit, rows = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            cb = fit_ranges(build_codebooks(nfeat, levels, dim=dim, seed=seed), fit)
+        packed = encode_windows(rows, cb)
+        for row, values in zip(packed, rows):
+            assert np.array_equal(row, reference_encoding(values, cb).bits)
+
+    def test_more_features_than_a_byte_counts(self):
+        # 18 channels x 22 features: counts and thresholds exceed 255
+        rng = np.random.default_rng(19)
+        cb = fitted_codebooks(396, dim=256, seed=2)
+        rows = rng.uniform(-0.2, 1.2, size=(3, 396))
+        for row, values in zip(encode_windows(rows, cb), rows):
+            assert np.array_equal(row, reference_encoding(values, cb).bits)
+
+
+class TestNonFiniteFeatures:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_fit_ranges_rejects(self, bad):
+        cb = build_codebooks(3, 20, dim=128, seed=0)
+        values = np.random.default_rng(0).uniform(size=(6, 3))
+        values[4, 1] = bad
+        with pytest.raises(DegenerateInputError, match="non-finite"):
+            fit_ranges(cb, values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_encode_windows_rejects(self, bad):
+        cb = fitted_codebooks(3, dim=128)
+        values = np.full((4, 3), 0.5)
+        values[2, 0] = bad
+        with pytest.raises(DegenerateInputError, match="non-finite"):
+            encode_windows(values, cb)

@@ -350,6 +350,23 @@ class TestCvPersonalized:
         with pytest.raises(InsufficientDataError):
             cv_personalized(records, small_cfg())
 
+    def test_records_disagreeing_on_feature_count_rejected(self):
+        rng = np.random.default_rng(5)
+        records = make_subject(rng, "p7")
+        fm = records[1]
+        records[1] = FeatureMatrix(
+            values=fm.values[:, :-1],
+            window_labels=fm.window_labels,
+            window_start_sec=fm.window_start_sec,
+            feature_names=fm.feature_names[:-1],
+            channels=fm.channels,
+            features_per_channel=fm.features_per_channel - 1,
+            record_id=fm.record_id,
+            subject_id=fm.subject_id,
+        )
+        with pytest.raises(IncompatibleModelsError, match="feature count"):
+            cv_personalized(records, small_cfg())
+
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         records = make_subject(rng, "p6")

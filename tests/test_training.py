@@ -1,5 +1,8 @@
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdseizure.errors import MissingClassError
 from hdseizure.hypervector import (
@@ -18,6 +21,13 @@ from hdseizure.training import (
     train_online,
     train_standard,
 )
+
+
+def fit(trainer, samples, cfg, **kwargs):
+    """Run a packed-matrix trainer on (Hypervector, label) pairs."""
+    rows = np.stack([v.bits for v, _ in samples])
+    labels = [y for _, y in samples]
+    return trainer(rows, labels, cfg, dim=samples[0][0].dim, **kwargs)
 
 
 def flip_fraction(v, fraction, rng):
@@ -75,14 +85,14 @@ class TestTrainStandard:
     def test_single_sample_per_class(self):
         s = random_hypervector(0, 1, 128)
         ns = random_hypervector(0, 2, 128)
-        model = train_standard([(s, 1), (ns, 0)], TrainConfig(mode="standard"))
+        model = fit(train_standard, [(s, 1), (ns, 0)], TrainConfig(mode="standard"))
         assert model.seizure == s and model.non_seizure == ns
 
     def test_duplication_invariant(self):
         samples = cluster_samples(per_class=5)
         cfg = TrainConfig(mode="standard", seed=2)
-        a = train_standard(samples, cfg)
-        b = train_standard(samples * 2, cfg)
+        a = fit(train_standard, samples, cfg)
+        b = fit(train_standard, samples * 2, cfg)
         assert a.seizure == b.seizure and a.non_seizure == b.non_seizure
 
     def test_majority_oracle_dim64(self):
@@ -92,7 +102,7 @@ class TestTrainStandard:
             for y in (1, 0)
             for _ in range(5)
         ]
-        model = train_standard(samples, TrainConfig(mode="standard", seed=0))
+        model = fit(train_standard, samples, TrainConfig(mode="standard", seed=0))
         for label, vec in ((1, model.seizure), (0, model.non_seizure)):
             stack = np.stack([v.to_bools() for v, y in samples if y == label])
             counts = stack.sum(axis=0)
@@ -103,16 +113,16 @@ class TestTrainStandard:
     def test_order_independent(self):
         samples = cluster_samples(per_class=7, seed=9)
         cfg = TrainConfig(mode="standard", seed=1)
-        a = train_standard(samples, cfg)
-        b = train_standard(samples[::-1], cfg)
+        a = fit(train_standard, samples, cfg)
+        b = fit(train_standard, samples[::-1], cfg)
         assert a.seizure == b.seizure and a.non_seizure == b.non_seizure
 
     def test_missing_class(self):
         v = random_hypervector(0, 0, 64)
         with pytest.raises(MissingClassError):
-            train_standard([(v, 1)], TrainConfig(mode="standard"))
+            fit(train_standard, [(v, 1)], TrainConfig(mode="standard"))
         with pytest.raises(MissingClassError):
-            train_online([(v, 0)], TrainConfig())
+            fit(train_online, [(v, 0)], TrainConfig())
 
 
 class TestTrainOnline:
@@ -120,12 +130,12 @@ class TestTrainOnline:
         s = random_hypervector(1, 10, 256)
         ns = random_hypervector(1, 11, 256)
         samples = [(s, 1), (ns, 0)] * 4
-        model = train_online(samples, TrainConfig(alpha=1.0, epochs=2, seed=0))
+        model = fit(train_online, samples, TrainConfig(alpha=1.0, epochs=2, seed=0))
         assert model.seizure == s and model.non_seizure == ns
 
     def test_alpha_zero_keeps_init(self):
         samples = cluster_samples(per_class=6, seed=7)
-        model = train_online(samples, TrainConfig(alpha=0.0, seed=0))
+        model = fit(train_online, samples, TrainConfig(alpha=0.0, seed=0))
         assert model.seizure == samples[0][0]
         assert model.non_seizure == samples[1][0]
 
@@ -140,7 +150,7 @@ class TestTrainOnline:
             if labels != {0, 1}:
                 continue
             cfg = TrainConfig(alpha=1.0, epochs=1, seed=seed)
-            model = train_online(samples, cfg)
+            model = fit(train_online, samples, cfg)
             ref_s, ref_ns = online_oracle(samples, 1.0, 1, seed, 64)
             np.testing.assert_array_equal(model.seizure.to_bools(), ref_s)
             np.testing.assert_array_equal(model.non_seizure.to_bools(), ref_ns)
@@ -152,7 +162,7 @@ class TestTrainOnline:
             for y in (1, 0, 1, 0, 1, 0, 0, 1)
         ]
         cfg = TrainConfig(alpha=0.7, epochs=3, seed=4)
-        model = train_online(samples, cfg)
+        model = fit(train_online, samples, cfg)
         ref_s, ref_ns = online_oracle(samples, 0.7, 3, 4, 64)
         np.testing.assert_array_equal(model.seizure.to_bools(), ref_s)
         np.testing.assert_array_equal(model.non_seizure.to_bools(), ref_ns)
@@ -160,7 +170,7 @@ class TestTrainOnline:
     def test_no_subtractions_when_separable(self):
         samples = cluster_samples(dim=2048, per_class=10, noise=0.05, seed=11)
         stats = {}
-        train_online(samples, TrainConfig(seed=0), stats=stats)
+        fit(train_online, samples, TrainConfig(seed=0), stats=stats)
         assert stats["mispredictions"] == 0
         assert stats["subtractions"] == 0
 
@@ -171,7 +181,7 @@ class TestTrainOnline:
         samples = [(flip_fraction(base, 0.05, rng), int(rng.integers(2))) for _ in range(20)]
         samples += [(base, 1), (base, 0)]
         stats = {}
-        train_online(samples, TrainConfig(seed=1), stats=stats)
+        fit(train_online, samples, TrainConfig(seed=1), stats=stats)
         assert stats["mispredictions"] > 0
         assert stats["mispredictions"] == stats["subtractions"]
 
@@ -180,7 +190,7 @@ class TestTrainingSanity:
     @pytest.mark.parametrize("mode", ["standard", "online"])
     def test_separable_clusters_reach_full_train_accuracy(self, mode):
         samples = cluster_samples(dim=2048, per_class=15, noise=0.12, seed=21)
-        model = train(samples, TrainConfig(mode=mode, seed=0))
+        model = fit(train, samples, TrainConfig(mode=mode, seed=0))
         hits = sum(classify(v, model)[0] == y for v, y in samples)
         assert hits == len(samples)
 
@@ -252,6 +262,11 @@ class TestConfigsAndModel:
         with pytest.raises(ValueError):
             TrainConfig(alpha=float("nan"))
 
+    @pytest.mark.parametrize("alpha", [float("inf"), float("-inf"), -0.5])
+    def test_non_finite_or_negative_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(alpha=alpha)
+
     def test_bad_kind(self):
         v = random_hypervector(0, 0, 64)
         with pytest.raises(ValueError):
@@ -259,8 +274,8 @@ class TestConfigsAndModel:
 
     def test_metadata_passthrough(self):
         samples = cluster_samples(per_class=3)
-        model = train(
-            samples,
+        model = fit(
+            train, samples,
             TrainConfig(seed=0),
             kind="personalized",
             subject_id="s01",
@@ -269,3 +284,91 @@ class TestConfigsAndModel:
         assert model.subject_id == "s01"
         assert model.source_cohort == "unit"
         assert hamming_distance(model.seizure, model.non_seizure) > 0
+
+
+class TestPackedInputChecks:
+    def test_rejects_wrong_row_width(self):
+        rows = np.zeros((2, 16), np.uint8)
+        with pytest.raises(ValueError, match="matrix"):
+            train_online(rows, [0, 1], TrainConfig(), dim=64)
+
+    def test_rejects_label_count_mismatch(self):
+        rows = np.zeros((3, 8), np.uint8)
+        with pytest.raises(ValueError, match="labels"):
+            train_standard(rows, [0, 1], TrainConfig(mode="standard"), dim=64)
+
+    def test_rejects_non_binary_labels(self):
+        rows = np.zeros((3, 8), np.uint8)
+        with pytest.raises(ValueError, match="0 or 1"):
+            train_online(rows, [0, 1, 2], TrainConfig(), dim=64)
+
+
+# ---- equivalence with the Hypervector-list oracles in tests/oracles.py ----
+
+@st.composite
+def training_sets(draw):
+    """Noisy copies of two base vectors (so the online trainer mispredicts),
+    with dims that are and are not multiples of 8 and a chosen class balance."""
+    dim = draw(st.sampled_from([64, 200, 1001]))
+    seed = draw(st.integers(0, 2**31))
+    n_s = draw(st.integers(1, 8))
+    n_ns = draw(st.integers(1, 8))
+    noise = draw(st.sampled_from([0.05, 0.3, 0.5]))
+    rng = np.random.default_rng(seed)
+    base = {1: random_hypervector(seed, 1, dim), 0: random_hypervector(seed, 2, dim)}
+    labels = [1] * n_s + [0] * n_ns
+    rng.shuffle(labels)
+    return [(flip_fraction(base[y], noise, rng), int(y)) for y in labels]
+
+
+def assert_same_model(got, want):
+    assert got.seizure == want.seizure
+    assert got.non_seizure == want.non_seizure
+
+
+class TestTrainersMatchOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        training_sets(),
+        st.sampled_from([0.0, 0.5, 1.0, 1.7]),
+        st.integers(1, 3),
+        st.integers(0, 2**31),
+    )
+    def test_online_bit_identical_with_stats(self, samples, alpha, epochs, seed):
+        cfg = TrainConfig(alpha=alpha, epochs=epochs, seed=seed)
+        got_stats, want_stats = {}, {}
+        got = fit(train_online, samples, cfg, stats=got_stats)
+        want = oracles.train_online(samples, cfg, stats=want_stats)
+        assert_same_model(got, want)
+        assert got_stats == want_stats
+
+    @settings(max_examples=40, deadline=None)
+    @given(training_sets(), st.integers(0, 2**31))
+    def test_standard_bit_identical(self, samples, seed):
+        cfg = TrainConfig(mode="standard", seed=seed)
+        assert_same_model(fit(train_standard, samples, cfg), oracles.train_standard(samples, cfg))
+
+    @pytest.mark.parametrize("alpha, epochs", [(1.0, 2), (0.0, 1), (0.0, 2), (0.8, 3)])
+    def test_online_fixed_cases_dim_1001(self, alpha, epochs):
+        rng = np.random.default_rng(41)
+        base = random_hypervector(4, 0, 1001)
+        samples = [(flip_fraction(base, 0.2, rng), int(rng.integers(2))) for _ in range(12)]
+        samples += [(base, 1), (base, 0)]
+        cfg = TrainConfig(alpha=alpha, epochs=epochs, seed=3)
+        got_stats, want_stats = {}, {}
+        assert_same_model(
+            fit(train_online, samples, cfg, stats=got_stats),
+            oracles.train_online(samples, cfg, stats=want_stats),
+        )
+        assert got_stats == want_stats
+
+    @pytest.mark.parametrize("trainer, oracle, mode", [
+        (train_online, oracles.train_online, "online"),
+        (train_standard, oracles.train_standard, "standard"),
+    ])
+    def test_one_sample_in_a_class(self, trainer, oracle, mode):
+        rng = np.random.default_rng(43)
+        samples = [(Hypervector.from_bools(rng.integers(0, 2, 1001)), 0) for _ in range(6)]
+        samples.insert(3, (random_hypervector(5, 1, 1001), 1))
+        cfg = TrainConfig(mode=mode, epochs=2, seed=6)
+        assert_same_model(fit(trainer, samples, cfg), oracle(samples, cfg))
