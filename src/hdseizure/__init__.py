@@ -51,13 +51,11 @@ from .features import (
     FeatureConfig,
     FeatureMatrix,
     SignalRecord,
-    azc_features,
     band_powers,
     bandpass_filter,
     extract_features,
     line_length,
     mean_amplitude,
-    polygonal_approximation,
 )
 from .generalization import (
     EvolutionCurve,

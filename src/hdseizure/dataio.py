@@ -217,9 +217,24 @@ def read_record(path) -> SignalRecord:
         if cell not in ("0", "1"):
             raise ParseError(f"label must be 0 or 1, got {cell!r}", line=i)
         labels.append(int(cell))
+    if not times[1] > times[0]:
+        raise ParseError(
+            f"time column must increase, got {times[0]:.12g} then {times[1]:.12g}", line=3
+        )
     fs = 1.0 / (times[1] - times[0])
     if abs(fs - round(fs)) < 1e-6:
         fs = float(round(fs))
+    # each step must be one sample period; 1 % absorbs the %.12g timestamps
+    period = 1.0 / fs
+    steps = np.diff(np.array(times))
+    off = np.flatnonzero(~(np.abs(steps - period) <= 0.01 * period))
+    if off.size:
+        k = int(off[0])
+        raise ParseError(
+            f"time column steps by {steps[k]:.12g} s, not one sample period "
+            f"({period:.12g} s at {fs:.12g} Hz)",
+            line=k + 3,
+        )
     return SignalRecord(
         fs=fs,
         channels=channels,
@@ -404,6 +419,14 @@ def load_model(path):
             f"expected {expected} bytes for {count} vectors, got {len(buf)}"
         )
     nbytes = math.ceil(dim / 8)
+    if dim % 8:
+        # bits past dim in each vector's last byte must be zero
+        last = np.frombuffer(buf, np.uint8, count * stride, offset=13 + meta_len)
+        set_past = np.flatnonzero(last[nbytes - 1 :: stride] >> (dim % 8))
+        if set_past.size:
+            raise CorruptModelError(
+                f"vector {int(set_past[0])} has bits set past dim {dim}"
+            )
 
     def vector(k: int) -> Hypervector:
         start = 13 + meta_len + k * stride

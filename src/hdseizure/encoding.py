@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidDimensionError
+from .errors import DegenerateInputError, IncompatibleModelsError, InvalidDimensionError
 from .hypervector import Hypervector, random_hypervector, tie_break_vector
 
 DEFAULT_DIM = 10000
@@ -56,8 +56,13 @@ class Codebooks:
         when a feature's level bit flips. threshold folds the majority
         rule and the tie-break bit into one comparison; see
         `encode_windows`.
+
+        The kernel reads only level[0] and takes the rest of the chain to be
+        the one `build_codebooks` makes, so any other chain (say one read
+        from a model file) raises IncompatibleModelsError.
         """
         if self._unpacked is None:
+            self._check_level_chain()
             ids = np.stack([v.to_bools() for v in self.id_vectors])
             base = np.bitwise_xor(ids, self.level_vectors[0].to_bools()[None, :])
             total = base.sum(axis=0, dtype=np.int32)
@@ -66,6 +71,20 @@ class Codebooks:
             threshold = ((self.num_features - tie - 2 * total) / 2).astype(np.float32)
             self._unpacked = (signed, threshold)
         return self._unpacked
+
+    def _check_level_chain(self):
+        """level[k] ^ level[k+1] must be exactly flip block k."""
+        nlev = len(self.level_vectors)
+        block = self.dim // (2 * (nlev - 1)) if nlev >= 2 else 0
+        if block:
+            levels = np.stack([v.to_bools() for v in self.level_vectors])
+            flips = np.arange(self.dim)[None, :] // block == np.arange(nlev - 1)[:, None]
+            if np.array_equal(levels[1:] ^ levels[:-1], flips):
+                return
+        raise IncompatibleModelsError(
+            f"the {nlev} level vectors are not the block-flip chain of "
+            f"build_codebooks at dim {self.dim}"
+        )
 
 
 def build_codebooks(

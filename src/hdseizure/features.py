@@ -180,129 +180,98 @@ def band_powers(window, fs: float, bands=DEFAULT_BANDS):
     return absolute, relative
 
 
-def polygonal_approximation(window, epsilon: float) -> np.ndarray:
-    """Ramer-Douglas-Peucker simplification of the points (t, window[t]).
+def _rdp_significance(y: np.ndarray, starts: np.ndarray, wlen: int, stop_eps: float) -> np.ndarray:
+    """Ramer-Douglas-Peucker significance of every point of every window.
 
-    Returns the strictly increasing indices of the retained vertices,
-    always including the first and last point. A point survives when its
-    perpendicular distance to the current chord exceeds `epsilon`.
+    Window w is y[starts[w] : starts[w] + wlen]. sig[w, i] is the
+    ancestor-clamped perpendicular distance at which point i of window w
+    becomes a split vertex, so thresholding sig[w] > eps gives the vertices
+    that RDP keeps at tolerance eps, for any eps >= stop_eps. Endpoints get
+    +inf. Refinement stops once a segment's max distance falls to stop_eps
+    or below, so those interior points keep sig = 0.
+
+    Segments are held as absolute sample indices (a, b) into y; `base`
+    maps sample t of a segment's window to its flat index base + t in sig.
     """
-    x = np.asarray(window, dtype=np.float64)
-    if x.size < 2:
-        raise DegenerateInputError("polygonal approximation needs at least 2 points")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-    keep = np.zeros(x.size, dtype=bool)
-    keep[0] = keep[-1] = True
-    stack = [(0, x.size - 1)]
-    while stack:
-        i, j = stack.pop()
-        if j - i < 2:
-            continue
-        t = np.arange(i + 1, j)
-        cross = (x[j] - x[i]) * (t - i) - (j - i) * (x[t] - x[i])
-        dist = np.abs(cross) / np.hypot(j - i, x[j] - x[i])
-        k = int(t[np.argmax(dist)])
-        if dist.max() > epsilon:
-            keep[k] = True
-            stack.append((i, k))
-            stack.append((k, j))
-    return np.flatnonzero(keep)
-
-
-def _split_significance(y: np.ndarray, stop_eps: float) -> np.ndarray:
-    """Perpendicular-distance significance of every point, batched over rows.
-
-    sig[s, i] is the (ancestor-clamped) distance at which point i becomes a
-    split vertex; thresholding sig > eps reproduces polygonal_approximation
-    at tolerance eps exactly, for any eps >= stop_eps. Endpoints get +inf.
-    Refinement stops once a segment's max distance falls to stop_eps or
-    below, so those interior points keep sig = 0.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    nseries, npts = y.shape
-    sig = np.zeros((nseries, npts))
+    nwin = starts.size
+    sig = np.zeros((nwin, wlen))
     sig[:, 0] = sig[:, -1] = np.inf
-    series = np.arange(nseries, dtype=np.intp)
-    start = np.zeros(nseries, dtype=np.intp)
-    end = np.full(nseries, npts - 1, dtype=np.intp)
-    parent = np.full(nseries, np.inf)
-    mask = end - start >= 2
-    series, start, end, parent = series[mask], start[mask], end[mask], parent[mask]
-    while series.size:
-        counts = end - start - 1
-        offsets = np.concatenate(([0], np.cumsum(counts)))[:-1]
-        seg = np.repeat(np.arange(series.size), counts)
-        t = start[seg] + 1 + (np.arange(counts.sum()) - offsets[seg])
-        y1 = y[series, start]
-        y2 = y[series, end]
-        chord = np.hypot(end - start, y2 - y1)
-        cross = (y2 - y1)[seg] * (t - start[seg]) - (end - start)[seg] * (
-            y[series[seg], t] - y1[seg]
-        )
-        dist = np.abs(cross) / chord[seg]
+    flat = sig.reshape(-1)
+    a = starts.astype(np.intp)
+    b = a + (wlen - 1)
+    base = np.arange(nwin, dtype=np.intp) * wlen - a
+    parent = np.full(nwin, np.inf)
+    while True:
+        live = b - a >= 2
+        if not live.any():
+            return sig
+        a, b, base, parent = a[live], b[live], base[live], parent[live]
+        counts = b - a - 1
+        offsets = np.cumsum(counts) - counts
+        # t runs over the interior points of every segment, segment-major
+        t = np.repeat(a + 1 - offsets, counts)
+        t += np.arange(t.size)
+        fa = y[a]
+        dy = y[b] - fa
+        length = (b - a).astype(np.float64)
+        # |dy * (t - a) - (b - a) * (y[t] - y[a])| / hypot(b - a, dy), in place
+        dist = (t - np.repeat(a, counts)).astype(np.float64)
+        dist *= np.repeat(dy, counts)
+        lever = y[t]
+        lever -= np.repeat(fa, counts)
+        lever *= np.repeat(length, counts)
+        dist -= lever
+        np.abs(dist, out=dist)
+        dist /= np.repeat(np.hypot(length, dy), counts)
         dmax = np.maximum.reduceat(dist, offsets)
-        # first index achieving the max, matching argmax in the plain version
-        split = np.minimum.reduceat(np.where(dist == dmax[seg], t, npts), offsets)
+        # the first point achieving each segment's max, as argmax picks it
+        hits = np.flatnonzero(dist == np.repeat(dmax, counts))
+        if hits.size != a.size:
+            hits = hits[np.searchsorted(hits, offsets)]
+        split = t[hits]
         value = np.minimum(dmax, parent)
         grow = dmax > stop_eps
-        sig[series[grow], split[grow]] = value[grow]
-        l_series, l_start, l_end = series[grow], start[grow], split[grow]
-        r_series, r_start, r_end = series[grow], split[grow], end[grow]
-        value = value[grow]
-        series = np.concatenate((l_series, r_series))
-        start = np.concatenate((l_start, r_start))
-        end = np.concatenate((l_end, r_end))
+        a, b, base, split, value = a[grow], b[grow], base[grow], split[grow], value[grow]
+        flat[base + split] = value
+        a = np.concatenate((a, split))
+        b = np.concatenate((split, b))
+        base = np.concatenate((base, base))
         parent = np.concatenate((value, value))
-        mask = end - start >= 2
-        series, start, end, parent = series[mask], start[mask], end[mask], parent[mask]
-    return sig
 
 
-def _count_crossings_rows(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Sign changes per row over the kept entries, zeros compressed out.
+def _azc_windows(filtered, starts, wlen: int, epsilons, fs: float) -> np.ndarray:
+    """AZC features of the windows filtered[s : s + wlen], s in starts:
+    zero crossings per second of each RDP-simplified window, one column per
+    tolerance. `filtered` is one already bandpass-filtered channel.
 
-    A run of exact zeros counts as a single crossing when the next nonzero
-    value has the opposite sign of the last nonzero value before the run.
+    Within a window, each run of equal nonzero sign (exact zeros compressed
+    out) carries the max significance of its points. At tolerance eps the
+    runs with max > eps survive (all of them at eps = 0, where RDP keeps
+    every non-collinear point and collinear points lie on the kept chords),
+    and a crossing is a sign change between consecutive surviving runs.
     """
-    nseries, npts = values.shape
-    signs = np.where(keep, np.sign(values), 0.0)
-    nonzero = signs != 0
-    col = np.arange(npts)[None, :]
-    last = np.maximum.accumulate(np.where(nonzero, col, -1), axis=1)
-    prev_idx = last[:, :-1]
-    prev_sign = np.take_along_axis(signs, np.maximum(prev_idx, 0), axis=1)
-    flips = nonzero[:, 1:] & (prev_idx >= 0) & (signs[:, 1:] != prev_sign)
-    return flips.sum(axis=1)
-
-
-def _azc_rows(windows: np.ndarray, epsilons, fs: float) -> np.ndarray:
-    """AZC features for a batch of already-filtered windows: (rows, len(epsilons))."""
-    windows = np.asarray(windows, dtype=np.float64)
-    seconds = windows.shape[1] / fs
+    y = np.asarray(filtered, dtype=np.float64)
+    starts = np.asarray(starts, dtype=np.intp)
+    nwin = starts.size
+    sign = np.sign(y)[starts[:, None] + np.arange(wlen)].reshape(-1)
+    nonzero = np.flatnonzero(sign)
+    sign = sign[nonzero]
+    win = nonzero // wlen
+    cut = np.ones(sign.size, dtype=bool)
+    cut[1:] = (sign[1:] != sign[:-1]) | (win[1:] != win[:-1])
+    first = np.flatnonzero(cut)
+    run_sign, run_win = sign[first], win[first]
     positive = [e for e in epsilons if e > 0]
-    sig = _split_significance(windows, min(positive)) if positive else None
-    out = np.empty((windows.shape[0], len(epsilons)))
+    if positive:
+        sig = _rdp_significance(y, starts, wlen, min(positive)).reshape(-1)
+        run_sig = np.maximum.reduceat(sig[nonzero], first)
+    seconds = wlen / fs
+    out = np.empty((nwin, len(epsilons)))
     for k, eps in enumerate(epsilons):
-        # eps == 0 keeps every non-collinear point; collinear points lie on
-        # the retained chords, so counting on the raw window is identical.
-        keep = np.ones_like(windows, dtype=bool) if eps == 0 else sig > eps
-        out[:, k] = _count_crossings_rows(windows, keep) / seconds
-    return out
-
-
-def azc_features(window, epsilons, fs: float) -> np.ndarray:
-    """Zero crossings per second of the polygonally simplified window,
-    one count per tolerance. The caller is expected to have bandpass
-    filtered the signal already."""
-    x = np.asarray(window, dtype=np.float64)
-    seconds = x.size / fs
-    out = np.empty(len(epsilons))
-    for k, eps in enumerate(epsilons):
-        vals = x[polygonal_approximation(x, eps)]
-        vals = vals[vals != 0]
-        crossings = int(np.count_nonzero(np.sign(vals[:-1]) != np.sign(vals[1:])))
-        out[k] = crossings / seconds
+        keep = run_sig > eps if eps > 0 else slice(None)
+        s, w = run_sign[keep], run_win[keep]
+        flips = (s[1:] != s[:-1]) & (w[1:] == w[:-1])
+        out[:, k] = np.bincount(w[1:][flips], minlength=nwin) / seconds
     return out
 
 
@@ -320,6 +289,13 @@ def extract_features(record: SignalRecord, config: FeatureConfig = None) -> Feat
     if total < wlen:
         raise DegenerateInputError(
             f"record of {total} samples is shorter than one {wlen}-sample window"
+        )
+    bad = ~np.isfinite(record.samples)
+    if bad.any():
+        ch, t = np.argwhere(bad)[0]
+        raise DegenerateInputError(
+            f"{int(bad.sum())} non-finite sample(s), first in channel "
+            f"{record.channels[ch]!r} at sample {t}: {record.samples[ch, t]}"
         )
     nwin = window_count(total, wlen, step)
     per_channel = config.names_per_channel()
@@ -354,8 +330,9 @@ def extract_features(record: SignalRecord, config: FeatureConfig = None) -> Feat
         filtered = bandpass_filter(
             x, fs, config.azc_band[0], config.azc_band[1], config.azc_filter_order
         )
-        fwins = sliding_window_view(filtered, wlen)[::step][:nwin]
-        block[:, 2 + 2 * nb :] = _azc_rows(fwins, config.azc_epsilons, fs)
+        block[:, 2 + 2 * nb :] = _azc_windows(
+            filtered, np.arange(nwin) * step, wlen, config.azc_epsilons, fs
+        )
         values[:, c * nfeat : (c + 1) * nfeat] = block
 
     names = [f"{ch}:{f}" for ch in record.channels for f in per_channel]

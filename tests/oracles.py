@@ -1,11 +1,11 @@
-"""Scalar reference implementations that the packed-matrix core is tested
-against. They work one `Hypervector` at a time, straight from the
-definitions, and are not used by the package itself."""
+"""Scalar reference implementations that the package's batched kernels are
+tested against. They work one window or one `Hypervector` at a time,
+straight from the definitions, and are not used by the package itself."""
 
 import numpy as np
 
 from hdseizure.encoding import quantize
-from hdseizure.errors import MissingClassError
+from hdseizure.errors import DegenerateInputError, MissingClassError
 from hdseizure.hypervector import Accumulator, Hypervector, bind, bundle, hamming_distance
 from hdseizure.training import NON_SEIZURE, SEIZURE, ClassModel, TrainConfig
 
@@ -82,3 +82,48 @@ def train_online(samples, cfg: TrainConfig, stats: dict = None, **meta) -> Class
         non_seizure=acc[NON_SEIZURE].normalize(cfg.seed),
         **meta,
     )
+
+
+def polygonal_approximation(window, epsilon: float) -> np.ndarray:
+    """Ramer-Douglas-Peucker simplification of the points (t, window[t]).
+
+    Returns the strictly increasing indices of the retained vertices,
+    always including the first and last point. A point survives when its
+    perpendicular distance to the current chord exceeds `epsilon`.
+    """
+    x = np.asarray(window, dtype=np.float64)
+    if x.size < 2:
+        raise DegenerateInputError("polygonal approximation needs at least 2 points")
+    if epsilon < 0:
+        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+    keep = np.zeros(x.size, dtype=bool)
+    keep[0] = keep[-1] = True
+    stack = [(0, x.size - 1)]
+    while stack:
+        i, j = stack.pop()
+        if j - i < 2:
+            continue
+        t = np.arange(i + 1, j)
+        cross = (x[j] - x[i]) * (t - i) - (j - i) * (x[t] - x[i])
+        dist = np.abs(cross) / np.hypot(j - i, x[j] - x[i])
+        k = int(t[np.argmax(dist)])
+        if dist.max() > epsilon:
+            keep[k] = True
+            stack.append((i, k))
+            stack.append((k, j))
+    return np.flatnonzero(keep)
+
+
+def azc_features(window, epsilons, fs: float) -> np.ndarray:
+    """Zero crossings per second of the polygonally simplified window,
+    one count per tolerance. The caller is expected to have bandpass
+    filtered the signal already."""
+    x = np.asarray(window, dtype=np.float64)
+    seconds = x.size / fs
+    out = np.empty(len(epsilons))
+    for k, eps in enumerate(epsilons):
+        vals = x[polygonal_approximation(x, eps)]
+        vals = vals[vals != 0]
+        crossings = int(np.count_nonzero(np.sign(vals[:-1]) != np.sign(vals[1:])))
+        out[k] = crossings / seconds
+    return out

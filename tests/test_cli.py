@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hdseizure import cli
-from hdseizure.dataio import load_model, read_record
+from hdseizure.dataio import load_model, read_record, save_model
 
 TINY = [
     "--subjects", "3", "--records-per-subject", "3",
@@ -249,6 +249,31 @@ class TestErrorPaths:
                   "--out", str(tmp_path / "g.hdcm")])
         assert rc == 5
         assert "different encoder" in capsys.readouterr().err
+
+    def test_reversed_level_chain_is_data_error(self, tmp_path, capsys):
+        _, feats, models = build_pipeline(tmp_path)
+        bad = tmp_path / "reversed"
+        bad.mkdir()
+        for name in sorted(os.listdir(models)):
+            model, books = load_model(os.path.join(models, name))
+            books.level_vectors.reverse()
+            save_model(model, books, str(bad / name))
+        rc = run(["transfer", *TINY, "--source-models", str(bad),
+                  "--target-features", feats, "--out", str(tmp_path / "t")])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert err.startswith("DATA:") and "block-flip chain" in err
+
+    def test_irregular_time_column_is_parse_error(self, tmp_path, capsys):
+        cohort = tmp_path / "cohort"
+        assert run(["synth", *TINY, "--out", str(cohort)]) == 0
+        path = cohort / "s001__r02.csv"
+        lines = path.read_text().splitlines(True)
+        path.write_text("".join(lines[:100] + lines[104:]))  # a 4-sample gap
+        rc = run(["features", *TINY, "--cohort", str(cohort), "--out", str(tmp_path / "f")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("PARSE:") and "line 101" in err and "time column" in err
 
 
 class TestBadInputExitCodes:

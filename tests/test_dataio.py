@@ -216,6 +216,55 @@ class TestRecordCsv:
         with pytest.raises(ParseError):
             read_record(path)
 
+    @pytest.mark.parametrize(
+        "times, line",
+        [
+            ([0.0, 0.0, 0.5, 1.0], 3),  # repeated first timestamp
+            ([0.5, 0.0, 0.5, 1.0], 3),  # decreasing first step
+            ([0.0, 0.5, 1.0, 1.0, 1.5], 5),  # repeated timestamp
+            ([0.0, 0.5, 1.0, 0.5, 1.0], 5),  # decreasing timestamp
+            ([0.0, 0.5, 1.0, 3.0, 3.5], 5),  # a 4-sample gap
+            ([0.0, 0.5, 1.0, 1.25, 1.5], 5),  # a half-period step
+            ([0.0, 0.5, float("nan"), 1.5], 4),
+            ([float("nan"), 0.5, 1.0], 3),
+        ],
+    )
+    def test_time_column_must_step_by_one_period(self, tmp_path, times, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "time_s,c1,label\n" + "".join(f"{t!r},1.0,0\n" for t in times)
+        )
+        with pytest.raises(ParseError, match="time column") as err:
+            read_record(path)
+        assert err.value.line == line
+
+    def test_gap_in_written_record(self, tmp_path):
+        rec = tiny_record(np.random.default_rng(2), n=64, fs=256.0)
+        path = tmp_path / "rec.csv"
+        write_record(rec, path)
+        lines = path.read_text().splitlines(True)
+        path.write_text("".join(lines[:20] + lines[24:]))  # drop samples 19..22
+        with pytest.raises(ParseError, match="time column steps by") as err:
+            read_record(path)
+        assert err.value.line == 21
+
+    def test_timestamp_jitter_within_tolerance(self, tmp_path):
+        rng = np.random.default_rng(3)
+        times = np.arange(40) / 256 + rng.uniform(-0.002, 0.002, 40) / 256
+        times[:2] = [0.0, 1 / 256]
+        path = tmp_path / "rec.csv"
+        path.write_text("time_s,c1,label\n" + "".join(f"{t:.12g},1.0,0\n" for t in times))
+        fs = read_record(path).fs
+        assert fs == 256.0 and type(fs) is float
+
+    def test_long_record_timestamps_accepted(self, tmp_path):
+        # %.12g keeps far more than 1 % of a period on a day-long record
+        path = tmp_path / "rec.csv"
+        start = 86400 * 256
+        path.write_text("time_s,c1,label\n" + "".join(
+            f"{(start + i) / 256:.12g},0,0\n" for i in range(8)))
+        assert read_record(path).fs == pytest.approx(256.0, rel=1e-4)
+
 
 def tiny_features(rng, nwin=9, nfeat=6):
     return FeatureMatrix(
@@ -377,6 +426,25 @@ class TestModelFile:
         path.write_bytes(payload)
         with pytest.raises(CorruptModelError):
             load_model(path)
+
+    def test_padding_bits_past_dim_rejected(self, tmp_path):
+        rng = np.random.default_rng(9)
+        books = fitted_books(rng, dim=1001)
+        model = ClassModel(seizure=random_hypervector(2, 95, 1001),
+                           non_seizure=random_hypervector(2, 96, 1001))
+        path = tmp_path / "m.hdcm"
+        save_model(model, books, path)
+        data = path.read_bytes()
+        back, _ = load_model(path)
+        assert back.seizure == model.seizure
+        meta_len = struct.unpack_from("<I", data, 9)[0]
+        stride, nbytes = 16 * 8, 126
+        for k in (0, 1, 5, 2 + 6 + 4):  # S, NS, a level and the last id vector
+            bad = bytearray(data)
+            bad[13 + meta_len + k * stride + nbytes - 1] |= 0x80
+            path.write_bytes(bytes(bad))
+            with pytest.raises(CorruptModelError, match=f"vector {k} has bits set past dim 1001"):
+                load_model(path)
 
     def test_dim_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(8)

@@ -13,7 +13,7 @@ from hdseizure.encoding import (
     fit_ranges,
     quantize,
 )
-from hdseizure.errors import DegenerateInputError, InvalidDimensionError
+from hdseizure.errors import DegenerateInputError, IncompatibleModelsError, InvalidDimensionError
 from hdseizure.hypervector import Hypervector, bind, bundle, hamming_distance
 
 
@@ -77,6 +77,43 @@ class TestLevelChain:
         b = build_codebooks(4, 8, dim=128, seed=9)
         assert a.id_vectors == b.id_vectors
         assert a.level_vectors == b.level_vectors
+
+
+class TestLevelChainCheck:
+    """The kernel tables are built only for the chain build_codebooks makes."""
+
+    @staticmethod
+    def with_levels(cb, levels):
+        return Codebooks(dim=cb.dim, num_levels=len(levels), seed=cb.seed,
+                         id_vectors=cb.id_vectors, level_vectors=list(levels))
+
+    @pytest.mark.parametrize("levels, dim", [(2, 64), (8, 256), (20, 1001), (20, 10000), (32, 64)])
+    def test_built_chains_pass(self, levels, dim):
+        cb = build_codebooks(3, levels, dim=dim, seed=4)
+        signed, threshold = cb.unpacked_bits()
+        assert signed.shape == (3, dim) and threshold.shape == (dim,)
+
+    def test_reversed_chain_rejected(self):
+        cb = build_codebooks(3, 8, dim=256, seed=4)
+        bad = self.with_levels(cb, cb.level_vectors[::-1])
+        with pytest.raises(IncompatibleModelsError, match="block-flip chain"):
+            bad.unpacked_bits()
+        with pytest.raises(IncompatibleModelsError):
+            fit_ranges(bad, np.zeros((2, 3)) + [[0.0], [1.0]])
+
+    def test_one_flipped_bit_rejected(self):
+        cb = build_codebooks(3, 8, dim=256, seed=4)
+        bits = cb.level_vectors[3].to_bools()
+        bits[200] ^= 1
+        levels = list(cb.level_vectors)
+        levels[3] = Hypervector.from_bools(bits)
+        with pytest.raises(IncompatibleModelsError):
+            self.with_levels(cb, levels).unpacked_bits()
+
+    def test_single_level_rejected(self):
+        cb = build_codebooks(3, 8, dim=256, seed=4)
+        with pytest.raises(IncompatibleModelsError):
+            self.with_levels(cb, cb.level_vectors[:1]).unpacked_bits()
 
 
 class TestQuantize:

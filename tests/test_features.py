@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import azc_features, polygonal_approximation
 
 from hdseizure.errors import DegenerateInputError
 from hdseizure.features import (
@@ -7,15 +10,13 @@ from hdseizure.features import (
     DEFAULT_BANDS,
     FeatureConfig,
     SignalRecord,
-    _azc_rows,
-    _split_significance,
-    azc_features,
+    _azc_windows,
+    _rdp_significance,
     band_powers,
     bandpass_filter,
     extract_features,
     line_length,
     mean_amplitude,
-    polygonal_approximation,
     window_count,
 )
 
@@ -45,6 +46,11 @@ def rdp_recursive(x, epsilon):
         return [i, j]
 
     return np.array(recurse(0, len(x) - 1))
+
+
+def one_window_azc(x, epsilons, fs):
+    """The AZC kernel on `x` as a single window."""
+    return _azc_windows(x, np.array([0]), len(x), epsilons, fs)[0]
 
 
 def crossings_of(values):
@@ -199,7 +205,7 @@ class TestSplitSignificance:
         rng = np.random.default_rng(31)
         epsilons = [0.25, 0.5, 1.0, 2.0, 4.0]
         windows = rng.standard_normal((6, 120)) * 3
-        sig = _split_significance(windows, min(epsilons))
+        sig = _rdp_significance(windows.reshape(-1), np.arange(6) * 120, 120, min(epsilons))
         for r in range(windows.shape[0]):
             for eps in epsilons:
                 np.testing.assert_array_equal(
@@ -209,7 +215,7 @@ class TestSplitSignificance:
                 )
 
     def test_handles_flat_rows(self):
-        sig = _split_significance(np.zeros((3, 50)), 0.5)
+        sig = _rdp_significance(np.zeros(150), np.arange(3) * 50, 50, 0.5)
         assert np.isinf(sig[:, 0]).all() and np.isinf(sig[:, -1]).all()
         assert (sig[:, 1:-1] == 0).all()
 
@@ -221,10 +227,16 @@ class TestAzcFeatures:
         t = np.arange(4 * fs) / fs
         counts = azc_features(np.sin(2 * np.pi * f * t), [1e-6], fs)
         assert abs(counts[0] - 2 * f) <= 0.1 * 2 * f
+        np.testing.assert_array_equal(
+            one_window_azc(np.sin(2 * np.pi * f * t), [1e-6], fs), counts
+        )
 
     def test_constant_signal_no_crossings(self):
         counts = azc_features(np.full(1024, 2.0), DEFAULT_AZC_EPSILONS, 256)
         np.testing.assert_array_equal(counts, 0.0)
+        np.testing.assert_array_equal(
+            one_window_azc(np.full(1024, 2.0), DEFAULT_AZC_EPSILONS, 256), 0.0
+        )
 
     def test_monotone_in_epsilon(self):
         rng = np.random.default_rng(9)
@@ -235,13 +247,14 @@ class TestAzcFeatures:
         for eps, count in zip(DEFAULT_AZC_EPSILONS, counts):
             expected = crossings_of(x[rdp_recursive(x, eps)]) / (len(x) / 256)
             assert count == pytest.approx(expected)
+        np.testing.assert_array_equal(one_window_azc(x, DEFAULT_AZC_EPSILONS, 256), counts)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(13)
         windows = rng.standard_normal((5, 512)) * 80
-        batch = _azc_rows(windows, DEFAULT_AZC_EPSILONS, 256)
+        batch = _azc_windows(windows.reshape(-1), np.arange(5) * 512, 512, DEFAULT_AZC_EPSILONS, 256)
         for r in range(5):
-            np.testing.assert_allclose(
+            np.testing.assert_array_equal(
                 batch[r], azc_features(windows[r], DEFAULT_AZC_EPSILONS, 256)
             )
 
@@ -250,6 +263,60 @@ class TestAzcFeatures:
         x = np.array([1.0, 0.0, 0.0, -1.0, -1.0, 1.0])
         counts = azc_features(x, [0.0], 1.0)
         assert counts[0] * len(x) == 2
+        for epsilons in ([0.0], [0.1], [0.1, 0.0]):
+            np.testing.assert_array_equal(
+                one_window_azc(x, epsilons, 1.0), azc_features(x, epsilons, 1.0)
+            )
+
+
+@st.composite
+def azc_cases(draw):
+    """Overlapping or disjoint windows over a signal with exact zeros, flat
+    runs and repeated values, plus a tolerance list in the signal's range."""
+    wlen = draw(st.integers(2, 40))
+    nwin = draw(st.integers(1, 6))
+    step = draw(st.integers(1, wlen + 4))
+    n = (nwin - 1) * step + wlen + draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["levels", "noise"]))
+    if kind == "levels":
+        # few distinct dyadic values: many argmax ties and exactly collinear runs
+        x = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), float)
+        x *= draw(st.sampled_from([0.5, 1.0, 4.0]))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        x = rng.standard_normal(n) * 2
+        x[rng.random(n) < draw(st.sampled_from([0.0, 0.2]))] = 0.0
+        flat = rng.integers(0, n)
+        x[flat : flat + draw(st.integers(0, 6))] = x[flat]
+    epsilons = draw(
+        st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 6.0]), min_size=1, max_size=6)
+    )
+    starts = np.arange(nwin) * step
+    return x, starts, wlen, epsilons
+
+
+class TestAzcWindowsProperty:
+    """The one-pass kernel against the per-window scalar oracle, exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(azc_cases())
+    @example((np.array([1.0, 0.0, 0.0, -1.0, 1.0, 1.0, -2.0]), np.array([0]), 7, [0.0]))
+    @example((np.array([2.0, 0.0, 2.0, -1.0, 3.0, 0.0, -3.0, 1.0]), np.arange(4), 5, [1.0, 0.25]))
+    @example((np.array([1.0, -1.0, 1.0, -1.0, 1.0]), np.array([0, 3]), 2, [0.5, 0.0, 0.5]))
+    def test_matches_scalar_oracle(self, case):
+        x, starts, wlen, epsilons = case
+        fs = 4.0
+        batch = _azc_windows(x, starts, wlen, epsilons, fs)
+        assert batch.shape == (starts.size, len(epsilons))
+        positive = [e for e in epsilons if e > 0]
+        sig = _rdp_significance(x, starts, wlen, min(positive)) if positive else None
+        for w, s in enumerate(starts):
+            window = x[s : s + wlen]
+            np.testing.assert_array_equal(batch[w], azc_features(window, epsilons, fs))
+            for eps in positive:
+                np.testing.assert_array_equal(
+                    np.flatnonzero(sig[w] > eps), polygonal_approximation(window, eps)
+                )
 
 
 def make_record(fs=256, seconds=10.0, channels=1, freq=10.0, seed=0, labels=None):
@@ -310,6 +377,13 @@ class TestExtractFeatures:
             np.testing.assert_allclose(fm.values[w, 15], line_length(raw))
             azc = azc_features(filtered[w * step : w * step + wlen], config.azc_epsilons, fs)
             np.testing.assert_allclose(fm.values[w, 16:22], azc)
+
+    def test_non_finite_sample_rejected(self):
+        for bad in (np.nan, np.inf):
+            record = make_record(seconds=6.0, channels=2, seed=2)
+            record.samples[1, 300] = bad
+            with pytest.raises(DegenerateInputError, match="non-finite sample.*'C1' at sample 300"):
+                extract_features(record)
 
     def test_window_labels_majority(self):
         n = 2560
