@@ -221,20 +221,24 @@ def read_record(path) -> SignalRecord:
         raise ParseError(
             f"time column must increase, got {times[0]:.12g} then {times[1]:.12g}", line=3
         )
-    fs = 1.0 / (times[1] - times[0])
-    if abs(fs - round(fs)) < 1e-6:
-        fs = float(round(fs))
     # each step must be one sample period; 1 % absorbs the %.12g timestamps
-    period = 1.0 / fs
+    period = times[1] - times[0]
     steps = np.diff(np.array(times))
     off = np.flatnonzero(~(np.abs(steps - period) <= 0.01 * period))
     if off.size:
         k = int(off[0])
         raise ParseError(
             f"time column steps by {steps[k]:.12g} s, not one sample period "
-            f"({period:.12g} s at {fs:.12g} Hz)",
+            f"({period:.12g} s at {1.0 / period:.12g} Hz)",
             line=k + 3,
         )
+    # The rate comes from the whole span, where one timestamp's rounding
+    # counts once rather than against a single step. It snaps to an integer
+    # rate whose sample grid drifts less than 1 % of a period over the span.
+    n_steps = len(times) - 1
+    fs = n_steps / (times[-1] - times[0])
+    if abs(fs - round(fs)) * n_steps <= 0.01 * fs:
+        fs = float(round(fs))
     return SignalRecord(
         fs=fs,
         channels=channels,

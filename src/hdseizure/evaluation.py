@@ -26,7 +26,7 @@ from .encoding import (
 from .errors import IncompatibleModelsError, InsufficientDataError
 from .generalization import MergeConfig, generalize
 from .hybrid import HYBRID_MODES, compose_hybrid
-from .hypervector import hamming_to_rows
+from .hypervector import hamming_words, to_words
 from .training import ClassModel, TrainConfig, train
 
 METRIC_LEVELS = ("duration", "episode")
@@ -159,8 +159,9 @@ def _metrics_block(truth, predictions: dict) -> dict:
 
 def _classify_rows(rows, model: ClassModel):
     """Nearest-prototype labels and p(seizure) for packed encoded rows."""
-    d_s = hamming_to_rows(rows, model.seizure)
-    d_ns = hamming_to_rows(rows, model.non_seizure)
+    rows = to_words(rows)
+    d_s = hamming_words(rows, to_words(model.seizure.bits), model.dim)
+    d_ns = hamming_words(rows, to_words(model.non_seizure.bits), model.dim)
     raw = (d_s < d_ns).astype(np.uint8)
     sim = (1 - d_s) + (1 - d_ns)
     with np.errstate(invalid="ignore"):

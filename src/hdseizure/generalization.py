@@ -20,8 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateCohortError
-from .hypervector import Accumulator, _philox, hamming_distance, hamming_to_rows, pack_rows
-from .similarity import separability
+from .hypervector import (
+    Hypervector,
+    _packed_size,
+    _philox,
+    _sign_threshold,
+    _sign_words,
+    hamming_words,
+)
+from .similarity import _cohort_words
 from .training import ClassModel
 
 MERGE_METHODS = ("avrg", "wsub", "waddsub")
@@ -29,6 +36,10 @@ WRONG_WEIGHT_CONVENTIONS = ("distance", "similarity")
 
 #: Mean-curve step deltas below this mark the stability plateau.
 PLATEAU_TOLERANCE = 0.005
+
+#: Shuffles `evolution_curve` merges side by side; bounds its accumulators
+#: at 2 * 16 float64 rows of `dim` whatever the repetition count.
+_SHUFFLE_BATCH = 16
 
 
 @dataclass
@@ -84,75 +95,136 @@ def weight_wrong(hamm_dist: float, alpha: float) -> float:
     return alpha * hamm_dist
 
 
-class _MergeState:
-    """Running accumulator for one target class."""
+class _PackedMerge:
+    """Weighted merges run side by side over a cohort matrix from
+    `_cohort_words` (S rows, then NS rows), one float64 bipolar
+    accumulator row per merge.
 
-    def __init__(self, cfg: MergeConfig, tie_break_seed: int):
+    Each `add` step gives every merge the index of one correct-class row
+    to add and one opposite-class row to subtract. Rows are unpacked to
+    int8 +-1 only when added, and `w * row` lands every +-w exactly as
+    `Accumulator.add` does. `sign` is the `Accumulator.normalize` rule,
+    kept until the next step changes the accumulators.
+    """
+
+    def __init__(self, rows, dim: int, merges: int, cfg: MergeConfig, tie_break_seed: int):
+        self.rows = rows
+        self.dim = dim
         self.cfg = cfg
-        self.seed = tie_break_seed
-        self.acc = None
+        self.threshold = _sign_threshold(tie_break_seed, dim)
+        self.acc = np.zeros((merges, dim))
+        self.total_weight = np.zeros(merges)
+        self.steps = 0
+        self._bits = np.zeros((merges, rows.shape[1] * 64), dtype=bool)
+        self._sign = None
 
-    def add_subject(self, corr, wrong) -> None:
+    def sign(self) -> np.ndarray:
+        """The binarized accumulators as word-padded rows, (merges, words)."""
+        if self._sign is None:
+            self._sign = _sign_words(self.acc, self.threshold, self._bits)
+        return self._sign
+
+    def _accumulate(self, idx, weight) -> None:
+        bipolar = np.unpackbits(
+            self.rows[idx].view(np.uint8), axis=1, count=self.dim, bitorder="little"
+        ).view(np.int8)
+        bipolar *= 2
+        bipolar -= 1
+        # row by row, so the float temporary is one row, not one per merge
+        weights = np.broadcast_to(weight, self.total_weight.shape)
+        for acc, w, row in zip(self.acc, weights, bipolar):
+            acc += w * row
+        self.total_weight += weight
+        self._sign = None
+
+    def add(self, corr, wrong) -> None:
         cfg = self.cfg
-        if self.acc is None:
-            weight = weight_correct(0.0, cfg.alpha_corr) if cfg.method == "waddsub" else 1.0
-            self.acc = Accumulator.from_vector(corr, weight)
+        self.steps += 1
+        if self.steps == 1:
+            w0 = weight_correct(0.0, cfg.alpha_corr) if cfg.method == "waddsub" else 1.0
+            self._accumulate(corr, w0)
             return
-        current = self.acc.normalize(self.seed)
         if cfg.method == "avrg":
-            self.acc.add(corr, 1.0)
+            self._accumulate(corr, 1.0)
             return
-        d_wrong = hamming_distance(wrong, current)
+        current = self.sign()
+        d_wrong = hamming_words(self.rows[wrong], current, self.dim)
         if cfg.wrong_weight_convention == "distance":
             w_wrong = weight_wrong(d_wrong, cfg.alpha_wrong)
         else:
             w_wrong = weight_correct(d_wrong, cfg.alpha_wrong)
         if cfg.method == "wsub":
-            self.acc.add(corr, 1.0)
+            w_corr = 1.0
         else:
-            d_corr = hamming_distance(corr, current)
-            self.acc.add(corr, weight_correct(d_corr, cfg.alpha_corr))
-        self.acc.add(wrong, -w_wrong)
-
-    def finish(self, class_name: str):
-        if self.acc.total_weight <= 0:
-            raise DegenerateCohortError(
-                f"non-positive total weight {self.acc.total_weight:.4f} "
-                f"for class {class_name}; cohort cancels itself out"
-            )
-        return self.acc.normalize(self.seed)
+            d_corr = hamming_words(self.rows[corr], current, self.dim)
+            w_corr = weight_correct(d_corr, cfg.alpha_corr)
+        self._accumulate(corr, w_corr)
+        self._accumulate(wrong, -w_wrong)
 
 
-def _check_cohort(cohort):
-    cohort = list(cohort)
-    if not cohort:
-        raise ValueError("empty cohort")
-    dim = cohort[0].dim
-    for m in cohort:
-        if m.dim != dim:
-            raise ValueError(f"dimension mismatch: {m.dim} != {dim}")
-    return cohort
+def _check_total_weight(total: float, class_name: str, where: str = "") -> None:
+    if total <= 0:
+        raise DegenerateCohortError(
+            f"non-positive total weight {total:.4f} for class {class_name}{where}; "
+            "cohort cancels itself out"
+        )
+
+
+def _merge_order(order, n: int):
+    if order is None:
+        return range(n)
+    arr = np.asarray(order)
+    if arr.dtype.kind not in "iu" or not np.array_equal(np.sort(arr), np.arange(n)):
+        raise ValueError(f"order must be a permutation of range({n}), got {list(order)}")
+    return arr.tolist()
 
 
 def generalize(cohort, cfg: MergeConfig, tie_break_seed: int = 0, **meta) -> ClassModel:
     """Merge a cohort of personalized models into one generalized model."""
-    cohort = _check_cohort(cohort)
-    if cfg.order is not None:
-        cohort = [cohort[i] for i in cfg.order]
-    state_s = _MergeState(cfg, tie_break_seed)
-    state_ns = _MergeState(cfg, tie_break_seed)
+    cohort = list(cohort)
+    dim, rows = _cohort_words(cohort)
+    n = len(cohort)
+    order = _merge_order(cfg.order, n)
+    merge = _PackedMerge(rows, dim, 2, cfg, tie_break_seed)
     for _ in range(cfg.iterations):
-        for m in cohort:
-            state_s.add_subject(m.seizure, m.non_seizure)
-            state_ns.add_subject(m.non_seizure, m.seizure)
+        for i in order:
+            merge.add([i, n + i], [n + i, i])
+    _check_total_weight(merge.total_weight[0], "seizure")
+    _check_total_weight(merge.total_weight[1], "non-seizure")
+    seizure, non_seizure = merge.sign().view(np.uint8)[:, : _packed_size(dim)]
     refs = {m.codebook_ref for m in cohort}
     meta.setdefault("codebook_ref", refs.pop() if len(refs) == 1 else "")
     meta.setdefault("kind", "generalized")
     return ClassModel(
-        seizure=state_s.finish("seizure"),
-        non_seizure=state_ns.finish("non-seizure"),
+        seizure=Hypervector(seizure, dim),
+        non_seizure=Hypervector(non_seizure, dim),
         **meta,
     )
+
+
+def _evolve(rows, dim: int, orders: np.ndarray, first: int, cfg: MergeConfig, seed: int):
+    """Similarity series (ss, nsns, sns, nss), each (shuffles, n), for the
+    shuffles `orders` (one row each, numbered from `first`) merged side by
+    side."""
+    r, n = orders.shape
+    merge = _PackedMerge(rows, dim, 2 * r, cfg, seed)
+    sims = np.empty((4, r, n))
+    # [generalized S of each shuffle, then NS] x [cohort S rows, then NS]
+    dist = np.empty((2 * r, 2 * n))
+    for step in range(n):
+        idx = orders[:, step]
+        merge.add(np.concatenate([idx, n + idx]), np.concatenate([n + idx, idx]))
+        # one generalized row at a time: the XOR temporary is one cohort matrix
+        for b, gen in enumerate(merge.sign()):
+            dist[b] = hamming_words(rows, gen, dim)
+        sims[0, :, step] = 1.0 - dist[:r, :n].mean(axis=1)
+        sims[1, :, step] = 1.0 - dist[r:, n:].mean(axis=1)
+        sims[2, :, step] = 1.0 - dist[:r, n:].mean(axis=1)
+        sims[3, :, step] = 1.0 - dist[r:, :n].mean(axis=1)
+    for b, total in enumerate(merge.total_weight):
+        class_name = "seizure" if b < r else "non-seizure"
+        _check_total_weight(total, class_name, f" in shuffle {first + b % r}")
+    return sims
 
 
 def evolution_curve(cohort, cfg: MergeConfig, repetitions: int = 10, seed: int = 0):
@@ -162,48 +234,40 @@ def evolution_curve(cohort, cfg: MergeConfig, repetitions: int = 10, seed: int =
     compared against ALL personalized models (merged or not). Returns
     (per-repetition curves, their pointwise mean).
     """
-    cohort = _check_cohort(cohort)
+    cohort = list(cohort)
+    dim, rows = _cohort_words(cohort)
     n = len(cohort)
     if n < 2:
         raise ValueError(f"evolution needs >= 2 subjects, got {n}")
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    s_rows = pack_rows([m.seizure for m in cohort])
-    ns_rows = pack_rows([m.non_seizure for m in cohort])
-    curves = []
-    for rep in range(repetitions):
-        order = _philox(seed, rep).permutation(n)
-        state_s = _MergeState(cfg, seed)
-        state_ns = _MergeState(cfg, seed)
-        rows = {k: np.empty(n) for k in ("ss", "nsns", "sns", "nss")}
-        for step, idx in enumerate(order):
-            m = cohort[idx]
-            state_s.add_subject(m.seizure, m.non_seizure)
-            state_ns.add_subject(m.non_seizure, m.seizure)
-            gen_s = state_s.acc.normalize(seed)
-            gen_ns = state_ns.acc.normalize(seed)
-            rows["ss"][step] = 1.0 - hamming_to_rows(s_rows, gen_s).mean()
-            rows["nsns"][step] = 1.0 - hamming_to_rows(ns_rows, gen_ns).mean()
-            rows["sns"][step] = 1.0 - hamming_to_rows(ns_rows, gen_s).mean()
-            rows["nss"][step] = 1.0 - hamming_to_rows(s_rows, gen_ns).mean()
-        sep = (rows["ss"] + rows["nsns"]) / 2 - (rows["sns"] + rows["nss"]) / 2
-        curves.append(
-            EvolutionCurve(
-                num_subjects=np.arange(1, n + 1),
-                sim_ss=rows["ss"],
-                sim_nsns=rows["nsns"],
-                sim_sns=rows["sns"],
-                sim_nss=rows["nss"],
-                separability=sep,
-            )
+    orders = np.stack([_philox(seed, rep).permutation(n) for rep in range(repetitions)])
+    ss, nsns, sns, nss = np.concatenate(
+        [
+            _evolve(rows, dim, orders[k : k + _SHUFFLE_BATCH], k, cfg, seed)
+            for k in range(0, repetitions, _SHUFFLE_BATCH)
+        ],
+        axis=1,
+    )
+    sep = (ss + nsns) / 2 - (sns + nss) / 2
+    curves = [
+        EvolutionCurve(
+            num_subjects=np.arange(1, n + 1),
+            sim_ss=ss[r],
+            sim_nsns=nsns[r],
+            sim_sns=sns[r],
+            sim_nss=nss[r],
+            separability=sep[r],
         )
+        for r in range(repetitions)
+    ]
     mean = EvolutionCurve(
         num_subjects=np.arange(1, n + 1),
-        sim_ss=np.mean([c.sim_ss for c in curves], axis=0),
-        sim_nsns=np.mean([c.sim_nsns for c in curves], axis=0),
-        sim_sns=np.mean([c.sim_sns for c in curves], axis=0),
-        sim_nss=np.mean([c.sim_nss for c in curves], axis=0),
-        separability=np.mean([c.separability for c in curves], axis=0),
+        sim_ss=ss.mean(axis=0),
+        sim_nsns=nsns.mean(axis=0),
+        sim_sns=sns.mean(axis=0),
+        sim_nss=nss.mean(axis=0),
+        separability=sep.mean(axis=0),
     )
     return curves, mean
 

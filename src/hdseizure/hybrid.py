@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import IncompatibleModelsError
 from .training import ClassModel
 
 HYBRID_MODES = ("NSgen-Spers", "NSpers-Sgen")
@@ -37,7 +38,7 @@ def compose_hybrid(pers: ClassModel, gen: ClassModel, mode: str) -> ClassModel:
     if gen.kind != "generalized":
         raise ValueError(f"second argument must be a generalized model, got {gen.kind!r}")
     if pers.dim != gen.dim:
-        raise ValueError(f"dimension mismatch: {pers.dim} != {gen.dim}")
+        raise IncompatibleModelsError(f"dimension mismatch: {pers.dim} != {gen.dim}")
     if mode == "NSgen-Spers":
         seizure, non_seizure = pers.seizure, gen.non_seizure
     else:

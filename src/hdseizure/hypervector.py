@@ -8,9 +8,11 @@ The computational kernel of the package:
     - similarity:          1 - hamming_distance (the only similarity used here)
     - Accumulator:         signed bipolar sum for weighted bundling/merging
     - bundle(vectors):     majority-vote superposition
+    - to_words, hamming_words: distances over packed row matrices
 
 Vectors are stored bit-packed (numpy uint8, little bit order), so binding
-and distance run as byte-wise XOR plus popcount. Accumulation maps bits to
+and distance run as byte-wise XOR plus popcount; row matrices are padded
+to 64-bit words so they run one word at a time. Accumulation maps bits to
 the bipolar domain (0 -> -1, 1 -> +1) so weighted subtraction is well
 defined, and binarizes back by sign. Ties (an exactly-zero accumulator
 entry) are resolved from a deterministic seed-derived tie-break vector
@@ -152,6 +154,25 @@ def tie_break_vector(seed: int, dim: int) -> Hypervector:
     return random_hypervector(seed, TIE_BREAK_TAG_BASE + dim, dim)
 
 
+def _sign_threshold(seed: int, dim: int) -> np.ndarray:
+    """Per-dimension threshold t with (acc > t) == the sign rule of
+    `Accumulator.normalize`: 1 where positive, the tie bit where zero.
+
+    t is 0 where the tie bit is 0, and the negative float nearest zero
+    where it is 1, so that there the comparison reads acc >= 0.
+    """
+    tie = tie_break_vector(seed, dim).to_bools().astype(bool)
+    return np.where(tie, np.nextafter(0.0, -1.0), 0.0)
+
+
+def _sign_words(values: np.ndarray, threshold: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Binarize accumulator rows `values` (..., dim) against a
+    `_sign_threshold` table into `to_words` rows. `bits` is a zeroed bool
+    buffer (..., words * 64) whose first dim columns the call overwrites."""
+    np.greater(values, threshold, out=bits[..., : values.shape[-1]])
+    return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
+
+
 class Accumulator:
     """Signed per-dimension sum in the bipolar domain.
 
@@ -215,19 +236,18 @@ def bundle(vectors, tie_break_seed: int = 0) -> Hypervector:
     return Hypervector.from_bools(bits)
 
 
-def pack_rows(vectors) -> np.ndarray:
-    """Stack the packed bytes of uniform-dim vectors into an (N, bytes) array."""
-    vectors = list(vectors)
-    if not vectors:
-        raise ValueError("no vectors to stack")
-    dim = vectors[0].dim
-    for v in vectors:
-        if v.dim != dim:
-            raise ValueError(f"dimension mismatch: {v.dim} != {dim}")
-    return np.stack([v.bits for v in vectors])
+def to_words(rows) -> np.ndarray:
+    """Packed uint8 rows (..., bytes) zero-padded to whole 64-bit words and
+    viewed as uint64 (..., words), the layout `hamming_words` reads."""
+    rows = np.asarray(rows, dtype=np.uint8)
+    nbytes = rows.shape[-1]
+    out = np.zeros(rows.shape[:-1] + (-(-nbytes // 8) * 8,), dtype=np.uint8)
+    out[..., :nbytes] = rows
+    return out.view(np.uint64)
 
 
-def hamming_to_rows(rows: np.ndarray, v: Hypervector) -> np.ndarray:
-    """Normalized Hamming distance from one vector to each packed row."""
-    diff = np.bitwise_count(np.bitwise_xor(rows, v.bits[None, :]))
-    return diff.sum(axis=1, dtype=np.int64) / v.dim
+def hamming_words(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
+    """Normalized Hamming distance between rows of `to_words`, broadcast
+    over the leading axes: one row against a matrix, or pairs of rows."""
+    diff = np.bitwise_count(np.bitwise_xor(a, b))
+    return np.add.reduce(diff, axis=-1, dtype=np.int64) / dim

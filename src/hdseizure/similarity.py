@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm, rankdata
 
-from .errors import DegenerateInputError
-from .hypervector import hamming_to_rows, pack_rows, similarity
+from .errors import DegenerateInputError, IncompatibleModelsError
+from .hypervector import hamming_words, to_words
 
 
 @dataclass
@@ -35,25 +35,34 @@ class SimilarityMatrices:
         )
 
 
+def _cohort_words(cohort):
+    """(dim, rows): the cohort's S vectors then its NS vectors as one
+    word-padded matrix of 2n rows (see `to_words`)."""
+    if not cohort:
+        raise ValueError("empty cohort")
+    dim = cohort[0].dim
+    for m in cohort:
+        if m.dim != dim:
+            raise IncompatibleModelsError(f"dimension mismatch: {m.dim} != {dim}")
+    rows = to_words([m.seizure.bits for m in cohort] + [m.non_seizure.bits for m in cohort])
+    return dim, rows
+
+
 def pairwise_matrices(cohort) -> SimilarityMatrices:
     """All-pairs similarity between per-subject S and NS model vectors."""
     cohort = list(cohort)
     if len(cohort) < 2:
         raise ValueError(f"need at least 2 models, got {len(cohort)}")
-    dim = cohort[0].dim
-    for m in cohort:
-        if m.dim != dim:
-            raise ValueError(f"dimension mismatch: {m.dim} != {dim}")
-    s_rows = pack_rows([m.seizure for m in cohort])
-    ns_rows = pack_rows([m.non_seizure for m in cohort])
+    dim, rows = _cohort_words(cohort)
     n = len(cohort)
+    s_rows, ns_rows = rows[:n], rows[n:]
     s_to_s = np.empty((n, n))
     ns_to_ns = np.empty((n, n))
     s_to_ns = np.empty((n, n))
-    for i, m in enumerate(cohort):
-        s_to_s[i] = 1.0 - hamming_to_rows(s_rows, m.seizure)
-        ns_to_ns[i] = 1.0 - hamming_to_rows(ns_rows, m.non_seizure)
-        s_to_ns[i] = 1.0 - hamming_to_rows(ns_rows, m.seizure)
+    for i in range(n):
+        s_to_s[i] = 1.0 - hamming_words(s_rows, s_rows[i], dim)
+        ns_to_ns[i] = 1.0 - hamming_words(ns_rows, ns_rows[i], dim)
+        s_to_ns[i] = 1.0 - hamming_words(ns_rows, s_rows[i], dim)
     ids = [m.subject_id or f"subject{i}" for i, m in enumerate(cohort)]
     return SimilarityMatrices(
         subject_ids=ids, s_to_s=s_to_s, ns_to_ns=ns_to_ns, s_to_ns=s_to_ns
@@ -64,20 +73,18 @@ def separability(general, cohort) -> float:
     """Correct-class minus opposite-class mean similarity of a generalized
     model against a cohort of personalized models."""
     cohort = list(cohort)
-    if not cohort:
-        raise ValueError("empty cohort")
-    correct = np.mean(
-        [
-            (similarity(general.seizure, m.seizure) + similarity(general.non_seizure, m.non_seizure)) / 2
-            for m in cohort
-        ]
-    )
-    opposite = np.mean(
-        [
-            (similarity(general.seizure, m.non_seizure) + similarity(general.non_seizure, m.seizure)) / 2
-            for m in cohort
-        ]
-    )
+    dim, rows = _cohort_words(cohort)
+    if general.dim != dim:
+        raise IncompatibleModelsError(f"dimension mismatch: {general.dim} != {dim}")
+    n = len(cohort)
+    s_rows, ns_rows = rows[:n], rows[n:]
+    gen_s, gen_ns = to_words([general.seizure.bits, general.non_seizure.bits])
+
+    def sim(v, block):
+        return 1.0 - hamming_words(block, v, dim)
+
+    correct = np.mean((sim(gen_s, s_rows) + sim(gen_ns, ns_rows)) / 2)
+    opposite = np.mean((sim(gen_s, ns_rows) + sim(gen_ns, s_rows)) / 2)
     return float(correct - opposite)
 
 

@@ -14,7 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingClassError
-from .hypervector import Hypervector, _packed_size, hamming_distance, tie_break_vector
+from .hypervector import (
+    Hypervector,
+    _packed_size,
+    _sign_threshold,
+    _sign_words,
+    hamming_distance,
+    hamming_words,
+    tie_break_vector,
+    to_words,
+)
 
 MODEL_KINDS = ("personalized", "generalized", "hybrid")
 
@@ -91,21 +100,6 @@ def _unpack(rows: np.ndarray, dim: int) -> np.ndarray:
     return np.unpackbits(rows, axis=1, count=dim, bitorder="little")
 
 
-def _sign_threshold(seed: int, dim: int) -> np.ndarray:
-    """Per-dimension threshold t with (acc > t) == the sign rule of
-    `Accumulator.normalize`: 1 where positive, the tie bit where zero.
-
-    t is 0 where the tie bit is 0, and the negative float nearest zero
-    where it is 1, so that there the comparison reads acc >= 0.
-    """
-    tie = tie_break_vector(seed, dim).to_bools().astype(bool)
-    return np.where(tie, np.nextafter(0.0, -1.0), 0.0)
-
-
-def _sign(values: np.ndarray, threshold: np.ndarray) -> np.ndarray:
-    return np.packbits(values > threshold, bitorder="little")
-
-
 def train_standard(samples, labels, cfg: TrainConfig, *, dim: int, **meta) -> ClassModel:
     """Each class vector is the majority bundle of its samples."""
     samples, labels = _check_samples(samples, labels, dim)
@@ -134,22 +128,23 @@ def train_online(samples, labels, cfg: TrainConfig, *, dim: int, stats: dict = N
     before either accumulator is touched.
 
     Accumulators are float64 bipolar sums, so every +-w lands exactly as
-    in `Accumulator.add`; each class keeps its packed sign and recomputes
-    it only after its accumulator changed.
+    in `Accumulator.add`; each class keeps its packed sign, padded to
+    words, and recomputes it only after its accumulator changed.
     """
     samples, labels = _check_samples(samples, labels, dim)
+    words = to_words(samples)
     bipolar = _unpack(samples, dim).view(np.int8)
     bipolar *= 2
     bipolar -= 1
     threshold = _sign_threshold(cfg.seed, dim)
+    bits = np.zeros(words.shape[1] * 64, dtype=bool)
     acc = [None, None]
     sign = [None, None]
 
     def similarity(x, c):
         if sign[c] is None:
-            sign[c] = _sign(acc[c], threshold)
-        diff = np.add.reduce(np.bitwise_count(np.bitwise_xor(x, sign[c])), dtype=np.int64)
-        return 1.0 - int(diff) / dim
+            sign[c] = _sign_words(acc[c], threshold, bits)
+        return 1.0 - float(hamming_words(x, sign[c], dim))
 
     def add(c, row, weight):
         if weight:
@@ -158,7 +153,7 @@ def train_online(samples, labels, cfg: TrainConfig, *, dim: int, stats: dict = N
 
     mispredictions = 0
     for _ in range(cfg.epochs):
-        for x, row, label in zip(samples, bipolar, labels.tolist()):
+        for x, row, label in zip(words, bipolar, labels.tolist()):
             if acc[label] is None:
                 acc[label] = row.astype(np.float64)
                 continue
@@ -176,9 +171,14 @@ def train_online(samples, labels, cfg: TrainConfig, *, dim: int, stats: dict = N
     if stats is not None:
         stats["mispredictions"] = mispredictions
         stats["subtractions"] = mispredictions
+
+    def vector(c):
+        packed = _sign_words(acc[c], threshold, bits).view(np.uint8)[: _packed_size(dim)]
+        return Hypervector(packed, dim)
+
     return ClassModel(
-        seizure=Hypervector(_sign(acc[SEIZURE], threshold), dim),
-        non_seizure=Hypervector(_sign(acc[NON_SEIZURE], threshold), dim),
+        seizure=vector(SEIZURE),
+        non_seizure=vector(NON_SEIZURE),
         **meta,
     )
 

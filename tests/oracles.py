@@ -6,7 +6,15 @@ import numpy as np
 
 from hdseizure.encoding import quantize
 from hdseizure.errors import DegenerateInputError, MissingClassError
-from hdseizure.hypervector import Accumulator, Hypervector, bind, bundle, hamming_distance
+from hdseizure.hypervector import (
+    Accumulator,
+    Hypervector,
+    _philox,
+    bind,
+    bundle,
+    hamming_distance,
+    tie_break_vector,
+)
 from hdseizure.training import NON_SEIZURE, SEIZURE, ClassModel, TrainConfig
 
 
@@ -127,3 +135,84 @@ def azc_features(window, epsilons, fs: float) -> np.ndarray:
         crossings = int(np.count_nonzero(np.sign(vals[:-1]) != np.sign(vals[1:])))
         out[k] = crossings / seconds
     return out
+
+
+def binarize_oracle(values, seed, dim):
+    bits = (values > 0).astype(np.uint8)
+    zero = values == 0
+    bits[zero] = tie_break_vector(seed, dim).to_bools()[zero]
+    return bits
+
+
+def merge_oracle(cohort, cfg, seed, dim, totals=None):
+    """Straight-line re-implementation of the weighted merge on raw arrays.
+
+    Returns the S and NS bit arrays; `totals`, when given, receives each
+    class's total weight under the keys "s" and "ns".
+    """
+    out = {}
+    for target in ("s", "ns"):
+        acc = None
+        total = 0.0
+        for _ in range(cfg.iterations):
+            for m in cohort:
+                corr = (m.seizure if target == "s" else m.non_seizure).to_bools()
+                wrong = (m.non_seizure if target == "s" else m.seizure).to_bools()
+                if acc is None:
+                    w0 = cfg.alpha_corr if cfg.method == "waddsub" else 1.0
+                    acc = w0 * (corr * 2.0 - 1.0)
+                    total += w0
+                    continue
+                cur = binarize_oracle(acc, seed, dim)
+                d_corr = np.mean(corr != cur)
+                d_wrong = np.mean(wrong != cur)
+                if cfg.wrong_weight_convention == "distance":
+                    w_wrong = cfg.alpha_wrong * d_wrong
+                else:
+                    w_wrong = cfg.alpha_wrong * (1.0 - d_wrong)
+                if cfg.method == "avrg":
+                    acc += corr * 2.0 - 1.0
+                    total += 1.0
+                    continue
+                w_corr = 1.0 if cfg.method == "wsub" else cfg.alpha_corr * (1.0 - d_corr)
+                acc += w_corr * (corr * 2.0 - 1.0)
+                acc -= w_wrong * (wrong * 2.0 - 1.0)
+                total += w_corr
+                total -= w_wrong
+        out[target] = binarize_oracle(acc, seed, dim)
+        if totals is not None:
+            totals[target] = total
+    return out["s"], out["ns"]
+
+
+def evolution_oracle(cohort, cfg, repetitions, seed):
+    """Per-shuffle evolution series, one (5, n) array each: rows ss, nsns,
+    sns, nss and separability.
+
+    Step k merges the first k + 1 subjects of the `_philox(seed, rep)`
+    order with `merge_oracle` and averages the per-model Hamming
+    similarities of the result. Also returns whether any shuffle ends with
+    a non-positive total weight for either class.
+    """
+    dim = cohort[0].dim
+    n = len(cohort)
+    s_bits = [m.seizure.to_bools() for m in cohort]
+    ns_bits = [m.non_seizure.to_bools() for m in cohort]
+
+    def mean_sim(gen, rows):
+        return 1.0 - np.mean([np.count_nonzero(gen != r) / dim for r in rows])
+
+    curves, degenerate = [], False
+    for rep in range(repetitions):
+        order = _philox(seed, rep).permutation(n)
+        series = np.empty((5, n))
+        for k in range(n):
+            totals = {}
+            prefix = [cohort[i] for i in order[: k + 1]]
+            gen_s, gen_ns = merge_oracle(prefix, cfg, seed, dim, totals)
+            ss, nsns = mean_sim(gen_s, s_bits), mean_sim(gen_ns, ns_bits)
+            sns, nss = mean_sim(gen_s, ns_bits), mean_sim(gen_ns, s_bits)
+            series[:, k] = ss, nsns, sns, nss, (ss + nsns) / 2 - (sns + nss) / 2
+        degenerate |= min(totals.values()) <= 0
+        curves.append(series)
+    return curves, degenerate

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from hdseizure import cli
-from hdseizure.dataio import load_model, read_record, save_model
+from hdseizure.dataio import load_model, read_record, save_model, synthetic_model_cohort
+from hdseizure.encoding import build_codebooks
 
 TINY = [
     "--subjects", "3", "--records-per-subject", "3",
@@ -235,6 +236,19 @@ class TestErrorPaths:
         rc = run(["generalize", *TINY, "--models", str(d),
                   "--out", str(tmp_path / "g.hdcm")])
         assert rc == 5
+
+    def test_degenerate_evolution_is_data_error(self, tmp_path, capsys):
+        d = tmp_path / "models"
+        d.mkdir()
+        books = build_codebooks(1, 2, 256, 0)
+        for m in synthetic_model_cohort(6, dim=256, seed=1):
+            save_model(m, books, str(d / f"{m.subject_id}.hdcm"))
+        rc = run(["evolution", "--alpha-corr", "0", "--models", str(d),
+                  "--out", str(tmp_path / "evolution.csv")])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert err.startswith("DATA:") and "total weight" in err
+        assert not (tmp_path / "evolution.csv").exists()
 
     def test_mixed_encoders_rejected(self, tmp_path, capsys):
         _, feats, models = build_pipeline(tmp_path)

@@ -263,7 +263,15 @@ class TestRecordCsv:
         start = 86400 * 256
         path.write_text("time_s,c1,label\n" + "".join(
             f"{(start + i) / 256:.12g},0,0\n" for i in range(8)))
-        assert read_record(path).fs == pytest.approx(256.0, rel=1e-4)
+        assert read_record(path).fs == pytest.approx(256.0, rel=1e-5)
+
+    def test_late_start_rate_from_whole_span(self, tmp_path):
+        # 60 s at 256 Hz a day in: the first step alone reads 256.0033 Hz
+        path = tmp_path / "rec.csv"
+        start = 86400 * 256
+        path.write_text("time_s,c1,label\n" + "".join(
+            f"{(start + i) / 256:.12g},0,0\n" for i in range(60 * 256)))
+        assert read_record(path).fs == 256.0
 
 
 def tiny_features(rng, nwin=9, nfeat=6):

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hdseizure.errors import DegenerateCohortError
+from hdseizure.dataio import synthetic_model_cohort
+from hdseizure.errors import DegenerateCohortError, IncompatibleModelsError
 from hdseizure.generalization import (
+    _SHUFFLE_BATCH,
     EvolutionCurve,
     MergeConfig,
     evolution_curve,
@@ -11,8 +15,9 @@ from hdseizure.generalization import (
     weight_correct,
     weight_wrong,
 )
-from hdseizure.hypervector import Hypervector, random_hypervector, tie_break_vector
+from hdseizure.hypervector import Hypervector, complement, random_hypervector
 from hdseizure.training import ClassModel
+from oracles import binarize_oracle, evolution_oracle, merge_oracle
 
 
 def make_model(seed, dim=64, subject_id="", codebook_ref=""):
@@ -46,41 +51,15 @@ def flip_cohort(n, dim=256, s_flip=0.3, ns_flip=0.1, seed=0):
     return cohort
 
 
-def binarize_oracle(values, seed, dim):
-    bits = (values > 0).astype(np.uint8)
-    zero = values == 0
-    bits[zero] = tie_break_vector(seed, dim).to_bools()[zero]
-    return bits
-
-
-def merge_oracle(cohort, cfg, seed, dim):
-    """Straight-line re-implementation of the weighted merge on raw arrays."""
-    out = {}
-    for target in ("s", "ns"):
-        acc = None
-        for _ in range(cfg.iterations):
-            for m in cohort:
-                corr = (m.seizure if target == "s" else m.non_seizure).to_bools()
-                wrong = (m.non_seizure if target == "s" else m.seizure).to_bools()
-                if acc is None:
-                    w0 = cfg.alpha_corr if cfg.method == "waddsub" else 1.0
-                    acc = w0 * (corr * 2.0 - 1.0)
-                    continue
-                cur = binarize_oracle(acc, seed, dim)
-                d_corr = np.mean(corr != cur)
-                d_wrong = np.mean(wrong != cur)
-                if cfg.wrong_weight_convention == "distance":
-                    w_wrong = cfg.alpha_wrong * d_wrong
-                else:
-                    w_wrong = cfg.alpha_wrong * (1.0 - d_wrong)
-                if cfg.method == "avrg":
-                    acc += corr * 2.0 - 1.0
-                    continue
-                w_corr = 1.0 if cfg.method == "wsub" else cfg.alpha_corr * (1.0 - d_corr)
-                acc += w_corr * (corr * 2.0 - 1.0)
-                acc -= w_wrong * (wrong * 2.0 - 1.0)
-        out[target] = binarize_oracle(acc, seed, dim)
-    return out["s"], out["ns"]
+def tied_cohort(dim, pairs=3):
+    """Each model next to its complement: unit-weight sums over a full
+    pair are exactly zero, so the tie-break vector decides those bits."""
+    cohort = []
+    for s in range(pairs):
+        m = make_model(50 + s, dim=dim)
+        cohort.append(m)
+        cohort.append(ClassModel(seizure=complement(m.seizure), non_seizure=complement(m.non_seizure)))
+    return cohort
 
 
 class TestWeights:
@@ -159,6 +138,21 @@ class TestGeneralize:
         via_cfg = generalize(cohort, cfg)
         assert direct.seizure == via_cfg.seizure
 
+    @pytest.mark.parametrize(
+        "order", [[0, 0, 0, 1, 2, 3], [0, 1], [0, 1, 2, 3, 4, 6], [0, 1, 2, 3, 4, 5, 0]]
+    )
+    def test_order_must_be_permutation(self, order):
+        cohort = [make_model(s) for s in range(6)]
+        with pytest.raises(ValueError, match="permutation"):
+            generalize(cohort, MergeConfig(order=order))
+
+    def test_dimension_mismatch(self):
+        cohort = [make_model(1, dim=64), make_model(2, dim=128)]
+        with pytest.raises(IncompatibleModelsError):
+            generalize(cohort, MergeConfig())
+        with pytest.raises(IncompatibleModelsError):
+            evolution_curve(cohort, MergeConfig(), repetitions=1)
+
     def test_empty_cohort(self):
         with pytest.raises(ValueError):
             generalize([], MergeConfig())
@@ -185,7 +179,87 @@ class TestGeneralize:
             MergeConfig(wrong_weight_convention="flipped")
 
 
+@st.composite
+def merge_cases(draw):
+    dim = draw(st.sampled_from([64, 72, 200, 1001]))
+    n = draw(st.integers(1, 6))
+    cohort = []
+    for _ in range(n):
+        m = make_model(draw(st.integers(0, 8)), dim=dim)
+        if draw(st.booleans()):  # complements make exact ties
+            m = ClassModel(seizure=complement(m.seizure), non_seizure=complement(m.non_seizure))
+        cohort.append(m)
+    alphas = st.sampled_from([0.0, 0.5, 1.0, 1.7])
+    cfg = MergeConfig(
+        method=draw(st.sampled_from(["avrg", "wsub", "waddsub"])),
+        wrong_weight_convention=draw(st.sampled_from(["distance", "similarity"])),
+        alpha_corr=draw(alphas),
+        alpha_wrong=draw(alphas),
+        iterations=draw(st.integers(1, 3)),
+        order=draw(st.permutations(range(n))),
+    )
+    return cohort, cfg, draw(st.integers(0, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(merge_cases())
+def test_generalize_matches_oracle(case):
+    cohort, cfg, seed = case
+    totals = {}
+    ref_s, ref_ns = merge_oracle([cohort[i] for i in cfg.order], cfg, seed, cohort[0].dim, totals)
+    if min(totals.values()) <= 0:
+        with pytest.raises(DegenerateCohortError):
+            generalize(cohort, cfg, tie_break_seed=seed)
+        return
+    gen = generalize(cohort, cfg, tie_break_seed=seed)
+    np.testing.assert_array_equal(gen.seizure.to_bools(), ref_s)
+    np.testing.assert_array_equal(gen.non_seizure.to_bools(), ref_ns)
+
+
 class TestEvolutionCurve:
+    @pytest.mark.parametrize("dim", [256, 1001])
+    @pytest.mark.parametrize("convention", ["distance", "similarity"])
+    @pytest.mark.parametrize("method", ["avrg", "wsub", "waddsub"])
+    @pytest.mark.parametrize("kind", ["flip", "tied"])
+    def test_matches_oracle(self, kind, method, convention, dim):
+        if kind == "flip":
+            cohort = flip_cohort(6, dim=dim, seed=37)
+            cfg = MergeConfig(method=method, wrong_weight_convention=convention, alpha_wrong=0.75)
+        else:
+            cohort = tied_cohort(dim)
+            cfg = MergeConfig(method=method, wrong_weight_convention=convention, alpha_wrong=0.0)
+        expect, degenerate = evolution_oracle(cohort, cfg, repetitions=3, seed=4)
+        assert not degenerate
+        curves, mean = evolution_curve(cohort, cfg, repetitions=3, seed=4)
+        for curve, ref in zip(curves, expect):
+            np.testing.assert_array_equal(np.array(curve.series()), ref)
+        np.testing.assert_array_equal(np.array(mean.series()), np.mean(expect, axis=0))
+
+    def test_more_shuffles_than_one_batch(self):
+        cohort = flip_cohort(4, dim=72, seed=41)
+        cfg = MergeConfig(method="waddsub", alpha_wrong=0.5)
+        reps = _SHUFFLE_BATCH + 2
+        expect, degenerate = evolution_oracle(cohort, cfg, repetitions=reps, seed=6)
+        assert not degenerate
+        curves, mean = evolution_curve(cohort, cfg, repetitions=reps, seed=6)
+        assert len(curves) == reps
+        for curve, ref in zip(curves, expect):
+            np.testing.assert_array_equal(np.array(curve.series()), ref)
+        np.testing.assert_array_equal(np.array(mean.series()), np.mean(expect, axis=0))
+
+    # alpha_wrong 0 leaves every total weight at exactly zero
+    @pytest.mark.parametrize("alpha_wrong", [1.0, 0.0])
+    def test_degenerate_shuffle_raises_like_generalize(self, alpha_wrong):
+        cohort = synthetic_model_cohort(6, dim=256, seed=1)
+        cfg = MergeConfig(method="waddsub", alpha_corr=0.0, alpha_wrong=alpha_wrong)
+        with pytest.raises(DegenerateCohortError):
+            generalize(cohort, cfg)
+        _, degenerate = evolution_oracle(cohort, cfg, repetitions=2, seed=0)
+        assert degenerate
+        with pytest.raises(DegenerateCohortError, match="shuffle"):
+            evolution_curve(cohort, cfg, repetitions=2, seed=0)
+
+
     def test_identical_cohort_constant_ones(self):
         m = make_model(1, dim=256)
         cohort = [
@@ -218,7 +292,9 @@ class TestEvolutionCurve:
 
     def test_repetitions_use_different_orders(self):
         cohort = flip_cohort(8, seed=31)
-        curves, _ = evolution_curve(cohort, MergeConfig(), repetitions=2, seed=3)
+        # alpha_wrong 1.0 drives shuffle 1's seizure weight below zero here
+        cfg = MergeConfig(alpha_wrong=0.5)
+        curves, _ = evolution_curve(cohort, cfg, repetitions=2, seed=3)
         # identical first-step similarity would mean identical first subject
         assert not np.array_equal(curves[0].sim_ss, curves[1].sim_ss)
 

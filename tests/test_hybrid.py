@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hdseizure.errors import IncompatibleModelsError
 from hdseizure.hybrid import compose_hybrid, select_models, sweep_selection
 from hdseizure.hypervector import random_hypervector
 from hdseizure.training import ClassModel
@@ -55,6 +56,8 @@ class TestComposeHybrid:
         with pytest.raises(ValueError):
             compose_hybrid(gen, pers, "NSgen-Spers")
         with pytest.raises(ValueError):
+            compose_hybrid(pers, make_model(10, "generalized", dim=128), "NSgen-Spers")
+        with pytest.raises(IncompatibleModelsError):
             compose_hybrid(pers, make_model(10, "generalized", dim=128), "NSgen-Spers")
         with pytest.raises(ValueError):
             compose_hybrid(pers, gen, "SpersNSgen")

@@ -15,11 +15,11 @@ from hdseizure.hypervector import (
     bundle,
     complement,
     hamming_distance,
-    hamming_to_rows,
-    pack_rows,
+    hamming_words,
     random_hypervector,
     similarity,
     tie_break_vector,
+    to_words,
 )
 
 
@@ -217,9 +217,25 @@ class TestNearOrthogonality:
 
 
 class TestBatchHelpers:
-    def test_hamming_to_rows_matches_pairwise(self):
-        vs = [rv(s, dim=256) for s in range(6)]
-        probe = rv(99, dim=256)
-        got = hamming_to_rows(pack_rows(vs), probe)
-        expect = [hamming_distance(v, probe) for v in vs]
-        np.testing.assert_allclose(got, expect)
+    def test_hamming_words_matches_pairwise(self):
+        # dims on and off byte and word boundaries, so padding is exercised
+        for dim in (64, 72, 256, 1001, 10000):
+            vs = [rv(s, dim=dim) for s in range(6)]
+            probe = rv(99, dim=dim)
+            rows = to_words([v.bits for v in vs])
+            got = hamming_words(rows, to_words(probe.bits), dim)
+            expect = [hamming_distance(v, probe) for v in vs]
+            assert got.tolist() == expect
+            pairs = hamming_words(rows, rows[::-1], dim)
+            assert pairs.tolist() == [hamming_distance(v, w) for v, w in zip(vs, vs[::-1])]
+
+    @pytest.mark.parametrize("dim", [64, 72, 1001])
+    def test_to_words_pads_with_zero_bytes(self, dim):
+        zero = np.zeros(-(-dim // 8), dtype=np.uint8)
+        v = complement(Hypervector(zero, dim))
+        words = to_words(v.bits)
+        assert words.dtype == np.uint64 and words.shape == (-(-dim // 64),)
+        raw = words.view(np.uint8)
+        assert raw[: v.bits.size].tobytes() == v.bits.tobytes()
+        assert not raw[v.bits.size :].any()
+        assert hamming_words(words, to_words(zero), dim) == 1.0

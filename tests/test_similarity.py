@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hdseizure.errors import DegenerateInputError
-from hdseizure.hypervector import Hypervector, random_hypervector
+from hdseizure.errors import DegenerateInputError, IncompatibleModelsError
+from hdseizure.hypervector import Hypervector, random_hypervector, similarity
 from hdseizure.similarity import (
     SimilarityMatrices,
     pairwise_matrices,
@@ -74,6 +74,18 @@ class TestPairwiseMatrices:
             pairwise_matrices([make_model(0)])
         with pytest.raises(ValueError):
             pairwise_matrices([make_model(0, dim=128), make_model(1, dim=64)])
+        with pytest.raises(IncompatibleModelsError):
+            pairwise_matrices([make_model(0, dim=128), make_model(1, dim=64)])
+
+    @pytest.mark.parametrize("dim", [64, 72, 1001, 10000])
+    def test_matches_scalar_similarity(self, dim):
+        cohort = [make_model(s, dim=dim) for s in range(5)]
+        mats = pairwise_matrices(cohort)
+        for i, a in enumerate(cohort):
+            for j, b in enumerate(cohort):
+                assert mats.s_to_s[i, j] == similarity(a.seizure, b.seizure)
+                assert mats.ns_to_ns[i, j] == similarity(a.non_seizure, b.non_seizure)
+                assert mats.s_to_ns[i, j] == similarity(a.seizure, b.non_seizure)
 
     def test_off_diagonal_means(self):
         cohort = [make_model(s, dim=256) for s in range(3)]
@@ -116,6 +128,33 @@ class TestSeparability:
     def test_empty_cohort(self):
         with pytest.raises(ValueError):
             separability(make_model(0), [])
+
+    @pytest.mark.parametrize("dim", [64, 72, 1001, 10000])
+    def test_matches_scalar_similarity(self, dim):
+        gen = make_model(40, dim=dim)
+        cohort = [make_model(s, dim=dim) for s in range(41, 48)]
+        correct = np.mean(
+            [
+                (similarity(gen.seizure, m.seizure)
+                 + similarity(gen.non_seizure, m.non_seizure)) / 2
+                for m in cohort
+            ]
+        )
+        opposite = np.mean(
+            [
+                (similarity(gen.seizure, m.non_seizure)
+                 + similarity(gen.non_seizure, m.seizure)) / 2
+                for m in cohort
+            ]
+        )
+        assert separability(gen, cohort) == float(correct - opposite)
+
+    def test_dimension_mismatch(self):
+        cohort = [make_model(s, dim=128) for s in range(3)]
+        with pytest.raises(IncompatibleModelsError):
+            separability(make_model(9, dim=136), cohort)
+        with pytest.raises(IncompatibleModelsError):
+            separability(make_model(9, dim=128), cohort + [make_model(4, dim=64)])
 
 
 def average_ranks(values):
