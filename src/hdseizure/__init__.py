@@ -66,7 +66,7 @@ from .generalization import (
     weight_correct,
     weight_wrong,
 )
-from .hybrid import SelectionSweep, compose_hybrid, select_models, sweep_selection
+from .hybrid import SelectionSweep, compose_hybrid, sweep_selection
 from .hypervector import (
     Accumulator,
     Hypervector,
@@ -82,4 +82,4 @@ from .similarity import (
     separability,
     wilcoxon_signed_rank,
 )
-from .training import ClassModel, TrainConfig, class_probability, classify, train
+from .training import ClassModel, TrainConfig, train

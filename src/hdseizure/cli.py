@@ -34,7 +34,6 @@ from .dataio import (
     write_reports_csv,
     write_sweep_csv,
 )
-from .encoding import build_codebooks, fit_ranges
 from .errors import (
     CorruptModelError,
     DegenerateCohortError,
@@ -46,13 +45,11 @@ from .errors import (
 )
 from .evaluation import (
     EvalConfig,
-    _feature_count,
-    _map_jobs,
+    _train_cohort,
     cv_generalized,
     cv_personalized,
     per_subject_scores,
     summarize,
-    train_personalized,
     transfer_eval,
 )
 from .features import FeatureConfig, extract_features
@@ -97,7 +94,6 @@ SETTINGS = {
     "seizure_amp_gain": (float, 3.0),
     "repetitions": (int, 10),
     "sweep_thresholds": (str, "0.0:1.0:21"),
-    "jobs": (int, 1),
 }
 
 
@@ -153,7 +149,6 @@ def eval_config(s: dict) -> EvalConfig:
         bayes_window_sec=s["bayes_window_sec"],
         bayes_threshold=s["bayes_threshold"],
         movavg_window_sec=s["movavg_window_sec"],
-        jobs=s["jobs"],
     )
 
 
@@ -207,13 +202,6 @@ def _load_model_dir(dirpath):
     return models, books
 
 
-def _pooled_codebooks(cohort, cfg: EvalConfig):
-    nfeat = _feature_count([fm for recs in cohort for fm in recs])
-    base = build_codebooks(nfeat, cfg.num_levels, cfg.dim, cfg.seed)
-    pooled = np.vstack([fm.values for recs in cohort for fm in recs])
-    return fit_ranges(base, pooled)
-
-
 def _write_report_set(reports, kind: str, outdir):
     os.makedirs(outdir, exist_ok=True)
     for report in reports:
@@ -251,10 +239,7 @@ def cmd_synth(args, s):
 def cmd_features(args, s):
     cohort = read_cohort(args.cohort)
     fcfg = FeatureConfig(window_sec=s["window_sec"], step_sec=s["step_sec"])
-    feats = [
-        _map_jobs(lambda rec: extract_features(rec, fcfg), records, s["jobs"])
-        for records in cohort
-    ]
+    feats = [[extract_features(rec, fcfg) for rec in records] for records in cohort]
     write_cohort(feats, args.out, writer=write_features)
     nwin = sum(fm.num_windows for recs in feats for fm in recs)
     print(f"features: {nwin} windows x {feats[0][0].num_features} features -> {args.out}")
@@ -263,21 +248,14 @@ def cmd_features(args, s):
 
 def cmd_train(args, s):
     cohort = read_feature_cohort(args.features)
-    cfg = eval_config(s)
-    books = _pooled_codebooks(cohort, cfg)
+    books, models = _train_cohort(cohort, eval_config(s))
     ref = _codebook_ref(books)
     source = os.path.basename(os.path.normpath(args.features))
     os.makedirs(args.out, exist_ok=True)
-
-    def one(records):
-        sid = records[0].subject_id
-        model = replace(train_personalized(records, books, cfg, subject_id=sid),
-                        codebook_ref=ref, source_cohort=source)
-        save_model(model, books, os.path.join(args.out, f"{sid}.hdcm"))
-        return sid
-
-    ids = _map_jobs(one, cohort, s["jobs"])
-    print(f"train: {len(ids)} {args.mode} models -> {args.out}")
+    for model in models:
+        model = replace(model, codebook_ref=ref, source_cohort=source)
+        save_model(model, books, os.path.join(args.out, f"{model.subject_id}.hdcm"))
+    print(f"train: {len(models)} personalized models -> {args.out}")
     return 0
 
 
@@ -342,7 +320,7 @@ def cmd_eval(args, s):
     parts = []
     pers_reports = gen_reports = None
     if want_pers:
-        pers_reports = _map_jobs(lambda recs: cv_personalized(recs, cfg), cohort, s["jobs"])
+        pers_reports = [cv_personalized(recs, cfg) for recs in cohort]
         _write_report_set(pers_reports, "personalized", args.out)
         parts.append(f"personalized {_f1_line(pers_reports)}")
     if want_gen:
@@ -350,8 +328,7 @@ def cmd_eval(args, s):
         _write_report_set(gen_reports, "generalized", args.out)
         parts.append(f"generalized {_f1_line(gen_reports)}")
     if args.emit_curves:
-        books = _pooled_codebooks(cohort, cfg)
-        models = _map_jobs(lambda recs: train_personalized(recs, books, cfg), cohort, s["jobs"])
+        _, models = _train_cohort(cohort, cfg)
         _, mean = evolution_curve(models, cfg.merge,
                                   repetitions=s["repetitions"], seed=s["seed"])
         write_evolution_csv(mean, os.path.join(args.out, "evolution.csv"))
@@ -414,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="train per-subject models")
     p.add_argument("--features", required=True, metavar="DIR")
     p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--mode", choices=["personalized"], default="personalized")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("generalize", parents=[common],

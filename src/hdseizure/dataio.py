@@ -271,6 +271,8 @@ def read_features(path, record_id: str = "", subject_id: str = "") -> FeatureMat
     names = header[2:]
     if not names:
         raise ParseError("no feature columns", line=1)
+    if len(rows) == 1:
+        raise ParseError("no window rows", line=2)
     data = np.empty((len(rows) - 1, len(header)))
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
@@ -279,6 +281,9 @@ def read_features(path, record_id: str = "", subject_id: str = "") -> FeatureMat
             data[i - 2] = [float(c) for c in row]
         except ValueError:
             raise ParseError(f"non-numeric cell in row {row}", line=i) from None
+    bad = np.flatnonzero((data[:, 1] != 0) & (data[:, 1] != 1))
+    if bad.size:
+        raise ParseError(f"label must be 0 or 1, got {rows[bad[0] + 1][1]!r}", line=int(bad[0]) + 2)
     channels = []
     for name in names:
         prefix = name.split(":", 1)[0] if ":" in name else ""

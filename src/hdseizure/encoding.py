@@ -162,15 +162,6 @@ def fit_ranges(codebooks: Codebooks, values: np.ndarray) -> Codebooks:
     return replace(codebooks, feature_min=lo, feature_max=hi, _unpacked=codebooks.unpacked_bits())
 
 
-def quantize(value: float, lo: float, hi: float, num_levels: int) -> int:
-    """Clamp into [lo, hi] and map linearly onto {0, ..., num_levels-1}."""
-    if lo >= hi:
-        raise ValueError(f"degenerate range [{lo}, {hi}]")
-    value = min(max(value, lo), hi)
-    idx = int((value - lo) / (hi - lo) * num_levels)
-    return min(idx, num_levels - 1)
-
-
 def _quantize_rows(codebooks: Codebooks, values: np.ndarray) -> np.ndarray:
     lo, hi = codebooks.feature_min, codebooks.feature_max
     span = hi - lo

@@ -10,7 +10,6 @@ level in {duration, episode}, post in {raw, bayes, movavg} and name in
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +44,6 @@ class EvalConfig:
     bayes_window_sec: float = 5.0
     bayes_threshold: float = 1.5
     movavg_window_sec: float = 5.0
-    jobs: int = 1
 
 
 @dataclass
@@ -209,13 +207,6 @@ def _feature_count(records) -> int:
     return counts.pop()
 
 
-def _map_jobs(fn, items, jobs: int):
-    if jobs > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def cv_personalized(records, cfg: EvalConfig = None, subject_id: str = "") -> EvalReport:
     """Leave-one-record-out (one seizure per record) on a single subject.
 
@@ -264,13 +255,35 @@ def train_personalized(records, books: Codebooks, cfg: EvalConfig, subject_id: s
     )
 
 
-def _loso_fold(cohort, held_out: int, base: Codebooks, cfg: EvalConfig):
-    """Ranges, per-subject models and the merged model for one fold."""
-    train_subjects = [recs for i, recs in enumerate(cohort) if i != held_out]
-    books = fit_ranges(base, np.vstack([_stack_values(recs) for recs in train_subjects]))
-    models = [train_personalized(recs, books, cfg) for recs in train_subjects]
-    merged = generalize(models, cfg.merge, tie_break_seed=cfg.seed)
-    return books, models, merged
+def _train_cohort(cohort, cfg: EvalConfig, base: Codebooks = None):
+    """Fit feature ranges on the pooled cohort, then train one personalized
+    model per subject on them. Returns (fitted codebooks, models).
+
+    Without `base` the unfitted codebooks are built here, after checking
+    that every record has the same feature count.
+    """
+    if base is None:
+        nfeat = _feature_count([fm for recs in cohort for fm in recs])
+        base = build_codebooks(nfeat, cfg.num_levels, cfg.dim, cfg.seed)
+    books = fit_ranges(base, np.vstack([_stack_values(recs) for recs in cohort]))
+    return books, [train_personalized(recs, books, cfg) for recs in cohort]
+
+
+def _evaluate_target(target_recs, subject_id, models, books: Codebooks, mode: str, cfg: EvalConfig) -> EvalReport:
+    """Merge `models` (a lone generalized model is used as is), swap in one
+    of the target's own class vectors when `mode` is a hybrid, then
+    classify the target's windows and report them under `subject_id`."""
+    if len(models) == 1 and models[0].kind == "generalized":
+        merged = models[0]
+    else:
+        merged = generalize(models, cfg.merge, tie_break_seed=cfg.seed)
+    if mode == "generalized":
+        applied = merged
+    else:
+        pers = train_personalized(target_recs, books, cfg, subject_id=subject_id)
+        applied = compose_hybrid(pers, merged, mode)
+    raw, p = _classify_rows(encode_windows(_stack_values(target_recs), books), applied)
+    return _report(subject_id, mode, _stack_labels(target_recs), raw, p, cfg)
 
 
 def cv_generalized(cohort, cfg: EvalConfig = None):
@@ -284,21 +297,12 @@ def cv_generalized(cohort, cfg: EvalConfig = None):
         )
     nfeat = _feature_count([fm for recs in cohort for fm in recs])
     base = build_codebooks(nfeat, cfg.num_levels, cfg.dim, cfg.seed)
-
-    def run(i):
-        books, _, merged = _loso_fold(cohort, i, base, cfg)
-        enc = encode_windows(_stack_values(cohort[i]), books)
-        raw, p = _classify_rows(enc, merged)
-        return _report(
-            _subject_id_of(cohort[i]) or f"subject{i}",
-            "generalized",
-            _stack_labels(cohort[i]),
-            raw,
-            p,
-            cfg,
-        )
-
-    return _map_jobs(run, list(range(len(cohort))), cfg.jobs)
+    reports = []
+    for i, recs in enumerate(cohort):
+        books, models = _train_cohort(cohort[:i] + cohort[i + 1:], cfg, base)
+        name = _subject_id_of(recs) or f"subject{i}"
+        reports.append(_evaluate_target(recs, name, models, books, "generalized", cfg))
+    return reports
 
 
 TRANSFER_MODES = ("generalized",) + HYBRID_MODES
@@ -332,49 +336,35 @@ def transfer_eval(source, target_cohort, mode: str = "generalized", cfg: EvalCon
             raise IncompatibleModelsError(
                 "source and target cohorts use different feature counts"
             )
-        source_models = None
         base = build_codebooks(target_nfeat, cfg.num_levels, cfg.dim, cfg.seed)
     else:
         source_models = [source] if isinstance(source, ClassModel) else list(source)
         if source_codebooks is None:
             raise IncompatibleModelsError("pre-trained source models need their codebooks")
-        source_books = source_codebooks
-        if source_books.num_features != target_nfeat:
+        if source_codebooks.num_features != target_nfeat:
             raise IncompatibleModelsError(
-                f"source encoder expects {source_books.num_features} features, "
+                f"source encoder expects {source_codebooks.num_features} features, "
                 f"target provides {target_nfeat}"
             )
         for m in source_models:
-            if m.dim != source_books.dim:
+            if m.dim != source_codebooks.dim:
                 raise IncompatibleModelsError("source model dim differs from codebooks dim")
 
-    def run(target_recs):
+    reports = []
+    for target_recs in target_cohort:
         target_id = _subject_id_of(target_recs)
         if raw_source:
             eligible = [recs for recs in source if _subject_id_of(recs) != target_id or not target_id]
             if not eligible:
                 raise InsufficientDataError("no source subjects left after exclusion")
-            books = fit_ranges(base, np.vstack([_stack_values(recs) for recs in eligible]))
-            models = [train_personalized(recs, books, cfg) for recs in eligible]
+            books, models = _train_cohort(eligible, cfg, base)
         else:
-            books = source_books
+            books = source_codebooks
             models = [m for m in source_models if m.subject_id != target_id or not target_id]
             if not models:
                 raise InsufficientDataError("no source models left after exclusion")
-        if len(models) == 1 and models[0].kind == "generalized":
-            merged = models[0]
-        else:
-            merged = generalize(models, cfg.merge, tie_break_seed=cfg.seed)
-        if mode == "generalized":
-            applied = merged
-        else:
-            pers = train_personalized(target_recs, books, cfg, subject_id=target_id)
-            applied = compose_hybrid(pers, merged, mode)
-        enc = encode_windows(_stack_values(target_recs), books)
-        raw, p = _classify_rows(enc, applied)
-        return _report(target_id or "target", mode, _stack_labels(target_recs), raw, p, cfg)
-
-    return _map_jobs(run, target_cohort, cfg.jobs)
+        reports.append(_evaluate_target(target_recs, target_id or "target", models, books, mode, cfg))
+    return reports
 
 
 def summarize(reports) -> dict:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateCohortError
+from .errors import DegenerateCohortError, InsufficientDataError
 from .hypervector import (
     Hypervector,
     _packed_size,
@@ -238,7 +238,7 @@ def evolution_curve(cohort, cfg: MergeConfig, repetitions: int = 10, seed: int =
     dim, rows = _cohort_words(cohort)
     n = len(cohort)
     if n < 2:
-        raise ValueError(f"evolution needs >= 2 subjects, got {n}")
+        raise InsufficientDataError(f"evolution needs >= 2 subjects, got {n}")
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     orders = np.stack([_philox(seed, rep).permutation(n) for rep in range(repetitions)])

@@ -53,22 +53,6 @@ def compose_hybrid(pers: ClassModel, gen: ClassModel, mode: str) -> ClassModel:
     )
 
 
-def select_models(gen_scores, pers_scores, threshold: float):
-    """Assign each subject gen or pers: gen iff its gen score >= threshold.
-
-    Returns (assignment list of 'gen'/'pers', fraction assigned gen).
-    """
-    gen_scores = np.asarray(gen_scores, dtype=np.float64)
-    pers_scores = np.asarray(pers_scores, dtype=np.float64)
-    if gen_scores.shape != pers_scores.shape or gen_scores.ndim != 1:
-        raise ValueError(
-            f"score lists must have equal length, got {gen_scores.shape} and {pers_scores.shape}"
-        )
-    assignment = ["gen" if g >= threshold else "pers" for g in gen_scores]
-    fraction = assignment.count("gen") / len(assignment) if assignment else 0.0
-    return assignment, fraction
-
-
 def sweep_selection(
     gen_scores: dict,
     pers_scores: dict,

@@ -128,15 +128,6 @@ def bind(a: Hypervector, b: Hypervector) -> Hypervector:
     return Hypervector(np.bitwise_xor(a.bits, b.bits), a.dim)
 
 
-def complement(v: Hypervector) -> Hypervector:
-    """Flip every bit (padding stays zero)."""
-    out = np.bitwise_not(v.bits)
-    tail = v.dim % 8
-    if tail:
-        out[-1] &= (1 << tail) - 1
-    return Hypervector(out, v.dim)
-
-
 def hamming_distance(a: Hypervector, b: Hypervector) -> float:
     """Fraction of differing dimensions, in [0, 1]."""
     _require_same_dim(a, b)

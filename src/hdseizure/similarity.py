@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm, rankdata
 
-from .errors import DegenerateInputError, IncompatibleModelsError
+from .errors import DegenerateInputError, IncompatibleModelsError, InsufficientDataError
 from .hypervector import hamming_words, to_words
 
 
@@ -39,7 +39,7 @@ def _cohort_words(cohort):
     """(dim, rows): the cohort's S vectors then its NS vectors as one
     word-padded matrix of 2n rows (see `to_words`)."""
     if not cohort:
-        raise ValueError("empty cohort")
+        raise InsufficientDataError("empty cohort")
     dim = cohort[0].dim
     for m in cohort:
         if m.dim != dim:
@@ -52,7 +52,7 @@ def pairwise_matrices(cohort) -> SimilarityMatrices:
     """All-pairs similarity between per-subject S and NS model vectors."""
     cohort = list(cohort)
     if len(cohort) < 2:
-        raise ValueError(f"need at least 2 models, got {len(cohort)}")
+        raise InsufficientDataError(f"need at least 2 models, got {len(cohort)}")
     dim, rows = _cohort_words(cohort)
     n = len(cohort)
     s_rows, ns_rows = rows[:n], rows[n:]

@@ -19,7 +19,6 @@ from .hypervector import (
     _packed_size,
     _sign_threshold,
     _sign_words,
-    hamming_distance,
     hamming_words,
     tie_break_vector,
     to_words,
@@ -182,21 +181,3 @@ def train_online(samples, labels, cfg: TrainConfig, *, dim: int, stats: dict = N
         **meta,
     )
 
-
-def classify(x: Hypervector, model: ClassModel):
-    """Nearest-prototype label: (label, dS, dNS); ties go to non-seizure."""
-    if x.dim != model.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} != {model.dim}")
-    d_s = hamming_distance(x, model.seizure)
-    d_ns = hamming_distance(x, model.non_seizure)
-    label = SEIZURE if d_s < d_ns else NON_SEIZURE
-    return label, d_s, d_ns
-
-
-def class_probability(d_s: float, d_ns: float) -> float:
-    """Pseudo-probability of seizure from the two prototype distances."""
-    s_s = 1.0 - d_s
-    s_ns = 1.0 - d_ns
-    if s_s + s_ns == 0:
-        return 0.5
-    return s_s / (s_s + s_ns)

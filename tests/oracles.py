@@ -4,7 +4,6 @@ straight from the definitions, and are not used by the package itself."""
 
 import numpy as np
 
-from hdseizure.encoding import quantize
 from hdseizure.errors import DegenerateInputError, MissingClassError
 from hdseizure.hypervector import (
     Accumulator,
@@ -16,6 +15,15 @@ from hdseizure.hypervector import (
     tie_break_vector,
 )
 from hdseizure.training import NON_SEIZURE, SEIZURE, ClassModel, TrainConfig
+
+
+def quantize(value: float, lo: float, hi: float, num_levels: int) -> int:
+    """Clamp into [lo, hi] and map linearly onto {0, ..., num_levels-1}."""
+    if lo >= hi:
+        raise ValueError(f"degenerate range [{lo}, {hi}]")
+    value = min(max(value, lo), hi)
+    idx = int((value - lo) / (hi - lo) * num_levels)
+    return min(idx, num_levels - 1)
 
 
 def encode_window(features, codebooks) -> Hypervector:
@@ -90,6 +98,50 @@ def train_online(samples, cfg: TrainConfig, stats: dict = None, **meta) -> Class
         non_seizure=acc[NON_SEIZURE].normalize(cfg.seed),
         **meta,
     )
+
+
+def classify(x: Hypervector, model: ClassModel):
+    """Nearest-prototype label: (label, dS, dNS); ties go to non-seizure."""
+    if x.dim != model.dim:
+        raise ValueError(f"dimension mismatch: {x.dim} != {model.dim}")
+    d_s = hamming_distance(x, model.seizure)
+    d_ns = hamming_distance(x, model.non_seizure)
+    label = SEIZURE if d_s < d_ns else NON_SEIZURE
+    return label, d_s, d_ns
+
+
+def class_probability(d_s: float, d_ns: float) -> float:
+    """Pseudo-probability of seizure from the two prototype distances."""
+    s_s = 1.0 - d_s
+    s_ns = 1.0 - d_ns
+    if s_s + s_ns == 0:
+        return 0.5
+    return s_s / (s_s + s_ns)
+
+
+def complement(v: Hypervector) -> Hypervector:
+    """Flip every bit (padding stays zero)."""
+    out = np.bitwise_not(v.bits)
+    tail = v.dim % 8
+    if tail:
+        out[-1] &= (1 << tail) - 1
+    return Hypervector(out, v.dim)
+
+
+def select_models(gen_scores, pers_scores, threshold: float):
+    """Assign each subject gen or pers: gen iff its gen score >= threshold.
+
+    Returns (assignment list of 'gen'/'pers', fraction assigned gen).
+    """
+    gen_scores = np.asarray(gen_scores, dtype=np.float64)
+    pers_scores = np.asarray(pers_scores, dtype=np.float64)
+    if gen_scores.shape != pers_scores.shape or gen_scores.ndim != 1:
+        raise ValueError(
+            f"score lists must have equal length, got {gen_scores.shape} and {pers_scores.shape}"
+        )
+    assignment = ["gen" if g >= threshold else "pers" for g in gen_scores]
+    fraction = assignment.count("gen") / len(assignment) if assignment else 0.0
+    return assignment, fraction
 
 
 def polygonal_approximation(window, epsilon: float) -> np.ndarray:

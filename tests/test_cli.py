@@ -237,6 +237,16 @@ class TestErrorPaths:
                   "--out", str(tmp_path / "g.hdcm")])
         assert rc == 5
 
+    @pytest.mark.parametrize("command", ["evolution", "similarity"])
+    def test_one_model_is_data_error(self, tmp_path, capsys, command):
+        d = tmp_path / "models"
+        d.mkdir()
+        model = synthetic_model_cohort(1, dim=256, seed=0)[0]
+        save_model(model, build_codebooks(1, 2, 256, 0), str(d / "s000.hdcm"))
+        rc = run([command, "--models", str(d), "--out", str(tmp_path / "out.csv")])
+        assert rc == 5
+        assert capsys.readouterr().err.startswith("DATA:")
+
     def test_degenerate_evolution_is_data_error(self, tmp_path, capsys):
         d = tmp_path / "models"
         d.mkdir()
@@ -341,6 +351,40 @@ class TestBadInputExitCodes:
             assert rc == 5, command[0]
             err = capsys.readouterr().err
             assert err.startswith("DATA:") and "disagree on feature count" in err
+
+    @pytest.mark.parametrize("label", ["0.7", "nan", "2"])
+    def test_bad_label_is_parse_error(self, feats, tmp_path, capsys, label):
+        def bad_label(i, line):
+            if i != 3:
+                return line
+            cells = line.split(",")
+            cells[1] = label
+            return ",".join(cells)
+
+        bad = self.edited_copy(feats, tmp_path / "bad_labels", bad_label)
+        for command in (["eval", "--features", bad, "--out", str(tmp_path / "e")],
+                        ["train", "--features", bad, "--out", str(tmp_path / "m")]):
+            rc = run([command[0], *TINY, *command[1:]])
+            assert rc == 4, command[0]
+            err = capsys.readouterr().err
+            assert err.startswith("PARSE:") and "line 4: label must be 0 or 1" in err
+
+    def test_header_only_features_is_parse_error(self, feats, tmp_path, capsys):
+        bad = self.edited_copy(feats, tmp_path / "no_rows", lambda i, line: line if i == 0 else "")
+        rc = run(["eval", *TINY, "--features", bad, "--out", str(tmp_path / "e")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("PARSE:") and "no window rows" in err
+
+    def test_one_subject_is_data_error(self, feats, tmp_path, capsys):
+        one = tmp_path / "one_subject"
+        one.mkdir()
+        for name in os.listdir(feats):
+            if name.startswith("s000__"):
+                (one / name).write_bytes(open(os.path.join(feats, name), "rb").read())
+        rc = run(["eval", *TINY, "--features", str(one), "--out", str(tmp_path / "e")])
+        assert rc == 5
+        assert "needs >= 2 subjects" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -305,6 +305,21 @@ class TestFeatureCsv:
         with pytest.raises(ParseError):
             read_features(path)
 
+    @pytest.mark.parametrize("label", ["0.7", "nan", "2", "-1", "inf"])
+    def test_label_must_be_zero_or_one(self, tmp_path, label):
+        path = tmp_path / "f.csv"
+        path.write_text(f"start_sec,label,f0\n0.0,0,1.0\n0.5,1.0,2.0\n1.0,{label},3.0\n")
+        with pytest.raises(ParseError, match="line 4: label must be 0 or 1") as err:
+            read_features(path)
+        assert err.value.line == 4
+
+    def test_header_only_rejected(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("start_sec,label,f0,f1\n")
+        with pytest.raises(ParseError, match="no window rows") as err:
+            read_features(path)
+        assert err.value.line == 2
+
 
 class TestCohortDirs:
     def test_signal_round_trip(self, tmp_path):

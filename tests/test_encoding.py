@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import encode_window as reference_encoding
+from oracles import quantize
 
 from hdseizure.encoding import (
     Codebooks,
+    _quantize_rows,
     build_codebooks,
     encode_windows,
     fit_ranges,
-    quantize,
 )
 from hdseizure.errors import DegenerateInputError, IncompatibleModelsError, InvalidDimensionError
 from hdseizure.hypervector import Hypervector, bind, bundle, hamming_distance
@@ -135,6 +136,20 @@ class TestQuantize:
     def test_degenerate_range_rejected(self):
         with pytest.raises(ValueError):
             quantize(1.0, 2.0, 2.0, 20)
+
+    @pytest.mark.parametrize("levels", [2, 7, 20])
+    def test_row_quantizer_matches_scalar(self, levels):
+        rng = np.random.default_rng(levels)
+        train = rng.normal(0.0, 3.0, (40, 4))
+        train[:, 3] = 1.5  # constant feature: level 0
+        with pytest.warns(UserWarning, match="constant"):
+            cb = fit_ranges(build_codebooks(4, levels, dim=256, seed=1), train)
+        values = np.vstack([rng.normal(0.0, 5.0, (60, 4)), cb.feature_min, cb.feature_max])
+        got = _quantize_rows(cb, values)
+        for row, q in zip(values, got):
+            for f, value in enumerate(row):
+                lo, hi = cb.feature_min[f], cb.feature_max[f]
+                assert q[f] == (quantize(value, lo, hi, levels) if lo < hi else 0)
 
 
 class TestEncodeWindow:

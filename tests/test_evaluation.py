@@ -294,7 +294,6 @@ def small_cfg(**kw):
         seed=5,
         train=TrainConfig(mode="online", alpha=1.0, epochs=1, seed=5),
         merge=MergeConfig(),
-        jobs=1,
     )
     defaults.update(kw)
     return EvalConfig(**defaults)
@@ -413,13 +412,19 @@ class TestCvGeneralized:
         with pytest.raises(InsufficientDataError):
             cv_generalized(make_cohort(rng, 1), small_cfg())
 
-    def test_jobs_do_not_change_results(self):
+    def test_unnamed_subjects_get_placeholder_names(self):
         rng = np.random.default_rng(13)
         cohort = make_cohort(rng, 3)
-        seq = cv_generalized(cohort, small_cfg(jobs=1))
-        par = cv_generalized(cohort, small_cfg(jobs=3))
-        for a, b in zip(seq, par):
-            assert a.metrics == b.metrics
+        for recs in cohort:
+            for fm in recs:
+                fm.subject_id = ""
+        cfg = small_cfg()
+        assert [r.subject_id for r in cv_generalized(cohort, cfg)] == [
+            "subject0", "subject1", "subject2"
+        ]
+        # no target id to exclude by: every source subject is merged
+        reports = transfer_eval(cohort, cohort[:2], "generalized", cfg)
+        assert [r.subject_id for r in reports] == ["target", "target"]
 
 
 class TestTransferEval:
@@ -429,10 +434,15 @@ class TestTransferEval:
         cfg = small_cfg()
         loso = cv_generalized(cohort, cfg)
         transfer = transfer_eval(cohort, cohort, "generalized", cfg)
+        assert len(loso) == len(transfer) == 3
         for a, b in zip(loso, transfer):
             assert a.subject_id == b.subject_id
+            assert a.model_kind == b.model_kind == "generalized"
             assert a.metrics == b.metrics
-            assert np.array_equal(a.predictions["raw"], b.predictions["raw"])
+            assert a.p_seizure.tobytes() == b.p_seizure.tobytes()
+            assert a.predictions.keys() == b.predictions.keys() == {"raw", "bayes", "movavg"}
+            for stage in a.predictions:
+                assert a.predictions[stage].tobytes() == b.predictions[stage].tobytes()
 
     def test_hybrid_mode_trains_target_class(self):
         rng = np.random.default_rng(21)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdseizure.dataio import synthetic_model_cohort
-from hdseizure.errors import DegenerateCohortError, IncompatibleModelsError
+from hdseizure.errors import DegenerateCohortError, IncompatibleModelsError, InsufficientDataError
 from hdseizure.generalization import (
     _SHUFFLE_BATCH,
     EvolutionCurve,
@@ -15,9 +15,9 @@ from hdseizure.generalization import (
     weight_correct,
     weight_wrong,
 )
-from hdseizure.hypervector import Hypervector, complement, random_hypervector
+from hdseizure.hypervector import Hypervector, random_hypervector
 from hdseizure.training import ClassModel
-from oracles import binarize_oracle, evolution_oracle, merge_oracle
+from oracles import binarize_oracle, complement, evolution_oracle, merge_oracle
 
 
 def make_model(seed, dim=64, subject_id="", codebook_ref=""):
@@ -155,6 +155,8 @@ class TestGeneralize:
 
     def test_empty_cohort(self):
         with pytest.raises(ValueError):
+            generalize([], MergeConfig())
+        with pytest.raises(InsufficientDataError):
             generalize([], MergeConfig())
 
     def test_degenerate_cohort_error(self):
@@ -300,6 +302,8 @@ class TestEvolutionCurve:
 
     def test_too_small_cohort(self):
         with pytest.raises(ValueError):
+            evolution_curve([make_model(0)], MergeConfig(), repetitions=1, seed=0)
+        with pytest.raises(InsufficientDataError):
             evolution_curve([make_model(0)], MergeConfig(), repetitions=1, seed=0)
 
 

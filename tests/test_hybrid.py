@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from hdseizure.errors import IncompatibleModelsError
-from hdseizure.hybrid import compose_hybrid, select_models, sweep_selection
+from hdseizure.hybrid import compose_hybrid, sweep_selection
 from hdseizure.hypervector import random_hypervector
 from hdseizure.training import ClassModel
+from oracles import select_models
 
 
 def make_model(seed, kind, dim=64, **meta):
@@ -94,6 +95,22 @@ class TestSelectModels:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             select_models([0.1, 0.2], [0.3], 0.5)
+
+    def test_sweep_applies_the_same_rule(self):
+        rng = np.random.default_rng(4)
+        gen = {"f1_episode": rng.uniform(0, 1, 12), "f1_duration": rng.uniform(0, 1, 12)}
+        pers = {"f1_episode": rng.uniform(0, 1, 12), "f1_duration": rng.uniform(0, 1, 12)}
+        # thresholds equal to a score check that ties go to gen
+        thresholds = np.concatenate([np.linspace(0, 1, 21), gen["f1_episode"][:3]])
+        sweep = sweep_selection(gen, pers, thresholds)
+        for i, t in enumerate(thresholds):
+            assignment, frac = select_models(gen["f1_episode"], pers["f1_episode"], t)
+            assert sweep.fraction_gen[i] == pytest.approx(frac)
+            for key, mean in (("f1_episode", sweep.mean_f1_episode),
+                              ("f1_duration", sweep.mean_f1_duration)):
+                chosen = [g if a == "gen" else p
+                          for a, g, p in zip(assignment, gen[key], pers[key])]
+                assert mean[i] == pytest.approx(np.mean(chosen))
 
 
 class TestSweepSelection:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hdseizure.errors import DegenerateInputError, IncompatibleModelsError
+from hdseizure.errors import DegenerateInputError, IncompatibleModelsError, InsufficientDataError
 from hdseizure.hypervector import Hypervector, random_hypervector, similarity
 from hdseizure.similarity import (
     SimilarityMatrices,
@@ -72,6 +72,8 @@ class TestPairwiseMatrices:
     def test_too_small_or_mismatched(self):
         with pytest.raises(ValueError):
             pairwise_matrices([make_model(0)])
+        with pytest.raises(InsufficientDataError):
+            pairwise_matrices([make_model(0)])
         with pytest.raises(ValueError):
             pairwise_matrices([make_model(0, dim=128), make_model(1, dim=64)])
         with pytest.raises(IncompatibleModelsError):
@@ -127,6 +129,8 @@ class TestSeparability:
 
     def test_empty_cohort(self):
         with pytest.raises(ValueError):
+            separability(make_model(0), [])
+        with pytest.raises(InsufficientDataError):
             separability(make_model(0), [])
 
     @pytest.mark.parametrize("dim", [64, 72, 1001, 10000])

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdseizure.errors import MissingClassError
+from hdseizure.evaluation import _classify_rows
 from hdseizure.hypervector import (
     Hypervector,
-    complement,
     hamming_distance,
     random_hypervector,
     tie_break_vector,
@@ -15,12 +15,11 @@ from hdseizure.hypervector import (
 from hdseizure.training import (
     ClassModel,
     TrainConfig,
-    class_probability,
-    classify,
     train,
     train_online,
     train_standard,
 )
+from oracles import class_probability, classify, complement
 
 
 def fit(trainer, samples, cfg, **kwargs):
@@ -236,6 +235,22 @@ class TestClassify:
         )
         with pytest.raises(ValueError):
             classify(random_hypervector(0, 3, 64), model)
+
+    @pytest.mark.parametrize("dim", [64, 1001])
+    def test_packed_classifier_matches_scalar(self, dim):
+        rng = np.random.default_rng(dim)
+        v = random_hypervector(7, 1, dim)
+        half = v.to_bools().copy()
+        half[: dim // 2] ^= 1
+        for non_seizure in (random_hypervector(7, 2, dim), complement(v), v):
+            model = ClassModel(seizure=v, non_seizure=non_seizure)
+            probes = [Hypervector.from_bools(rng.integers(0, 2, dim)) for _ in range(30)]
+            probes += [v, complement(v), non_seizure, Hypervector.from_bools(half)]
+            raw, p = _classify_rows(np.stack([x.bits for x in probes]), model)
+            for x, label, prob in zip(probes, raw, p):
+                expect, d_s, d_ns = classify(x, model)
+                assert label == expect
+                assert prob == class_probability(d_s, d_ns)
 
 
 class TestClassProbability:
