@@ -51,11 +51,8 @@ from .features import (
     FeatureConfig,
     FeatureMatrix,
     SignalRecord,
-    band_powers,
     bandpass_filter,
     extract_features,
-    line_length,
-    mean_amplitude,
 )
 from .generalization import (
     EvolutionCurve,

@@ -313,32 +313,35 @@ def cmd_hybrid(args, s):
 def cmd_eval(args, s):
     cohort = read_feature_cohort(args.features)
     cfg = eval_config(s)
-    want_pers = args.mode in ("personalized", "both")
-    want_gen = args.mode in ("generalized", "both")
-    if args.emit_curves and not (want_pers and want_gen):
+    if args.emit_curves and args.mode != "both":
         raise ValueError("--emit-curves needs --mode both")
-    parts = []
-    pers_reports = gen_reports = None
-    if want_pers:
-        pers_reports = [cv_personalized(recs, cfg) for recs in cohort]
-        _write_report_set(pers_reports, "personalized", args.out)
-        parts.append(f"personalized {_f1_line(pers_reports)}")
-    if want_gen:
-        gen_reports = cv_generalized(cohort, cfg)
-        _write_report_set(gen_reports, "generalized", args.out)
-        parts.append(f"generalized {_f1_line(gen_reports)}")
+    # everything is computed before the first write, so a failure leaves no
+    # partial report set behind
+    reports = {}
+    if args.mode in ("personalized", "both"):
+        reports["personalized"] = [cv_personalized(recs, cfg) for recs in cohort]
+    if args.mode in ("generalized", "both"):
+        reports["generalized"] = cv_generalized(cohort, cfg)
     if args.emit_curves:
         _, models = _train_cohort(cohort, cfg)
         _, mean = evolution_curve(models, cfg.merge,
                                   repetitions=s["repetitions"], seed=s["seed"])
-        write_evolution_csv(mean, os.path.join(args.out, "evolution.csv"))
         thresholds = _parse_thresholds(s["sweep_thresholds"])
-        for stage in ("raw", "bayes"):
-            sweep = sweep_selection(
-                per_subject_scores(gen_reports, stage),
-                per_subject_scores(pers_reports, stage),
+        sweeps = {
+            stage: sweep_selection(
+                per_subject_scores(reports["generalized"], stage),
+                per_subject_scores(reports["personalized"], stage),
                 thresholds,
             )
+            for stage in ("raw", "bayes")
+        }
+    parts = []
+    for kind, kind_reports in reports.items():
+        _write_report_set(kind_reports, kind, args.out)
+        parts.append(f"{kind} {_f1_line(kind_reports)}")
+    if args.emit_curves:
+        write_evolution_csv(mean, os.path.join(args.out, "evolution.csv"))
+        for stage, sweep in sweeps.items():
             write_sweep_csv(sweep, os.path.join(args.out, f"sweep_{stage}.csv"))
         parts.append(f"curves plateau={plateau_onset(mean)}")
     print(f"eval: n={len(cohort)} " + " | ".join(parts) + f" -> {args.out}")
@@ -450,8 +453,18 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"PARSE: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (CorruptModelError, DegenerateCohortError, DegenerateInputError,
-            IncompatibleModelsError, InsufficientDataError, MissingClassError) as exc:
+    except DegenerateCohortError as exc:
+        print(f"DATA: {exc}", file=sys.stderr)
+        if exc.total_weight is not None:
+            print(
+                f"hint: the class total weight is {0.0 - exc.total_weight:.4f} short of "
+                f"positive; a smaller --alpha-wrong (now {settings['alpha_wrong']:g}) "
+                "subtracts less of each wrong-class model",
+                file=sys.stderr,
+            )
+        return EXIT_DATA
+    except (CorruptModelError, DegenerateInputError, IncompatibleModelsError,
+            InsufficientDataError, MissingClassError) as exc:
         print(f"DATA: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

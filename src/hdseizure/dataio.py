@@ -11,6 +11,7 @@ Formats:
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -174,6 +175,106 @@ def synthetic_model_cohort(num_subjects: int, dim: int = 10000,
     return models
 
 
+# ---- numeric CSV bodies ----
+
+#: The bytes a body may hold for the numpy fast path. On cells made of
+#: these, np.loadtxt and float() agree; numpy alone also strips \x1c-\x1f.
+_FAST_BYTES = b"0123456789+-.,eEnNaAiIfFtTyY \t\r\n"
+
+
+def _csv_rows(fh):
+    """(file line, cells) of every non-blank CSV row of a text file."""
+    reader = csv.reader(fh)
+    try:
+        for row in reader:
+            if row:
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
+
+
+def _read_numeric_csv(path, check_header, label_last: bool):
+    """A header row over rows of numbers, as (header, data, lines).
+
+    The header is the first non-blank row; `check_header(cells, line)` vets
+    its stripped cells before any other row is read. Every other non-blank
+    row must hold as many cells as the header, each one a float() number.
+    With `label_last`, the last cell, stripped, must be exactly 0 or 1.
+    `data` is (rows, cells) float64, and `lines` holds the file line of the
+    header and then of each data row, so every ParseError names the line
+    as an editor shows it.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    # decoded as open(path, newline="") would, and only as far as read
+    rows = _csv_rows(io.TextIOWrapper(io.BytesIO(raw), newline=""))
+    header_line, header = next(rows, (1, None))
+    if header is None:
+        raise ParseError("empty file", line=1)
+    header = [c.strip() for c in header]
+    check_header(header, header_line)
+    data = _parse_body(raw, len(header), label_last) if header_line == 1 else None
+    if data is not None:
+        return header, data, range(1, len(data) + 2)
+    lines, body = [header_line], []
+    for line, row in rows:
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} cells, got {len(row)}", line=line)
+        try:
+            values = [float(c) for c in (row[:-1] if label_last else row)]
+        except ValueError:
+            raise ParseError(f"non-numeric cell in row {row}", line=line) from None
+        if label_last:
+            cell = row[-1].strip()
+            if cell not in ("0", "1"):
+                raise ParseError(f"label must be 0 or 1, got {cell!r}", line=line)
+            values.append(float(cell))
+        lines.append(line)
+        body.append(values)
+    return header, np.array(body).reshape(len(body), len(header)), lines
+
+
+def _parse_body(raw: bytes, ncol: int, label_last: bool):
+    """The rows after line 1 parsed in one np.loadtxt pass, or None.
+
+    None leaves the file to the per-row path: its body holds a byte outside
+    _FAST_BYTES (a quote, `_`, `#`, NUL, anything non-ASCII), a lone CR, a
+    blank line before its last row, a row of another cell count or one
+    wider than csv's field limit, or, with `label_last`, a row that does
+    not end in exactly `,0` or `,1`. What is left is the form the writers
+    produce, and on it loadtxt's values and rows are the per-row path's.
+    """
+    start = raw.find(b"\n") + 1
+    if not start or (b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n")):
+        return None
+    end = len(raw)
+    while end > start and raw[end - 1] in b"\r\n":
+        end -= 1
+    body = raw[start:end]
+    if body.translate(None, _FAST_BYTES):
+        return None
+    if b"\r" in body:
+        body = body.replace(b"\r\n", b"\n")
+    rows = body.split(b"\n")
+    widths = np.fromiter(map(len, rows), np.intp, len(rows))
+    if widths.max() > csv.field_size_limit():
+        return None
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    # loadtxt skips blank lines, which would shift every later row's line
+    if data.shape != (len(rows), ncol):
+        return None
+    if label_last:
+        # each row's end in body; every row is at least "x,y,z"
+        ends = np.cumsum(widths + 1) - 1
+        chars = np.frombuffer(body, np.uint8)
+        if not (np.all(chars[ends - 2] == ord(",")) and np.all((chars[ends - 1] | 1) == ord("1"))):
+            return None
+    return data
+
+
 # ---- signal CSV ----
 
 def write_record(record: SignalRecord, path):
@@ -186,64 +287,48 @@ def write_record(record: SignalRecord, path):
         np.savetxt(fh, table, fmt=fmt, delimiter=",")
 
 
-def read_record(path) -> SignalRecord:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r]  # drop trailing blank line
-    if not rows:
-        raise ParseError("empty file", line=1)
-    header = [c.strip() for c in rows[0]]
+def _check_record_header(header, line):
     if header[:1] != ["time_s"]:
-        raise ParseError(f"first column must be 'time_s', got {header[:1]}", line=1)
+        raise ParseError(f"first column must be 'time_s', got {header[:1]}", line=line)
     if header[-1] != "label":
-        raise ParseError("missing 'label' column", line=1)
-    channels = header[1:-1]
-    if not channels:
-        raise ParseError("no channel columns between 'time_s' and 'label'", line=1)
-    if len(rows) < 3:
-        raise ParseError("need at least two sample rows to infer fs", line=len(rows))
-    ncol = len(header)
-    times, labels = [], []
-    samples = np.empty((len(rows) - 1, len(channels)))
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != ncol:
-            raise ParseError(f"expected {ncol} cells, got {len(row)}", line=i)
-        try:
-            times.append(float(row[0]))
-            samples[i - 2] = [float(c) for c in row[1:-1]]
-        except ValueError:
-            raise ParseError(f"non-numeric cell in row {row}", line=i) from None
-        cell = row[-1].strip()
-        if cell not in ("0", "1"):
-            raise ParseError(f"label must be 0 or 1, got {cell!r}", line=i)
-        labels.append(int(cell))
+        raise ParseError("missing 'label' column", line=line)
+    if len(header) < 3:
+        raise ParseError("no channel columns between 'time_s' and 'label'", line=line)
+
+
+def read_record(path) -> SignalRecord:
+    header, data, lines = _read_numeric_csv(path, _check_record_header, label_last=True)
+    if len(data) < 2:
+        raise ParseError("need at least two sample rows to infer fs", line=lines[-1])
+    times = data[:, 0]
     if not times[1] > times[0]:
         raise ParseError(
-            f"time column must increase, got {times[0]:.12g} then {times[1]:.12g}", line=3
+            f"time column must increase, got {times[0]:.12g} then {times[1]:.12g}",
+            line=lines[2],
         )
     # each step must be one sample period; 1 % absorbs the %.12g timestamps
     period = times[1] - times[0]
-    steps = np.diff(np.array(times))
+    steps = np.diff(times)
     off = np.flatnonzero(~(np.abs(steps - period) <= 0.01 * period))
     if off.size:
         k = int(off[0])
         raise ParseError(
             f"time column steps by {steps[k]:.12g} s, not one sample period "
             f"({period:.12g} s at {1.0 / period:.12g} Hz)",
-            line=k + 3,
+            line=lines[k + 2],
         )
     # The rate comes from the whole span, where one timestamp's rounding
     # counts once rather than against a single step. It snaps to an integer
     # rate whose sample grid drifts less than 1 % of a period over the span.
     n_steps = len(times) - 1
-    fs = n_steps / (times[-1] - times[0])
+    fs = n_steps / float(times[-1] - times[0])
     if abs(fs - round(fs)) * n_steps <= 0.01 * fs:
         fs = float(round(fs))
     return SignalRecord(
         fs=fs,
-        channels=channels,
-        samples=samples.T.copy(),
-        labels=np.array(labels, np.uint8),
+        channels=header[1:-1],
+        samples=data[:, 1:-1].T.copy(),
+        labels=data[:, -1].astype(np.uint8),
     )
 
 
@@ -260,30 +345,22 @@ def write_features(features: FeatureMatrix, path):
         np.savetxt(fh, table, fmt=fmt, delimiter=",")
 
 
-def read_features(path, record_id: str = "", subject_id: str = "") -> FeatureMatrix:
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    if not rows:
-        raise ParseError("empty file", line=1)
-    header = [c.strip() for c in rows[0]]
+def _check_feature_header(header, line):
     if header[:2] != ["start_sec", "label"]:
-        raise ParseError("header must start with 'start_sec,label'", line=1)
-    names = header[2:]
-    if not names:
-        raise ParseError("no feature columns", line=1)
-    if len(rows) == 1:
-        raise ParseError("no window rows", line=2)
-    data = np.empty((len(rows) - 1, len(header)))
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ParseError(f"expected {len(header)} cells, got {len(row)}", line=i)
-        try:
-            data[i - 2] = [float(c) for c in row]
-        except ValueError:
-            raise ParseError(f"non-numeric cell in row {row}", line=i) from None
+        raise ParseError("header must start with 'start_sec,label'", line=line)
+    if len(header) < 3:
+        raise ParseError("no feature columns", line=line)
+
+
+def read_features(path, record_id: str = "", subject_id: str = "") -> FeatureMatrix:
+    header, data, lines = _read_numeric_csv(path, _check_feature_header, label_last=False)
+    if not len(data):
+        raise ParseError("no window rows", line=lines[-1] + 1)
     bad = np.flatnonzero((data[:, 1] != 0) & (data[:, 1] != 1))
     if bad.size:
-        raise ParseError(f"label must be 0 or 1, got {rows[bad[0] + 1][1]!r}", line=int(bad[0]) + 2)
+        k = int(bad[0])
+        raise ParseError(f"label must be 0 or 1, got {float(data[k, 1])!r}", line=lines[k + 1])
+    names = header[2:]
     channels = []
     for name in names:
         prefix = name.split(":", 1)[0] if ":" in name else ""
@@ -397,6 +474,52 @@ def save_model(model: ClassModel, codebooks: Codebooks, path):
             fh.write(_vector_bytes(hv))
 
 
+#: exact JSON types of kind, sourceCohort, subjectId, codebookRef and the
+#: encoder's dim, numLevels, numFeatures and seed (so a JSON true is no int)
+_META_TYPES = (str,) * 4 + (int,) * 4
+
+
+def _model_meta(blob: bytes) -> dict:
+    """The metadata JSON, checked to hold the fields and types save_model writes."""
+    try:
+        meta = json.loads(blob.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise CorruptModelError(f"unreadable metadata: {exc}") from None
+    try:
+        enc, ranges = meta["encoder"], meta["featureRanges"]
+        fields = (meta["kind"], meta["sourceCohort"], meta["subjectId"],
+                  meta.get("codebookRef", ""), enc["dim"], enc["numLevels"],
+                  enc["numFeatures"], enc["seed"])
+        lo, hi = ranges["min"], ranges["max"]
+    except (KeyError, TypeError) as exc:
+        raise CorruptModelError(f"invalid metadata: {type(exc).__name__} {exc}") from None
+    if tuple(map(type, fields)) != _META_TYPES:
+        raise CorruptModelError(
+            f"invalid metadata: field types {[type(v).__name__ for v in fields]}"
+        )
+    num_levels, num_features = fields[5], fields[6]
+    if num_levels < 2 or num_features < 1:
+        raise CorruptModelError(
+            f"invalid metadata: {num_levels} levels and {num_features} features"
+        )
+    if lo is None and hi is None:
+        return meta
+    try:
+        valid = all(
+            type(bounds) is list and len(bounds) == num_features
+            and all(type(v) in (int, float) and math.isfinite(v) for v in bounds)
+            for bounds in (lo, hi)
+        ) and all(a <= b for a, b in zip(lo, hi))
+    except OverflowError:  # an int beyond float range
+        valid = False
+    if not valid:
+        raise CorruptModelError(
+            f"invalid metadata: featureRanges need {num_features} finite "
+            "min <= max pairs"
+        )
+    return meta
+
+
 def load_model(path):
     """Inverse of save_model; returns (ClassModel, Codebooks)."""
     with open(path, "rb") as fh:
@@ -411,14 +534,10 @@ def load_model(path):
     dim, meta_len = struct.unpack_from("<II", buf, 5)
     if len(buf) < 13 + meta_len:
         raise CorruptModelError("truncated metadata block")
-    try:
-        meta = json.loads(buf[13 : 13 + meta_len].decode("utf-8"))
-        enc = meta["encoder"]
-        num_levels, num_features = enc["numLevels"], enc["numFeatures"]
-        ranges = meta["featureRanges"]
-    except (ValueError, KeyError, UnicodeDecodeError) as exc:
-        raise CorruptModelError(f"unreadable metadata: {exc}") from None
-    if enc.get("dim") != dim:
+    meta = _model_meta(buf[13 : 13 + meta_len])
+    enc, ranges = meta["encoder"], meta["featureRanges"]
+    num_levels, num_features = enc["numLevels"], enc["numFeatures"]
+    if enc["dim"] != dim:
         raise CorruptModelError("metadata dim disagrees with header")
     stride = _words_per_vector(dim) * 8
     count = 2 + num_levels + num_features
@@ -461,7 +580,7 @@ def load_model(path):
             feature_min=None if ranges["min"] is None else np.asarray(ranges["min"], float),
             feature_max=None if ranges["max"] is None else np.asarray(ranges["max"], float),
         )
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise CorruptModelError(f"invalid model contents: {exc}") from None
     return model, books
 

@@ -23,7 +23,14 @@ class InsufficientDataError(ValueError):
 
 
 class DegenerateCohortError(ValueError):
-    """Merging a cohort produced a non-positive total weight for a class."""
+    """Merging a cohort produced a non-positive total weight for a class.
+
+    `total_weight` is that class's total when a merge raised the error.
+    """
+
+    def __init__(self, message: str, total_weight: float | None = None):
+        self.total_weight = total_weight
+        super().__init__(message)
 
 
 class IncompatibleModelsError(ValueError):

@@ -166,7 +166,8 @@ def _check_total_weight(total: float, class_name: str, where: str = "") -> None:
     if total <= 0:
         raise DegenerateCohortError(
             f"non-positive total weight {total:.4f} for class {class_name}{where}; "
-            "cohort cancels itself out"
+            "cohort cancels itself out",
+            total_weight=float(total),
         )
 
 

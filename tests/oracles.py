@@ -5,6 +5,7 @@ straight from the definitions, and are not used by the package itself."""
 import numpy as np
 
 from hdseizure.errors import DegenerateInputError, MissingClassError
+from hdseizure.features import DEFAULT_BANDS
 from hdseizure.hypervector import (
     Accumulator,
     Hypervector,
@@ -268,3 +269,45 @@ def evolution_oracle(cohort, cfg, repetitions, seed):
         degenerate |= min(totals.values()) <= 0
         curves.append(series)
     return curves, degenerate
+
+
+def mean_amplitude(window) -> float:
+    """Mean absolute sample value."""
+    window = np.asarray(window, dtype=np.float64)
+    if window.size == 0:
+        raise DegenerateInputError("empty window")
+    return float(np.abs(window).mean())
+
+
+def line_length(window) -> float:
+    """Sum of absolute first differences."""
+    window = np.asarray(window, dtype=np.float64)
+    if window.size < 2:
+        raise DegenerateInputError("line length needs at least 2 samples")
+    return float(np.abs(np.diff(window)).sum())
+
+
+def band_powers(window, fs: float, bands=DEFAULT_BANDS):
+    """Absolute and relative spectral power per band.
+
+    The spectrum is the squared-magnitude FFT of the mean-removed,
+    Hann-tapered window. Bands are half-open [low, high); relative powers
+    divide by the total power over (0, max band edge], or are 0 when the
+    window has no power at all.
+
+    Returns:
+        (absolute, relative): two float arrays, one entry per band.
+    """
+    window = np.asarray(window, dtype=np.float64)
+    if window.size < fs:
+        raise DegenerateInputError("band powers need at least one second of samples")
+    tapered = (window - window.mean()) * np.hanning(window.size)
+    spectrum = np.abs(np.fft.rfft(tapered)) ** 2
+    freqs = np.fft.rfftfreq(window.size, 1.0 / fs)
+    top = max(b[2] for b in bands)
+    total = spectrum[(freqs > 0) & (freqs <= top)].sum()
+    absolute = np.array(
+        [spectrum[(freqs >= low) & (freqs < high)].sum() for _, low, high in bands]
+    )
+    relative = absolute / total if total > 0 else np.zeros_like(absolute)
+    return absolute, relative

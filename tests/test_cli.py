@@ -4,10 +4,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from test_dataio import model_file_bytes, mutated_model_files
 
 from hdseizure import cli
 from hdseizure.dataio import load_model, read_record, save_model, synthetic_model_cohort
 from hdseizure.encoding import build_codebooks
+from hdseizure.errors import CorruptModelError, ParseError
 
 TINY = [
     "--subjects", "3", "--records-per-subject", "3",
@@ -260,6 +263,36 @@ class TestErrorPaths:
         assert err.startswith("DATA:") and "total weight" in err
         assert not (tmp_path / "evolution.csv").exists()
 
+    def test_default_alpha_wrong_hint(self, tmp_path, capsys):
+        # the cohort shape on which the default merge cancels the seizure class
+        d = tmp_path / "models"
+        d.mkdir()
+        books = build_codebooks(1, 2, 10000, 0)
+        for m in synthetic_model_cohort(30, dim=10000, seed=0, s_flip=0.36,
+                                        ns_flip=0.32, class_overlap_flip=0.42):
+            save_model(m, books, str(d / f"{m.subject_id}.hdcm"))
+        out = str(tmp_path / "evolution.csv")
+        assert run(["evolution", "--models", str(d), "--out", out]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("DATA: non-positive total weight -0.0568")
+        assert "hint: the class total weight is 0.0568 short of positive" in err
+        assert "--alpha-wrong (now 1)" in err
+        assert run(["evolution", "--alpha-wrong", "0.75", "--models", str(d), "--out", out]) == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(buf=mutated_model_files())
+    def test_mutated_model_file_exit_code(self, tmp_path_factory, buf):
+        d = tmp_path_factory.mktemp("fuzzed_models")
+        (d / "a.hdcm").write_bytes(model_file_bytes())
+        (d / "b.hdcm").write_bytes(buf)
+        try:
+            load_model(str(d / "b.hdcm"))
+            loads = True
+        except (CorruptModelError, ParseError):
+            loads = False
+        rc = run(["generalize", "--models", str(d), "--out", str(d / "g.hdcm")])
+        assert rc in ((0, 4, 5) if loads else (4, 5))
+
     def test_mixed_encoders_rejected(self, tmp_path, capsys):
         _, feats, models = build_pipeline(tmp_path)
         other = tmp_path / "other_models"
@@ -385,6 +418,17 @@ class TestBadInputExitCodes:
         rc = run(["eval", *TINY, "--features", str(one), "--out", str(tmp_path / "e")])
         assert rc == 5
         assert "needs >= 2 subjects" in capsys.readouterr().err
+
+    def test_failed_eval_writes_no_reports(self, feats, tmp_path):
+        one = tmp_path / "one_subject"
+        one.mkdir()
+        for name in os.listdir(feats):
+            if name.startswith("s000__"):
+                (one / name).write_bytes(open(os.path.join(feats, name), "rb").read())
+        out = tmp_path / "e"
+        rc = run(["eval", *TINY, "--features", str(one), "--out", str(out), "--mode", "both"])
+        assert rc == 5
+        assert not out.exists() or not os.listdir(out)
 
 
 class TestDeterminism:

@@ -1,10 +1,17 @@
 import csv
+import functools
 import json
 import struct
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hdseizure import dataio
 from hdseizure.dataio import (
     MODEL_MAGIC,
     CohortSpec,
@@ -148,6 +155,18 @@ class TestSyntheticModelCohort:
             synthetic_model_cohort(3, s_flip=1.2)
 
 
+def with_fast_path_results(read, path):
+    """read(path), and what each numpy fast-path attempt returned."""
+    parsed, parse_body = [], dataio._parse_body
+
+    def spy(*args):
+        parsed.append(parse_body(*args))
+        return parsed[-1]
+
+    with mock.patch.object(dataio, "_parse_body", spy):
+        return read(path), parsed
+
+
 def tiny_record(rng, channels=("c1", "c2"), n=64, fs=32.0):
     return SignalRecord(
         fs=fs,
@@ -273,6 +292,39 @@ class TestRecordCsv:
             f"{(start + i) / 256:.12g},0,0\n" for i in range(60 * 256)))
         assert read_record(path).fs == 256.0
 
+    def test_non_numeric_cell_after_blank_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("time_s,c1,label\n0.0,1.0,0\n\n0.5,oops,1\n")
+        with pytest.raises(ParseError, match="non-numeric") as err:
+            read_record(path)
+        assert err.value.line == 4
+
+    def test_time_error_after_blank_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("time_s,c1,label\n0.0,1.0,0\n\n0.5,1.0,0\n\n1.0,1.0,0\n1.0,1.0,0\n")
+        with pytest.raises(ParseError, match="time column steps by 0") as err:
+            read_record(path)
+        assert err.value.line == 7
+
+    def test_cell_over_csv_field_limit_is_parse_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        wide = "0" * (csv.field_size_limit() + 1)
+        path.write_text(f"time_s,c1,label\n0.0,1.0,0\n0.5,{wide},0\n")
+        with pytest.raises(ParseError, match="field limit") as err:
+            read_record(path)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_written_record_takes_fast_path(self, tmp_path, newline):
+        rec = tiny_record(np.random.default_rng(4), n=40)
+        path = tmp_path / "rec.csv"
+        write_record(rec, path)
+        path.write_bytes(path.read_text().replace("\n", newline).encode())
+        back, parsed = with_fast_path_results(read_record, path)
+        assert len(parsed) == 1 and parsed[0] is not None
+        assert np.abs(back.samples - rec.samples).max() < 1e-9
+        assert np.array_equal(back.labels, rec.labels)
+
 
 def tiny_features(rng, nwin=9, nfeat=6):
     return FeatureMatrix(
@@ -319,6 +371,137 @@ class TestFeatureCsv:
         with pytest.raises(ParseError, match="no window rows") as err:
             read_features(path)
         assert err.value.line == 2
+
+    def test_bad_label_after_blank_line(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("start_sec,label,f0\n0.0,0,1.0\n\n1.0,0.7,3.0\n")
+        with pytest.raises(ParseError, match="line 4: label must be 0 or 1, got 0.7") as err:
+            read_features(path)
+        assert err.value.line == 4
+
+    def test_written_features_take_fast_path(self, tmp_path):
+        fm = tiny_features(np.random.default_rng(5))
+        path = tmp_path / "f.csv"
+        write_features(fm, path)
+        back, parsed = with_fast_path_results(read_features, path)
+        assert len(parsed) == 1 and parsed[0] is not None
+        assert np.array_equal(back.values, fm.values)
+
+
+# ---- numpy fast path against the per-row csv path ----
+
+NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:.12g}"),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1e5", "-2.5E-3", "+7", ".5", "5.", "-0", "1e400", "1e-400"]),
+)
+ODD_CELLS = st.sampled_from([
+    "nan", "inf", "-inf", "Infinity", "NaN", "+nan", "1_0", "", "x", "#1", "1e", "--1",
+    "1\x00", "\u0661", "0x10",
+])
+LABEL_CELLS = st.sampled_from([
+    "2", "9", "0.7", "-1", "nan", "inf", "1.0", "0.0", "01", "+1", "1e0", "-0", "x", "",
+])
+SPACES = st.sampled_from([" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\u00a0"])
+
+
+@st.composite
+def numeric_csv(draw, label_last):
+    """CSV text in the form the writers produce, with up to two edits."""
+    nch = draw(st.integers(1, 3))
+    names = [f"c{k}" for k in range(nch)]
+    header = ["time_s", *names, "label"] if label_last else ["start_sec", "label", *names]
+    label_col = nch + 1 if label_last else 1
+    step = draw(st.sampled_from([0.5, 1 / 256, 1.0]))
+    rows = []
+    for i in range(draw(st.integers(2, 6))):
+        row = [f"{i * step:.12g}", *(draw(NUMBER_CELLS) for _ in names)]
+        row.insert(label_col, draw(st.sampled_from(["0", "1"])))
+        rows.append(row)
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+        r = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(["label", "label", "time", "time", "cell", "quote",
+                                     "underscore", "space", "ragged", "wide", "huge"]))
+        c = {"label": label_col, "time": 0}.get(edit)
+        if c is None or c >= len(rows[r]):  # a row an earlier edit cut short
+            c = draw(st.integers(0, len(rows[r]) - 1))
+        cell = rows[r][c]
+        if edit == "label":
+            rows[r][c] = draw(LABEL_CELLS)
+        elif edit == "time":
+            rows[r][c] = draw(NUMBER_CELLS)
+        elif edit == "cell":
+            rows[r][c] = draw(ODD_CELLS)
+        elif edit == "quote":
+            rows[r][c] = f'"{cell}"'
+        elif edit == "underscore":
+            rows[r][c] = cell[:1] + "_" + cell[1:]
+        elif edit == "space":
+            rows[r][c] = draw(SPACES) + cell + draw(SPACES)
+        elif edit == "ragged":
+            rows[r].pop(c)
+        elif edit == "wide":
+            rows[r].append(cell)
+        else:
+            rows[r][c] = "0" * (csv.field_size_limit() + 1)
+    lines = [",".join(header), *(",".join(r) for r in rows)]
+    if draw(st.integers(0, 2)) == 0:
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from(["", "", "", "  ", "# 1,2,3"])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline, newline * 2]))
+    if draw(st.integers(0, 5)) == 0:  # one line end becomes a lone CR
+        at = draw(st.sampled_from([i for i, ch in enumerate(text) if ch == "\n"] or [0]))
+        text = text[:at] + "\r" + text[at + 1 :]
+    return text
+
+
+def read_outcome(read, path):
+    try:
+        return read(path)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.line)
+
+
+def record_fields(rec):
+    return (rec.fs, rec.channels, rec.samples.tobytes(), rec.samples.shape,
+            rec.labels.tobytes())
+
+
+def feature_fields(fm):
+    return (fm.values.tobytes(), fm.values.shape, fm.window_labels.tobytes(),
+            fm.window_start_sec.tobytes(), fm.feature_names, fm.channels)
+
+
+class TestNumericCsvPaths:
+    """Whatever the numpy fast path accepts, the per-row csv path reads to
+    the same bits; everything else is the per-row path's to reject, with
+    the same message and line."""
+
+    @staticmethod
+    def check_agree(path, text, read, fields):
+        path.write_bytes(text.encode("utf-8"))
+        fast = read_outcome(read, path)
+        with mock.patch.object(dataio, "_parse_body", lambda *args: None):
+            slow = read_outcome(read, path)
+        if isinstance(slow, tuple):
+            assert fast == slow
+        else:
+            assert not isinstance(fast, tuple), fast
+            assert fields(fast) == fields(slow)
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=numeric_csv(label_last=True))
+    def test_record_paths_agree(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "paths_record.csv"
+        self.check_agree(path, text, read_record, record_fields)
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=numeric_csv(label_last=False))
+    def test_feature_paths_agree(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "paths_features.csv"
+        self.check_agree(path, text, read_features, feature_fields)
 
 
 class TestCohortDirs:
@@ -476,6 +659,97 @@ class TestModelFile:
                            non_seizure=random_hypervector(2, 91, 128))
         with pytest.raises(IncompatibleModelsError):
             save_model(model, books, tmp_path / "m.hdcm")
+
+
+@functools.lru_cache(maxsize=None)
+def model_file_bytes() -> bytes:
+    """A fitted model file with dim 100, so its vectors carry padding bits."""
+    books = fitted_books(np.random.default_rng(10), nfeat=3, dim=100, levels=4)
+    model = ClassModel(seizure=random_hypervector(5, 1, 100),
+                       non_seizure=random_hypervector(5, 2, 100), subject_id="s000")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.hdcm"
+        save_model(model, books, path)
+        return path.read_bytes()
+
+
+def with_metadata_value(path, value):
+    """The model file with one metadata field set to `value`, and its old value."""
+    buf = model_file_bytes()
+    meta_len = struct.unpack_from("<I", buf, 9)[0]
+    meta = json.loads(buf[13 : 13 + meta_len])
+    doc = meta
+    for name in path[:-1]:
+        doc = doc[name]
+    old, doc[path[-1]] = doc[path[-1]], value
+    blob = json.dumps(meta).encode()
+    return buf[:9] + struct.pack("<I", len(blob)) + blob + buf[13 + meta_len :], old
+
+
+META_PATHS = [("kind",), ("sourceCohort",), ("subjectId",), ("codebookRef",), ("encoder",),
+              ("encoder", "dim"), ("encoder", "numLevels"), ("encoder", "numFeatures"),
+              ("encoder", "seed"), ("featureRanges",), ("featureRanges", "min"),
+              ("featureRanges", "max")]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@st.composite
+def mutated_model_files(draw):
+    buf = model_file_bytes()
+    kind = draw(st.sampled_from(["truncate", "flip", "header", "metadata"]))
+    if kind == "truncate":
+        return buf[: draw(st.integers(0, len(buf) - 1))]
+    if kind == "flip":
+        out = bytearray(buf)
+        for bit in draw(st.lists(st.integers(0, 8 * len(buf) - 1), min_size=1, max_size=8)):
+            out[bit // 8] ^= 1 << (bit % 8)
+        return bytes(out)
+    if kind == "header":
+        out = bytearray(buf)
+        out[draw(st.integers(0, 12))] = draw(st.integers(0, 255))
+        return bytes(out)
+    return with_metadata_value(draw(st.sampled_from(META_PATHS)), draw(JSON_VALUES))[0]
+
+
+class TestModelFileFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(buf=mutated_model_files())
+    def test_load_raises_only_model_errors(self, tmp_path_factory, buf):
+        path = tmp_path_factory.getbasetemp() / "fuzz.hdcm"
+        path.write_bytes(buf)
+        try:
+            load_model(path)
+        except (CorruptModelError, ParseError):
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(path=st.sampled_from(META_PATHS), value=JSON_VALUES)
+    def test_wrong_metadata_type_is_corrupt(self, tmp_path_factory, path, value):
+        buf, old = with_metadata_value(path, value)
+        if type(value) is not type(old):
+            target = tmp_path_factory.getbasetemp() / "typed.hdcm"
+            target.write_bytes(buf)
+            with pytest.raises(CorruptModelError):
+                load_model(target)
+
+    @pytest.mark.parametrize("path, value", [
+        (("encoder",), [1, 2]),
+        (("encoder", "numLevels"), "4"),
+        (("featureRanges",), None),
+        (("featureRanges", "min"), None),
+        (("featureRanges", "max"), [0.0, float("nan"), 1.0]),
+        (("featureRanges", "min"), [5.0, 5.0, 5.0]),
+        (("encoder", "numFeatures"), True),
+    ])
+    def test_wrong_metadata_examples(self, tmp_path, path, value):
+        target = tmp_path / "m.hdcm"
+        target.write_bytes(with_metadata_value(path, value)[0])
+        with pytest.raises(CorruptModelError, match="metadata"):
+            load_model(target)
 
 
 def tiny_report(rng, subject="s000", kind="personalized", n=24):

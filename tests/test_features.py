@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import azc_features, polygonal_approximation
+from oracles import azc_features, band_powers, line_length, mean_amplitude, polygonal_approximation
 
 from hdseizure.errors import DegenerateInputError
 from hdseizure.features import (
@@ -12,11 +12,8 @@ from hdseizure.features import (
     SignalRecord,
     _azc_windows,
     _rdp_significance,
-    band_powers,
     bandpass_filter,
     extract_features,
-    line_length,
-    mean_amplitude,
     window_count,
 )
 
