@@ -5,7 +5,7 @@ Formats:
   signal CSV    header `time_s,<ch1>,...,<chN>,label`, one row per sample
   feature CSV   header `start_sec,label,<name1>,...`, one row per window
   model file    binary, magic "HDCM" (layout documented in save_model)
-  report JSON   flat metric dict plus optional per-window series
+  report JSON   subject, model kind and flat metric dict
 """
 
 from __future__ import annotations
@@ -237,12 +237,13 @@ def _read_numeric_csv(path, check_header, label_last: bool):
 def _parse_body(raw: bytes, ncol: int, label_last: bool):
     """The rows after line 1 parsed in one np.loadtxt pass, or None.
 
-    None leaves the file to the per-row path: its body holds a byte outside
-    _FAST_BYTES (a quote, `_`, `#`, NUL, anything non-ASCII), a lone CR, a
-    blank line before its last row, a row of another cell count or one
-    wider than csv's field limit, or, with `label_last`, a row that does
-    not end in exactly `,0` or `,1`. What is left is the form the writers
-    produce, and on it loadtxt's values and rows are the per-row path's.
+    None leaves the file to the per-row path: its body is empty or holds a
+    byte outside _FAST_BYTES (a quote, `_`, `#`, NUL, anything non-ASCII),
+    a lone CR, a blank line before its last row, a row of another cell
+    count or one wider than csv's field limit, or, with `label_last`, a row
+    that does not end in exactly `,0` or `,1`. What is left is the form the
+    writers produce, and on it loadtxt's values and rows are the per-row
+    path's.
     """
     start = raw.find(b"\n") + 1
     if not start or (b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n")):
@@ -251,7 +252,7 @@ def _parse_body(raw: bytes, ncol: int, label_last: bool):
     while end > start and raw[end - 1] in b"\r\n":
         end -= 1
     body = raw[start:end]
-    if body.translate(None, _FAST_BYTES):
+    if not body or body.translate(None, _FAST_BYTES):
         return None
     if b"\r" in body:
         body = body.replace(b"\r\n", b"\n")
@@ -306,22 +307,32 @@ def read_record(path) -> SignalRecord:
             f"time column must increase, got {times[0]:.12g} then {times[1]:.12g}",
             line=lines[2],
         )
-    # each step must be one sample period; 1 % absorbs the %.12g timestamps
-    period = times[1] - times[0]
-    steps = np.diff(times)
-    off = np.flatnonzero(~(np.abs(steps - period) <= 0.01 * period))
-    if off.size:
-        k = int(off[0])
-        raise ParseError(
-            f"time column steps by {steps[k]:.12g} s, not one sample period "
-            f"({period:.12g} s at {1.0 / period:.12g} Hz)",
-            line=lines[k + 2],
-        )
+    # Timestamps near the float limit make the differences below overflow to
+    # inf; the checks reject those files, so numpy need not warn first.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # each step must be one sample period; 1 % absorbs the %.12g timestamps
+        period = times[1] - times[0]
+        steps = np.diff(times)
+        off = np.flatnonzero(~(np.abs(steps - period) <= 0.01 * period))
+        if off.size:
+            k = int(off[0])
+            raise ParseError(
+                f"time column steps by {steps[k]:.12g} s, not one sample period "
+                f"({period:.12g} s at {1.0 / period:.12g} Hz)",
+                line=lines[k + 2],
+            )
     # The rate comes from the whole span, where one timestamp's rounding
     # counts once rather than against a single step. It snaps to an integer
     # rate whose sample grid drifts less than 1 % of a period over the span.
     n_steps = len(times) - 1
-    fs = n_steps / float(times[-1] - times[0])
+    span = float(times[-1]) - float(times[0])
+    fs = n_steps / span
+    if not 0 < fs < math.inf:
+        raise ParseError(
+            f"time column spans {span:.12g} s in {n_steps} steps, "
+            "which gives no finite sampling rate",
+            line=lines[-1],
+        )
     if abs(fs - round(fs)) * n_steps <= 0.01 * fs:
         fs = float(round(fs))
     return SignalRecord(
@@ -587,37 +598,30 @@ def load_model(path):
 
 # ---- reports and plot-ready curves ----
 
-def write_report(report: EvalReport, path, include_series: bool = False):
+def write_report(report: EvalReport, path):
+    """The report's subject, model kind and metrics as JSON; the per-window
+    series stay in memory."""
     doc = {
         "subjectId": report.subject_id,
         "modelKind": report.model_kind,
         "metrics": report.metrics,
     }
-    if include_series:
-        doc["series"] = {
-            "truth": report.truth.tolist(),
-            "pSeizure": report.p_seizure.tolist(),
-            "predictions": {k: v.tolist() for k, v in report.predictions.items()},
-        }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def read_report(path) -> EvalReport:
+    """Inverse of write_report, with empty per-window series."""
     with open(path) as fh:
         doc = json.load(fh)
-    series = doc.get("series", {})
     return EvalReport(
         subject_id=doc["subjectId"],
         model_kind=doc["modelKind"],
         metrics=doc["metrics"],
-        truth=np.array(series.get("truth", []), np.uint8),
-        p_seizure=np.array(series.get("pSeizure", []), float),
-        predictions={
-            k: np.array(v, np.uint8)
-            for k, v in series.get("predictions", {}).items()
-        },
+        truth=np.array([], np.uint8),
+        p_seizure=np.array([], float),
+        predictions={},
     )
 
 

@@ -207,7 +207,7 @@ def _feature_count(records) -> int:
     return counts.pop()
 
 
-def cv_personalized(records, cfg: EvalConfig = None, subject_id: str = "") -> EvalReport:
+def cv_personalized(records, cfg: EvalConfig = None) -> EvalReport:
     """Leave-one-record-out (one seizure per record) on a single subject.
 
     Every fold refits feature ranges on its training records only; the
@@ -220,7 +220,7 @@ def cv_personalized(records, cfg: EvalConfig = None, subject_id: str = "") -> Ev
         raise InsufficientDataError(
             f"leave-one-seizure-out needs >= 3 records, got {len(records)}"
         )
-    subject_id = subject_id or _subject_id_of(records)
+    subject_id = _subject_id_of(records)
     nfeat = _feature_count(records)
     base = build_codebooks(nfeat, cfg.num_levels, cfg.dim, cfg.seed)
     fold_raw, fold_p = [], []
@@ -326,10 +326,8 @@ def transfer_eval(source, target_cohort, mode: str = "generalized", cfg: EvalCon
         raise InsufficientDataError("empty target cohort")
     target_nfeat = _feature_count([fm for recs in target_cohort for fm in recs])
 
-    raw_source = not (
-        isinstance(source, ClassModel)
-        or (isinstance(source, (list, tuple)) and source and isinstance(source[0], ClassModel))
-    )
+    source = list(source)
+    raw_source = not (source and isinstance(source[0], ClassModel))
     if raw_source:
         source = [list(recs) for recs in source]
         if _feature_count([fm for recs in source for fm in recs]) != target_nfeat:
@@ -338,7 +336,6 @@ def transfer_eval(source, target_cohort, mode: str = "generalized", cfg: EvalCon
             )
         base = build_codebooks(target_nfeat, cfg.num_levels, cfg.dim, cfg.seed)
     else:
-        source_models = [source] if isinstance(source, ClassModel) else list(source)
         if source_codebooks is None:
             raise IncompatibleModelsError("pre-trained source models need their codebooks")
         if source_codebooks.num_features != target_nfeat:
@@ -346,7 +343,7 @@ def transfer_eval(source, target_cohort, mode: str = "generalized", cfg: EvalCon
                 f"source encoder expects {source_codebooks.num_features} features, "
                 f"target provides {target_nfeat}"
             )
-        for m in source_models:
+        for m in source:
             if m.dim != source_codebooks.dim:
                 raise IncompatibleModelsError("source model dim differs from codebooks dim")
 
@@ -360,7 +357,7 @@ def transfer_eval(source, target_cohort, mode: str = "generalized", cfg: EvalCon
             books, models = _train_cohort(eligible, cfg, base)
         else:
             books = source_codebooks
-            models = [m for m in source_models if m.subject_id != target_id or not target_id]
+            models = [m for m in source if m.subject_id != target_id or not target_id]
             if not models:
                 raise InsufficientDataError("no source models left after exclusion")
         reports.append(_evaluate_target(target_recs, target_id or "target", models, books, mode, cfg))

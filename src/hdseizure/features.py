@@ -1,6 +1,6 @@
 """Per-channel feature extraction from windowed multichannel signals.
 
-The feature set per channel (22 values by default):
+The feature set per channel (22 values, named by FEATURE_NAMES):
 
     mean amplitude (1) | absolute band powers (7) | relative band powers (7)
     | line length (1) | approximate-zero-crossing counts at 6 tolerances (6)
@@ -13,7 +13,7 @@ at each tolerance before counting crossings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -33,6 +33,19 @@ DEFAULT_BANDS = (
 )
 
 DEFAULT_AZC_EPSILONS = (0.0, 16.0, 32.0, 64.0, 128.0, 256.0)
+
+#: Zero-phase Butterworth bandpass ahead of the zero-crossing features.
+AZC_BAND = (1.0, 20.0)
+AZC_FILTER_ORDER = 4
+
+#: Per-channel feature names, in column order.
+FEATURE_NAMES = (
+    "mean_amplitude",
+    *(f"pow_{name}" for name, _, _ in DEFAULT_BANDS),
+    *(f"rel_{name}" for name, _, _ in DEFAULT_BANDS),
+    "line_length",
+    *(f"azc_{eps:g}" for eps in DEFAULT_AZC_EPSILONS),
+)
 
 #: The 18 bipolar channel names shared by both source datasets.
 DEFAULT_CHANNELS = (
@@ -98,41 +111,26 @@ class FeatureMatrix:
 class FeatureConfig:
     window_sec: float = 4.0
     step_sec: float = 0.5
-    bands: tuple = DEFAULT_BANDS
-    azc_epsilons: tuple = DEFAULT_AZC_EPSILONS
-    azc_band: tuple = (1.0, 20.0)
-    azc_filter_order: int = 4
-
-    def names_per_channel(self) -> list:
-        names = ["mean_amplitude"]
-        names += [f"pow_{b[0]}" for b in self.bands]
-        names += [f"rel_{b[0]}" for b in self.bands]
-        names.append("line_length")
-        names += [f"azc_{eps:g}" for eps in self.azc_epsilons]
-        return names
 
 
-def bandpass_filter(x, fs: float, low: float, high: float, order: int = 4):
+def bandpass_filter(x, fs: float, low: float, high: float):
     """Zero-phase Butterworth bandpass (forward-backward filtering).
 
-    `order` is the order of the resulting bandpass transfer function and
-    must be even (the underlying lowpass prototype has order // 2 poles).
-    Initial conditions follow Gustafsson's method, which makes the result
-    independent of the filtering direction, so reversing the input exactly
-    reverses the output.
+    The bandpass transfer function has order AZC_FILTER_ORDER (its lowpass
+    prototype half as many poles). Initial conditions follow Gustafsson's
+    method, which makes the result independent of the filtering direction,
+    so reversing the input exactly reverses the output.
     """
     x = np.asarray(x, dtype=np.float64)
-    if order < 2 or order % 2:
-        raise ValueError(f"filter order must be a positive even integer, got {order}")
     if not (0 < low < high < fs / 2):
         raise ValueError(
             f"band edges must satisfy 0 < low < high < fs/2, got [{low}, {high}] at fs={fs}"
         )
-    if x.shape[-1] < 3 * order:
+    if x.shape[-1] < 3 * AZC_FILTER_ORDER:
         raise DegenerateInputError(
-            f"input of {x.shape[-1]} samples is too short for an order-{order} filter"
+            f"input of {x.shape[-1]} samples is too short for an order-{AZC_FILTER_ORDER} filter"
         )
-    b, a = butter(order // 2, [low, high], btype="bandpass", fs=fs)
+    b, a = butter(AZC_FILTER_ORDER // 2, [low, high], btype="bandpass", fs=fs)
     # ~20 cycles of the low corner covers the impulse ring-down; capping the
     # least-squares horizon there keeps Gustafsson's method O(n) cheap.
     return filtfilt(b, a, x, method="gust", irlen=int(20 * fs / low))
@@ -255,9 +253,13 @@ def extract_features(record: SignalRecord, config: FeatureConfig = None) -> Feat
             f"{int(bad.sum())} non-finite sample(s), first in channel "
             f"{record.channels[ch]!r} at sample {t}: {record.samples[ch, t]}"
         )
+    if not AZC_BAND[1] < fs / 2:
+        raise DegenerateInputError(
+            f"sampling rate {fs:g} Hz is too low for the {AZC_BAND[0]:g}-{AZC_BAND[1]:g} Hz "
+            f"zero-crossing band, which needs fs > {2 * AZC_BAND[1]:g} Hz"
+        )
     nwin = window_count(total, wlen, step)
-    per_channel = config.names_per_channel()
-    nfeat = len(per_channel)
+    nfeat = len(FEATURE_NAMES)
     values = np.empty((nwin, len(record.channels) * nfeat))
 
     label_wins = sliding_window_view(record.labels, wlen)[::step][:nwin]
@@ -266,8 +268,9 @@ def extract_features(record: SignalRecord, config: FeatureConfig = None) -> Feat
 
     taper = np.hanning(wlen)
     freqs = np.fft.rfftfreq(wlen, 1.0 / fs)
-    top = max(b[2] for b in config.bands)
-    band_masks = [(freqs >= low) & (freqs < high) for _, low, high in config.bands]
+    top = max(high for _, _, high in DEFAULT_BANDS)
+    band_masks = [(freqs >= low) & (freqs < high) for _, low, high in DEFAULT_BANDS]
+    nb = len(DEFAULT_BANDS)
     total_mask = (freqs > 0) & (freqs <= top)
 
     for c in range(len(record.channels)):
@@ -277,7 +280,6 @@ def extract_features(record: SignalRecord, config: FeatureConfig = None) -> Feat
         block[:, 0] = np.abs(wins).mean(axis=1)
         tapered = (wins - wins.mean(axis=1, keepdims=True)) * taper
         spectrum = np.abs(np.fft.rfft(tapered, axis=1)) ** 2
-        nb = len(config.bands)
         for k, mask in enumerate(band_masks):
             block[:, 1 + k] = spectrum[:, mask].sum(axis=1)
         totals = spectrum[:, total_mask].sum(axis=1)
@@ -285,15 +287,13 @@ def extract_features(record: SignalRecord, config: FeatureConfig = None) -> Feat
             rel = block[:, 1 : 1 + nb] / totals[:, None]
         block[:, 1 + nb : 1 + 2 * nb] = np.where(totals[:, None] > 0, rel, 0.0)
         block[:, 1 + 2 * nb] = np.abs(np.diff(wins, axis=1)).sum(axis=1)
-        filtered = bandpass_filter(
-            x, fs, config.azc_band[0], config.azc_band[1], config.azc_filter_order
-        )
+        filtered = bandpass_filter(x, fs, *AZC_BAND)
         block[:, 2 + 2 * nb :] = _azc_windows(
-            filtered, np.arange(nwin) * step, wlen, config.azc_epsilons, fs
+            filtered, np.arange(nwin) * step, wlen, DEFAULT_AZC_EPSILONS, fs
         )
         values[:, c * nfeat : (c + 1) * nfeat] = block
 
-    names = [f"{ch}:{f}" for ch in record.channels for f in per_channel]
+    names = [f"{ch}:{f}" for ch in record.channels for f in FEATURE_NAMES]
     return FeatureMatrix(
         values=values,
         window_labels=window_labels,

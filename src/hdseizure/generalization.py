@@ -15,7 +15,7 @@ positive scaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class MergeConfig:
     # DISTANCE even though the prose around it reads the other way; both
     # conventions are supported and 'distance' follows the formula.
     wrong_weight_convention: str = "distance"
-    order: list = None
 
     def __post_init__(self):
         if self.method not in MERGE_METHODS:
@@ -171,35 +170,25 @@ def _check_total_weight(total: float, class_name: str, where: str = "") -> None:
         )
 
 
-def _merge_order(order, n: int):
-    if order is None:
-        return range(n)
-    arr = np.asarray(order)
-    if arr.dtype.kind not in "iu" or not np.array_equal(np.sort(arr), np.arange(n)):
-        raise ValueError(f"order must be a permutation of range({n}), got {list(order)}")
-    return arr.tolist()
-
-
-def generalize(cohort, cfg: MergeConfig, tie_break_seed: int = 0, **meta) -> ClassModel:
-    """Merge a cohort of personalized models into one generalized model."""
+def generalize(cohort, cfg: MergeConfig, tie_break_seed: int = 0) -> ClassModel:
+    """Merge a cohort of personalized models, in list order, into one
+    generalized model."""
     cohort = list(cohort)
     dim, rows = _cohort_words(cohort)
     n = len(cohort)
-    order = _merge_order(cfg.order, n)
     merge = _PackedMerge(rows, dim, 2, cfg, tie_break_seed)
     for _ in range(cfg.iterations):
-        for i in order:
+        for i in range(n):
             merge.add([i, n + i], [n + i, i])
     _check_total_weight(merge.total_weight[0], "seizure")
     _check_total_weight(merge.total_weight[1], "non-seizure")
     seizure, non_seizure = merge.sign().view(np.uint8)[:, : _packed_size(dim)]
     refs = {m.codebook_ref for m in cohort}
-    meta.setdefault("codebook_ref", refs.pop() if len(refs) == 1 else "")
-    meta.setdefault("kind", "generalized")
     return ClassModel(
         seizure=Hypervector(seizure, dim),
         non_seizure=Hypervector(non_seizure, dim),
-        **meta,
+        kind="generalized",
+        codebook_ref=refs.pop() if len(refs) == 1 else "",
     )
 
 
@@ -273,14 +262,15 @@ def evolution_curve(cohort, cfg: MergeConfig, repetitions: int = 10, seed: int =
     return curves, mean
 
 
-def plateau_onset(curve: EvolutionCurve, tolerance: float = PLATEAU_TOLERANCE) -> int:
+def plateau_onset(curve: EvolutionCurve) -> int:
     """Smallest merged-subject count after which every later step moves
-    all similarity series (and separability) by less than `tolerance`.
+    all similarity series (and separability) by less than
+    PLATEAU_TOLERANCE.
 
     Returns the final subject count when the curve never settles.
     """
     deltas = np.max([np.abs(np.diff(s)) for s in curve.series()], axis=0)
-    violations = np.flatnonzero(deltas >= tolerance)
+    violations = np.flatnonzero(deltas >= PLATEAU_TOLERANCE)
     if violations.size == 0:
         return int(curve.num_subjects[0])
     return int(curve.num_subjects[violations[-1] + 1])

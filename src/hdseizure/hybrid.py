@@ -34,9 +34,13 @@ def compose_hybrid(pers: ClassModel, gen: ClassModel, mode: str) -> ClassModel:
     if mode not in HYBRID_MODES:
         raise ValueError(f"mode must be one of {HYBRID_MODES}, got {mode!r}")
     if pers.kind != "personalized":
-        raise ValueError(f"first argument must be a personalized model, got {pers.kind!r}")
+        raise IncompatibleModelsError(
+            f"first argument must be a personalized model, got {pers.kind!r}"
+        )
     if gen.kind != "generalized":
-        raise ValueError(f"second argument must be a generalized model, got {gen.kind!r}")
+        raise IncompatibleModelsError(
+            f"second argument must be a generalized model, got {gen.kind!r}"
+        )
     if pers.dim != gen.dim:
         raise IncompatibleModelsError(f"dimension mismatch: {pers.dim} != {gen.dim}")
     if mode == "NSgen-Spers":
@@ -53,20 +57,16 @@ def compose_hybrid(pers: ClassModel, gen: ClassModel, mode: str) -> ClassModel:
     )
 
 
-def sweep_selection(
-    gen_scores: dict,
-    pers_scores: dict,
-    thresholds,
-    selection_metric: str = "f1_episode",
-) -> SelectionSweep:
+def sweep_selection(gen_scores: dict, pers_scores: dict, thresholds) -> SelectionSweep:
     """Sweep the assignment threshold over per-subject score sets.
 
     `gen_scores` and `pers_scores` each map 'f1_episode' and 'f1_duration'
-    to per-subject arrays. Selection uses `selection_metric` of the
-    generalized models; means are over each subject's assigned model.
+    to per-subject arrays. A subject gets its generalized model when that
+    model's episode F1 reaches the threshold; means are over each
+    subject's assigned model.
     """
     thresholds = np.asarray(thresholds, dtype=np.float64)
-    gen_sel = np.asarray(gen_scores[selection_metric], dtype=np.float64)
+    gen_sel = np.asarray(gen_scores["f1_episode"], dtype=np.float64)
     series = {}
     for key in ("f1_episode", "f1_duration"):
         g = np.asarray(gen_scores[key], dtype=np.float64)

@@ -333,6 +333,26 @@ class TestErrorPaths:
         assert err.startswith("PARSE:") and "line 101" in err and "time column" in err
 
 
+    def test_rate_too_low_for_features_is_data_error(self, tmp_path, capsys):
+        cohort = str(tmp_path / "cohort")
+        assert run(["synth", *TINY, "--fs", "32", "--out", cohort]) == 0
+        rc = run(["features", *TINY, "--fs", "32", "--cohort", cohort,
+                  "--out", str(tmp_path / "f")])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert err.startswith("DATA:") and "32 Hz" in err and "fs > 40 Hz" in err
+
+    def test_hybrid_parents_swapped_is_data_error(self, tmp_path, capsys):
+        _, _, models = build_pipeline(tmp_path)
+        gen = str(tmp_path / "gen.hdcm")
+        assert run(["generalize", *TINY, "--models", models, "--out", gen]) == 0
+        rc = run(["hybrid", *TINY, "--pers", gen, "--gen", os.path.join(models, "s000.hdcm"),
+                  "--mode", "NSgen-Spers", "--out", str(tmp_path / "h.hdcm")])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert err.startswith("DATA:") and "must be a personalized model" in err
+
+
 class TestBadInputExitCodes:
     @pytest.fixture(scope="class")
     def feats(self, tmp_path_factory):

@@ -3,6 +3,7 @@ import functools
 import json
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -504,6 +505,43 @@ class TestNumericCsvPaths:
         self.check_agree(path, text, read_features, feature_fields)
 
 
+class TestReadersDoNotWarn:
+    """Bad files fail with their ParseError alone: numpy prints nothing first."""
+
+    @staticmethod
+    def read_strictly(read, path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError) as err:
+                read(path)
+        return err.value
+
+    @pytest.mark.parametrize("times, line, message", [
+        # the differences overflow to inf: the first step is no sample period
+        (("-1.7976931348623157e+308", "1.7976931348623157e+308", "0"), 3, "steps by inf"),
+        # every step is one period, but the span overflows: the rate would be 0
+        (("-1e308", "0", "1e308"), 4, "no finite sampling rate"),
+        # subnormal steps: the rate would be inf
+        (("0", "5e-324", "1e-323"), 4, "no finite sampling rate"),
+    ])
+    def test_extreme_time_cells(self, tmp_path, times, line, message):
+        path = tmp_path / "rec.csv"
+        path.write_text("time_s,c1,label\n" + "".join(f"{t},1.0,0\n" for t in times))
+        err = self.read_strictly(read_record, path)
+        assert err.line == line and message in str(err)
+
+    @pytest.mark.parametrize("read, header, line, message", [
+        (read_features, "start_sec,label,f1", 2, "no window rows"),
+        (read_record, "time_s,c1,label", 1, "at least two sample rows"),
+    ])
+    @pytest.mark.parametrize("tail", ["\n", "\n\n", "\r\n"])
+    def test_header_only(self, tmp_path, read, header, line, message, tail):
+        path = tmp_path / "header_only.csv"
+        path.write_bytes((header + tail).encode())
+        err = self.read_strictly(read, path)
+        assert err.line == line and message in str(err)
+
+
 class TestCohortDirs:
     def test_signal_round_trip(self, tmp_path):
         cohort = generate_synthetic_cohort(CohortSpec(**SMALL, seed=7))
@@ -769,18 +807,6 @@ def tiny_report(rng, subject="s000", kind="personalized", n=24):
 
 
 class TestReports:
-    def test_json_round_trip_with_series(self, tmp_path):
-        report = tiny_report(np.random.default_rng(9))
-        path = tmp_path / "r.json"
-        write_report(report, path, include_series=True)
-        back = read_report(path)
-        assert back.subject_id == report.subject_id
-        assert back.model_kind == report.model_kind
-        assert back.metrics == report.metrics
-        assert np.array_equal(back.truth, report.truth)
-        assert np.array_equal(back.p_seizure, report.p_seizure)
-        assert np.array_equal(back.predictions["bayes"], report.predictions["bayes"])
-
     def test_json_without_series(self, tmp_path):
         report = tiny_report(np.random.default_rng(10))
         path = tmp_path / "r.json"
@@ -790,6 +816,15 @@ class TestReports:
         back = read_report(path)
         assert back.metrics == report.metrics
         assert back.truth.size == 0
+
+    def test_json_holds_metrics_only(self, tmp_path):
+        report = tiny_report(np.random.default_rng(9), subject="s004", kind="generalized")
+        path = tmp_path / "r.json"
+        write_report(report, path)
+        assert set(json.loads(path.read_text())) == {"subjectId", "modelKind", "metrics"}
+        back = read_report(path)
+        assert (back.subject_id, back.model_kind) == ("s004", "generalized")
+        assert back.p_seizure.size == 0 and back.predictions == {}
 
     def test_reports_csv(self, tmp_path):
         rng = np.random.default_rng(11)

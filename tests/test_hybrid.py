@@ -63,6 +63,13 @@ class TestComposeHybrid:
         with pytest.raises(ValueError):
             compose_hybrid(pers, gen, "SpersNSgen")
 
+    def test_parent_of_wrong_kind_is_incompatible(self):
+        pers = make_model(8, "personalized")
+        gen = make_model(9, "generalized")
+        for args in ((gen, pers), (pers, pers), (gen, gen)):
+            with pytest.raises(IncompatibleModelsError, match="must be a"):
+                compose_hybrid(*args, "NSgen-Spers")
+
 
 class TestSelectModels:
     def test_threshold_zero_all_gen(self):
@@ -152,9 +159,3 @@ class TestSweepSelection:
         assert sweep.oracle_f1_episode >= max(
             np.mean(gen["f1_episode"]), np.mean(pers["f1_episode"])
         )
-
-    def test_selection_metric_switch(self):
-        gen, pers = self.scores()
-        by_dur = sweep_selection(gen, pers, [0.55], selection_metric="f1_duration")
-        # only subject 0 has gen f1_duration >= 0.55
-        np.testing.assert_allclose(by_dur.fraction_gen, [1 / 3])
