@@ -52,7 +52,7 @@ from .evaluation import (
     summarize,
     transfer_eval,
 )
-from .features import FeatureConfig, extract_features
+from .features import AZC_BAND, FeatureConfig, extract_features
 from .generalization import MergeConfig, evolution_curve, generalize, plateau_onset
 from .hybrid import HYBRID_MODES, compose_hybrid, sweep_selection
 from .similarity import pairwise_matrices, wilcoxon_signed_rank
@@ -175,14 +175,11 @@ def _codebook_ref(books) -> str:
 
 
 def _same_encoder(a, b) -> bool:
-    if (a.dim, a.num_levels, a.seed, a.num_features) != (b.dim, b.num_levels, b.seed, b.num_features):
+    """Same scalars, ID and level vectors, and feature ranges (None when unfitted)."""
+    if (a.dim, a.num_levels, a.seed) != (b.dim, b.num_levels, b.seed):
         return False
-    if a.is_fitted != b.is_fitted:
-        return False
-    return not a.is_fitted or (
-        np.array_equal(a.feature_min, b.feature_min)
-        and np.array_equal(a.feature_max, b.feature_max)
-    )
+    return all(np.array_equal(getattr(a, k), getattr(b, k))
+               for k in ("id_vectors", "level_vectors", "feature_min", "feature_max"))
 
 
 def _load_model_dir(dirpath):
@@ -200,6 +197,26 @@ def _load_model_dir(dirpath):
             raise IncompatibleModelsError(f"{path} was built with a different encoder")
         models.append(model)
     return models, books
+
+
+def _read_features_at_step(dirpath, step_sec: float):
+    """read_feature_cohort, rejecting a record whose windows do not start
+    step_sec apart, as postprocessing counts its windows in steps. The
+    tolerance is 1 %, or the half sample by which extract_features may
+    round the step at the lowest rate it accepts."""
+    if not step_sec > 0:
+        raise ValueError(f"step_sec must be positive, got {step_sec}")
+    tolerance = max(0.01 * step_sec, 0.5 / (2 * AZC_BAND[1]))
+    cohort = read_feature_cohort(dirpath)
+    for fm in (fm for records in cohort for fm in records):
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = np.diff(fm.window_start_sec)
+            off = np.flatnonzero(~(np.abs(steps - step_sec) <= tolerance))
+        if off.size:
+            raise IncompatibleModelsError(
+                f"{os.path.join(dirpath, f'{fm.subject_id}__{fm.record_id}.csv')}: windows "
+                f"start {steps[off[0]]:.6g} s apart, but step_sec is {step_sec:g} s")
+    return cohort
 
 
 def _write_report_set(reports, kind: str, outdir):
@@ -311,7 +328,7 @@ def cmd_hybrid(args, s):
 
 
 def cmd_eval(args, s):
-    cohort = read_feature_cohort(args.features)
+    cohort = _read_features_at_step(args.features, s["step_sec"])
     cfg = eval_config(s)
     if args.emit_curves and args.mode != "both":
         raise ValueError("--emit-curves needs --mode both")
@@ -349,13 +366,13 @@ def cmd_eval(args, s):
 
 
 def cmd_transfer(args, s):
-    target = read_feature_cohort(args.target_features)
+    target = _read_features_at_step(args.target_features, s["step_sec"])
     cfg = eval_config(s)
     if args.source_models:
         models, books = _load_model_dir(args.source_models)
         reports = transfer_eval(models, target, args.mode, cfg, source_codebooks=books)
     else:
-        source = read_feature_cohort(args.source_features)
+        source = _read_features_at_step(args.source_features, s["step_sec"])
         reports = transfer_eval(source, target, args.mode, cfg)
     _write_report_set(reports, f"transfer_{args.mode}", args.out)
     print(f"transfer: {args.mode} onto {len(target)} subjects, "

@@ -24,7 +24,7 @@ from .encoding import Codebooks
 from .errors import CorruptModelError, IncompatibleModelsError, ParseError
 from .evaluation import EvalReport
 from .features import DEFAULT_CHANNELS, FeatureMatrix, SignalRecord
-from .hypervector import Hypervector, _philox, random_hypervector
+from .hypervector import Hypervector, _packed_size, _philox, random_hypervector, to_words
 from .training import ClassModel
 
 MODEL_MAGIC = b"HDCM"
@@ -437,15 +437,6 @@ def read_feature_cohort(dirpath):
 
 # ---- model files ----
 
-def _words_per_vector(dim: int) -> int:
-    return math.ceil(dim / 64)
-
-
-def _vector_bytes(hv: Hypervector) -> bytes:
-    raw = hv.bits.tobytes()
-    return raw + b"\x00" * (_words_per_vector(hv.dim) * 8 - len(raw))
-
-
 def save_model(model: ClassModel, codebooks: Codebooks, path):
     """Binary layout, all integers little-endian:
 
@@ -480,9 +471,8 @@ def save_model(model: ClassModel, codebooks: Codebooks, path):
         fh.write(struct.pack("<I", codebooks.dim))
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for hv in (model.seizure, model.non_seizure,
-                   *codebooks.level_vectors, *codebooks.id_vectors):
-            fh.write(_vector_bytes(hv))
+        fh.write(to_words(np.vstack([model.seizure.bits, model.non_seizure.bits,
+                                     codebooks.level_vectors, codebooks.id_vectors])).tobytes())
 
 
 #: exact JSON types of kind, sourceCohort, subjectId, codebookRef and the
@@ -550,33 +540,26 @@ def load_model(path):
     num_levels, num_features = enc["numLevels"], enc["numFeatures"]
     if enc["dim"] != dim:
         raise CorruptModelError("metadata dim disagrees with header")
-    stride = _words_per_vector(dim) * 8
+    stride = -(-dim // 64) * 8
     count = 2 + num_levels + num_features
     expected = 13 + meta_len + count * stride
     if len(buf) != expected:
         raise CorruptModelError(
             f"expected {expected} bytes for {count} vectors, got {len(buf)}"
         )
-    nbytes = math.ceil(dim / 8)
+    raw = np.frombuffer(buf, np.uint8, count * stride, offset=13 + meta_len)
+    vectors = raw.reshape(count, stride)[:, : _packed_size(dim)].copy()
     if dim % 8:
         # bits past dim in each vector's last byte must be zero
-        last = np.frombuffer(buf, np.uint8, count * stride, offset=13 + meta_len)
-        set_past = np.flatnonzero(last[nbytes - 1 :: stride] >> (dim % 8))
+        set_past = np.flatnonzero(vectors[:, -1] >> (dim % 8))
         if set_past.size:
             raise CorruptModelError(
                 f"vector {int(set_past[0])} has bits set past dim {dim}"
             )
-
-    def vector(k: int) -> Hypervector:
-        start = 13 + meta_len + k * stride
-        bits = np.frombuffer(buf, np.uint8, nbytes, offset=start).copy()
-        return Hypervector(bits, dim)
-
     try:
-        vectors = [vector(k) for k in range(count)]
         model = ClassModel(
-            seizure=vectors[0],
-            non_seizure=vectors[1],
+            seizure=Hypervector(vectors[0], dim),
+            non_seizure=Hypervector(vectors[1], dim),
             kind=meta["kind"],
             source_cohort=meta["sourceCohort"],
             subject_id=meta["subjectId"],

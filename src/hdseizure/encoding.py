@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateInputError, IncompatibleModelsError, InvalidDimensionError
-from .hypervector import Hypervector, random_hypervector, tie_break_vector
+from .hypervector import random_hypervector, tie_break_vector
 
 DEFAULT_DIM = 10000
 DEFAULT_LEVELS = 20
@@ -26,6 +26,8 @@ LEVEL_CHAIN_TAG = 1 << 33
 class Codebooks:
     """Immutable encoding state: ID vectors, level chain, feature ranges.
 
+    `id_vectors` (F, ceil(dim/8)) and `level_vectors` (L, ceil(dim/8)) are
+    uint8 row matrices, one vector per row in `Hypervector` bit layout.
     `feature_min`/`feature_max` are None until `fit_ranges` has seen
     training data; encoding requires fitted ranges.
     """
@@ -33,8 +35,8 @@ class Codebooks:
     dim: int
     num_levels: int
     seed: int
-    id_vectors: list
-    level_vectors: list
+    id_vectors: np.ndarray
+    level_vectors: np.ndarray
     feature_min: np.ndarray = None
     feature_max: np.ndarray = None
     _unpacked: tuple = field(default=None, repr=False)
@@ -63,8 +65,8 @@ class Codebooks:
         """
         if self._unpacked is None:
             self._check_level_chain()
-            ids = np.stack([v.to_bools() for v in self.id_vectors])
-            base = np.bitwise_xor(ids, self.level_vectors[0].to_bools()[None, :])
+            base = np.unpackbits(self.id_vectors ^ self.level_vectors[0], axis=1,
+                                 count=self.dim, bitorder="little")
             total = base.sum(axis=0, dtype=np.int32)
             signed = (1 - 2 * base.astype(np.int8)).astype(np.float32)
             tie = tie_break_vector(self.seed, self.dim).to_bools().astype(np.int32)
@@ -73,18 +75,25 @@ class Codebooks:
         return self._unpacked
 
     def _check_level_chain(self):
-        """level[k] ^ level[k+1] must be exactly flip block k."""
+        """The levels must be the chain `_level_chain` grows from level[0]."""
         nlev = len(self.level_vectors)
-        block = self.dim // (2 * (nlev - 1)) if nlev >= 2 else 0
-        if block:
-            levels = np.stack([v.to_bools() for v in self.level_vectors])
-            flips = np.arange(self.dim)[None, :] // block == np.arange(nlev - 1)[:, None]
-            if np.array_equal(levels[1:] ^ levels[:-1], flips):
-                return
+        if nlev >= 2 and self.dim // (2 * (nlev - 1)) and np.array_equal(
+            self.level_vectors, _level_chain(self.level_vectors[0], self.dim, nlev)
+        ):
+            return
         raise IncompatibleModelsError(
             f"the {nlev} level vectors are not the block-flip chain of "
             f"build_codebooks at dim {self.dim}"
         )
+
+
+def _level_chain(level0: np.ndarray, dim: int, num_levels: int) -> np.ndarray:
+    """Packed level rows (L, ceil(dim/8)) from packed level 0: level k is
+    level 0 with its first k blocks of floor(dim / (2(L-1))) bits flipped."""
+    block = dim // (2 * (num_levels - 1))
+    flips = np.arange(dim) < block * np.arange(num_levels)[:, None]
+    bits = np.unpackbits(level0, count=dim, bitorder="little")
+    return np.packbits(bits ^ flips, axis=1, bitorder="little")
 
 
 def build_codebooks(
@@ -108,15 +117,8 @@ def build_codebooks(
         raise InvalidDimensionError(
             f"{num_levels} levels need dim >= {2 * num_levels}, got {dim}"
         )
-    ids = [random_hypervector(seed, f, dim) for f in range(num_features)]
-    block = dim // (2 * (num_levels - 1))
-    bits = random_hypervector(seed, LEVEL_CHAIN_TAG, dim).to_bools()
-    levels = [Hypervector.from_bools(bits)]
-    for k in range(num_levels - 1):
-        bits = bits.copy()
-        sel = slice(k * block, (k + 1) * block)
-        bits[sel] = 1 - bits[sel]
-        levels.append(Hypervector.from_bools(bits))
+    ids = np.stack([random_hypervector(seed, f, dim).bits for f in range(num_features)])
+    levels = _level_chain(random_hypervector(seed, LEVEL_CHAIN_TAG, dim).bits, dim, num_levels)
     return Codebooks(
         dim=dim, num_levels=num_levels, seed=seed, id_vectors=ids, level_vectors=levels
     )

@@ -13,6 +13,7 @@ at each tolerance before counting crossings.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,6 +271,10 @@ def extract_features(record: SignalRecord, config: FeatureConfig = None) -> Feat
     freqs = np.fft.rfftfreq(wlen, 1.0 / fs)
     top = max(high for _, _, high in DEFAULT_BANDS)
     band_masks = [(freqs >= low) & (freqs < high) for _, low, high in DEFAULT_BANDS]
+    empty = [name for (name, _, _), mask in zip(DEFAULT_BANDS, band_masks) if not mask.any()]
+    if empty:
+        warnings.warn(f"band(s) {', '.join(empty)} hold no FFT bin of a {wlen / fs:g} s window "
+                      f"at {fs:g} Hz; their pow_ and rel_ features are 0 in every window")
     nb = len(DEFAULT_BANDS)
     total_mask = (freqs > 0) & (freqs <= top)
 

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DegenerateCohortError, InsufficientDataError
 from .hypervector import (
     Hypervector,
+    _bipolar_rows,
     _packed_size,
     _philox,
     _sign_threshold,
@@ -124,11 +125,7 @@ class _PackedMerge:
         return self._sign
 
     def _accumulate(self, idx, weight) -> None:
-        bipolar = np.unpackbits(
-            self.rows[idx].view(np.uint8), axis=1, count=self.dim, bitorder="little"
-        ).view(np.int8)
-        bipolar *= 2
-        bipolar -= 1
+        bipolar = _bipolar_rows(self.rows[idx].view(np.uint8), self.dim)
         # row by row, so the float temporary is one row, not one per merge
         weights = np.broadcast_to(weight, self.total_weight.shape)
         for acc, w, row in zip(self.acc, weights, bipolar):

@@ -156,6 +156,15 @@ def _sign_threshold(seed: int, dim: int) -> np.ndarray:
     return np.where(tie, np.nextafter(0.0, -1.0), 0.0)
 
 
+def _bipolar_rows(rows: np.ndarray, dim: int) -> np.ndarray:
+    """Packed uint8 rows (..., bytes) unpacked to int8 rows (..., dim), +1
+    where a bit is set and -1 where it is clear, as `to_bipolar` maps them."""
+    out = np.unpackbits(rows, axis=-1, count=dim, bitorder="little").view(np.int8)
+    out *= 2
+    out -= 1
+    return out
+
+
 def _sign_words(values: np.ndarray, threshold: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """Binarize accumulator rows `values` (..., dim) against a
     `_sign_threshold` table into `to_words` rows. `bits` is a zeroed bool

@@ -16,11 +16,11 @@ import numpy as np
 from .errors import MissingClassError
 from .hypervector import (
     Hypervector,
+    _bipolar_rows,
     _packed_size,
     _sign_threshold,
     _sign_words,
     hamming_words,
-    tie_break_vector,
     to_words,
 )
 
@@ -95,25 +95,22 @@ def train(samples, labels, cfg: TrainConfig, *, dim: int, **kwargs) -> ClassMode
     return train_online(samples, labels, cfg, dim=dim, **kwargs)
 
 
-def _unpack(rows: np.ndarray, dim: int) -> np.ndarray:
-    return np.unpackbits(rows, axis=1, count=dim, bitorder="little")
+def _class_model(acc, threshold: np.ndarray, dim: int, meta: dict) -> ClassModel:
+    """The model whose class vectors are acc[NON_SEIZURE] and acc[SEIZURE]
+    binarized by the `_sign_threshold` rule."""
+    bits = np.zeros((2, -(-dim // 64) * 64), dtype=bool)
+    rows = _sign_words(np.stack(acc), threshold, bits).view(np.uint8)[:, : _packed_size(dim)]
+    return ClassModel(seizure=Hypervector(rows[SEIZURE], dim),
+                      non_seizure=Hypervector(rows[NON_SEIZURE], dim), **meta)
 
 
 def train_standard(samples, labels, cfg: TrainConfig, *, dim: int, **meta) -> ClassModel:
-    """Each class vector is the majority bundle of its samples."""
+    """Each class vector is the majority bundle of its samples: the sign of
+    its bipolar sum, 2 * count - n."""
     samples, labels = _check_samples(samples, labels, dim)
-    tie = tie_break_vector(cfg.seed, dim).to_bools().astype(bool)
-
-    def majority(rows):
-        counts = _unpack(rows, dim).sum(axis=0, dtype=np.int64)
-        bits = np.where(2 * counts == len(rows), tie, 2 * counts > len(rows))
-        return Hypervector.from_bools(bits)
-
-    return ClassModel(
-        seizure=majority(samples[labels == SEIZURE]),
-        non_seizure=majority(samples[labels == NON_SEIZURE]),
-        **meta,
-    )
+    sums = [_bipolar_rows(samples[labels == c], dim).sum(axis=0, dtype=np.int64)
+            for c in (NON_SEIZURE, SEIZURE)]
+    return _class_model(sums, _sign_threshold(cfg.seed, dim), dim, meta)
 
 
 def train_online(samples, labels, cfg: TrainConfig, *, dim: int, stats: dict = None, **meta) -> ClassModel:
@@ -132,9 +129,7 @@ def train_online(samples, labels, cfg: TrainConfig, *, dim: int, stats: dict = N
     """
     samples, labels = _check_samples(samples, labels, dim)
     words = to_words(samples)
-    bipolar = _unpack(samples, dim).view(np.int8)
-    bipolar *= 2
-    bipolar -= 1
+    bipolar = _bipolar_rows(samples, dim)
     threshold = _sign_threshold(cfg.seed, dim)
     bits = np.zeros(words.shape[1] * 64, dtype=bool)
     acc = [None, None]
@@ -170,14 +165,5 @@ def train_online(samples, labels, cfg: TrainConfig, *, dim: int, stats: dict = N
     if stats is not None:
         stats["mispredictions"] = mispredictions
         stats["subtractions"] = mispredictions
-
-    def vector(c):
-        packed = _sign_words(acc[c], threshold, bits).view(np.uint8)[: _packed_size(dim)]
-        return Hypervector(packed, dim)
-
-    return ClassModel(
-        seizure=vector(SEIZURE),
-        non_seizure=vector(NON_SEIZURE),
-        **meta,
-    )
+    return _class_model(acc, threshold, dim, meta)
 

@@ -41,7 +41,8 @@ def encode_window(features, codebooks) -> Hypervector:
     for f, value in enumerate(features):
         lo, hi = codebooks.feature_min[f], codebooks.feature_max[f]
         q = quantize(value, lo, hi, codebooks.num_levels) if lo < hi else 0
-        bound.append(bind(codebooks.id_vectors[f], codebooks.level_vectors[q]))
+        bound.append(bind(Hypervector(codebooks.id_vectors[f], codebooks.dim),
+                          Hypervector(codebooks.level_vectors[q], codebooks.dim)))
     return bundle(bound, tie_break_seed=codebooks.seed)
 
 

@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -307,13 +308,26 @@ class TestErrorPaths:
         assert rc == 5
         assert "different encoder" in capsys.readouterr().err
 
+    def test_flipped_id_bit_is_different_encoder(self, tmp_path, capsys):
+        _, _, models = build_pipeline(tmp_path)
+        path = tmp_path / "models" / "s001.hdcm"
+        data = bytearray(path.read_bytes())
+        meta_len = struct.unpack_from("<I", data, 9)[0]
+        # bit 0 of the first ID vector: after S, NS and 8 levels of 32 bytes (dim 256)
+        data[13 + meta_len + (2 + 8) * 32] ^= 1
+        path.write_bytes(bytes(data))
+        load_model(path)  # a well-formed file on its own
+        rc = run(["generalize", *TINY, "--models", models, "--out", str(tmp_path / "g.hdcm")])
+        assert rc == 5
+        assert "s001.hdcm was built with a different encoder" in capsys.readouterr().err
+
     def test_reversed_level_chain_is_data_error(self, tmp_path, capsys):
         _, feats, models = build_pipeline(tmp_path)
         bad = tmp_path / "reversed"
         bad.mkdir()
         for name in sorted(os.listdir(models)):
             model, books = load_model(os.path.join(models, name))
-            books.level_vectors.reverse()
+            books.level_vectors = books.level_vectors[::-1]
             save_model(model, books, str(bad / name))
         rc = run(["transfer", *TINY, "--source-models", str(bad),
                   "--target-features", feats, "--out", str(tmp_path / "t")])
@@ -428,6 +442,30 @@ class TestBadInputExitCodes:
         assert rc == 4
         err = capsys.readouterr().err
         assert err.startswith("PARSE:") and "no window rows" in err
+
+    def test_step_mismatch_is_data_error(self, feats, tmp_path, capsys):
+        # features extracted at a 1 s step, evaluated at TINY's 0.5 s
+        cohort, wide, models = (str(tmp_path / n) for n in ("cohort", "wide", "models"))
+        assert run(["synth", *TINY, "--out", cohort]) == 0
+        assert run(["features", *TINY, "--step-sec", "1", "--cohort", cohort, "--out", wide]) == 0
+        assert run(["train", *TINY, "--features", feats, "--out", models]) == 0
+        out = tmp_path / "out"
+        for command in (["eval", "--features", wide],
+                        ["transfer", "--source-features", wide, "--target-features", feats],
+                        ["transfer", "--source-models", models, "--target-features", wide]):
+            rc = run([command[0], *TINY, *command[1:], "--out", str(out)])
+            assert rc == 5, command
+            err = capsys.readouterr().err
+            assert err.startswith("DATA: " + os.path.join(wide, "s000__r00.csv"))
+            assert "windows start 1 s apart, but step_sec is 0.5 s" in err
+            assert not out.exists()
+        assert run(["eval", *TINY, "--step-sec", "1", "--mode", "personalized",
+                    "--features", wide, "--out", str(out)]) == 0
+        # 0.3 s rounds to 19 samples at 64 Hz, a step 1.04 % short, which passes
+        odd = str(tmp_path / "odd")
+        assert run(["features", *TINY, "--step-sec", "0.3", "--cohort", cohort, "--out", odd]) == 0
+        assert run(["transfer", *TINY, "--step-sec", "0.3", "--source-models", models,
+                    "--target-features", odd, "--out", str(tmp_path / "t")]) == 0
 
     def test_one_subject_is_data_error(self, feats, tmp_path, capsys):
         one = tmp_path / "one_subject"

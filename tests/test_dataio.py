@@ -1,5 +1,6 @@
 import csv
 import functools
+import hashlib
 import json
 import struct
 import tempfile
@@ -602,8 +603,8 @@ class TestModelFile:
         assert back_books.dim == books.dim
         assert back_books.num_levels == books.num_levels
         assert back_books.seed == books.seed
-        assert all(a == b for a, b in zip(back_books.id_vectors, books.id_vectors))
-        assert all(a == b for a, b in zip(back_books.level_vectors, books.level_vectors))
+        assert np.array_equal(back_books.id_vectors, books.id_vectors)
+        assert np.array_equal(back_books.level_vectors, books.level_vectors)
         assert np.array_equal(back_books.feature_min, books.feature_min)
         assert np.array_equal(back_books.feature_max, books.feature_max)
 
@@ -709,6 +710,25 @@ def model_file_bytes() -> bytes:
         path = Path(tmp) / "m.hdcm"
         save_model(model, books, path)
         return path.read_bytes()
+
+
+class TestModelFileBytes:
+    """The file format pinned by digest: a drift in any byte fails here."""
+
+    def test_padded_model_digest(self):
+        digest = hashlib.sha256(model_file_bytes()).hexdigest()
+        assert digest == "d2727415311b804ccdd5be1dd663337e128838afd93689b2f4d3195437e7a8c9"
+
+    def test_full_size_model_digest(self, tmp_path):
+        values = np.random.default_rng(0).normal(size=(40, 88))
+        books = fit_ranges(build_codebooks(88, 20, 10000, 0), values)
+        model = ClassModel(seizure=random_hypervector(0, 1, 10000),
+                           non_seizure=random_hypervector(0, 2, 10000), subject_id="s000")
+        save_model(model, books, tmp_path / "m.hdcm")
+        data = (tmp_path / "m.hdcm").read_bytes()
+        assert len(data) == 141903
+        digest = hashlib.sha256(data).hexdigest()
+        assert digest == "dec05e6cfa035709d7d28caa7eb57bf3bbe5abbf99cc332a13079b04717e799c"
 
 
 def with_metadata_value(path, value):

@@ -28,6 +28,14 @@ def as_vectors(rows, cb):
     return [Hypervector(row, cb.dim) for row in rows]
 
 
+def level(cb, k):
+    return Hypervector(cb.level_vectors[k], cb.dim)
+
+
+def ident(cb, f):
+    return Hypervector(cb.id_vectors[f], cb.dim)
+
+
 def encode_window(features, cb):
     """One window through the packed encoder, as a Hypervector."""
     return as_vectors(encode_windows(np.asarray(features, dtype=np.float64)[None, :], cb), cb)[0]
@@ -37,26 +45,26 @@ class TestLevelChain:
     def test_two_levels_half_flip(self):
         for dim in (64, 100, 10000):
             cb = build_codebooks(1, 2, dim=dim, seed=0)
-            d = hamming_distance(cb.level_vectors[0], cb.level_vectors[1])
+            d = hamming_distance(level(cb, 0), level(cb, 1))
             assert d == (dim // 2) / dim
 
     def test_chain_ends_near_orthogonal(self):
         cb = build_codebooks(1, 20, dim=10000, seed=1)
-        d = hamming_distance(cb.level_vectors[0], cb.level_vectors[19])
+        d = hamming_distance(level(cb, 0), level(cb, 19))
         assert 0.45 <= d <= 0.5
 
     def test_distance_proportional_to_level_gap(self):
         cb = build_codebooks(1, 20, dim=10000, seed=2)
-        full = hamming_distance(cb.level_vectors[0], cb.level_vectors[19])
+        full = hamming_distance(level(cb, 0), level(cb, 19))
         for i in range(20):
             for j in range(i, 20):
-                d = hamming_distance(cb.level_vectors[i], cb.level_vectors[j])
+                d = hamming_distance(level(cb, i), level(cb, j))
                 assert abs(d / full - (j - i) / 19) < 0.02
 
     def test_monotone_in_gap(self):
         cb = build_codebooks(1, 12, dim=512, seed=5)
         dists = [
-            hamming_distance(cb.level_vectors[0], cb.level_vectors[k])
+            hamming_distance(level(cb, 0), level(cb, k))
             for k in range(12)
         ]
         assert all(a <= b for a, b in zip(dists, dists[1:]))
@@ -70,14 +78,14 @@ class TestLevelChain:
         sigma = 0.5 / np.sqrt(10000)
         for i in range(30):
             for j in range(i + 1, 30):
-                d = hamming_distance(cb.id_vectors[i], cb.id_vectors[j])
+                d = hamming_distance(ident(cb, i), ident(cb, j))
                 assert abs(d - 0.5) < 4 * sigma
 
     def test_determinism(self):
         a = build_codebooks(4, 8, dim=128, seed=9)
         b = build_codebooks(4, 8, dim=128, seed=9)
-        assert a.id_vectors == b.id_vectors
-        assert a.level_vectors == b.level_vectors
+        assert np.array_equal(a.id_vectors, b.id_vectors)
+        assert np.array_equal(a.level_vectors, b.level_vectors)
 
 
 class TestLevelChainCheck:
@@ -86,7 +94,7 @@ class TestLevelChainCheck:
     @staticmethod
     def with_levels(cb, levels):
         return Codebooks(dim=cb.dim, num_levels=len(levels), seed=cb.seed,
-                         id_vectors=cb.id_vectors, level_vectors=list(levels))
+                         id_vectors=cb.id_vectors, level_vectors=levels)
 
     @pytest.mark.parametrize("levels, dim", [(2, 64), (8, 256), (20, 1001), (20, 10000), (32, 64)])
     def test_built_chains_pass(self, levels, dim):
@@ -104,10 +112,10 @@ class TestLevelChainCheck:
 
     def test_one_flipped_bit_rejected(self):
         cb = build_codebooks(3, 8, dim=256, seed=4)
-        bits = cb.level_vectors[3].to_bools()
+        bits = level(cb, 3).to_bools()
         bits[200] ^= 1
-        levels = list(cb.level_vectors)
-        levels[3] = Hypervector.from_bools(bits)
+        levels = cb.level_vectors.copy()
+        levels[3] = Hypervector.from_bools(bits).bits
         with pytest.raises(IncompatibleModelsError):
             self.with_levels(cb, levels).unpacked_bits()
 
@@ -157,7 +165,7 @@ class TestEncodeWindow:
         cb = fitted_codebooks(1, dim=256)
         enc = encode_window([0.5], cb)
         q = quantize(0.5, 0.0, 1.0, 20)
-        assert enc == bind(cb.id_vectors[0], cb.level_vectors[q])
+        assert enc == bind(ident(cb, 0), level(cb, q))
 
     def test_deterministic(self):
         cb = fitted_codebooks(5, dim=512)
@@ -169,7 +177,7 @@ class TestEncodeWindow:
         x = [0.2, 0.55, 0.9]
         enc = encode_window(x, cb)
         bound = [
-            bind(cb.id_vectors[f], cb.level_vectors[quantize(x[f], 0.0, 1.0, 20)])
+            bind(ident(cb, f), level(cb, quantize(x[f], 0.0, 1.0, 20)))
             for f in range(3)
         ]
         stacked = np.stack([v.to_bools() for v in bound])
@@ -220,8 +228,8 @@ class TestEncodeWindows:
             cb = fit_ranges(cb, train)
         enc = encode_window([7.0, 0.5], cb)
         bound = [
-            bind(cb.id_vectors[0], cb.level_vectors[0]),
-            bind(cb.id_vectors[1], cb.level_vectors[quantize(0.5, 0.0, 1.0, 20)]),
+            bind(ident(cb, 0), level(cb, 0)),
+            bind(ident(cb, 1), level(cb, quantize(0.5, 0.0, 1.0, 20))),
         ]
         assert enc == bundle(bound, tie_break_seed=cb.seed)
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -417,6 +419,21 @@ class TestExtractFeatures:
         assert fm.feature_names[0] == "C0:mean_amplitude"
         assert fm.feature_names[22] == "C1:mean_amplitude"
         assert fm.num_features == 44
+
+
+class TestEmptyBandWarning:
+    def test_two_second_window_warns_low2(self):
+        record = make_record(fs=64, seconds=20.0, seed=5)
+        with pytest.warns(UserWarning, match="low2") as caught:
+            extract_features(record, FeatureConfig(window_sec=2.0))
+        assert len(caught) == 1
+        assert "low1" not in str(caught[0].message)
+
+    def test_four_second_window_does_not_warn(self):
+        record = make_record(fs=64, seconds=20.0, seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            extract_features(record, FeatureConfig(window_sec=4.0))
 
 
 class TestSignalRecordValidation:
