@@ -44,6 +44,7 @@ from .errors import (
     ParseError,
 )
 from .evaluation import (
+    TRANSFER_MODES,
     EvalConfig,
     _train_cohort,
     cv_generalized,
@@ -153,16 +154,24 @@ def eval_config(s: dict) -> EvalConfig:
 
 
 def _parse_thresholds(text: str) -> np.ndarray:
-    """Either 'start:stop:count' or a comma-separated list."""
+    """Either 'start:stop:count' or a comma-separated list; at least one,
+    and every one finite."""
     try:
         if ":" in text:
             start, stop, count = text.split(":")
-            return np.linspace(float(start), float(stop), int(count))
-        return np.array([float(v) for v in text.split(",")])
+            # bounds near or at infinity give inf or NaN steps, rejected below
+            with np.errstate(invalid="ignore", over="ignore"):
+                values = np.linspace(float(start), float(stop), int(count))
+        else:
+            values = np.array([float(v) for v in text.split(",")])
     except ValueError:
+        values = np.array([])
+    if not values.size or not np.isfinite(values).all():
         raise ValueError(
-            f"sweep_thresholds expects 'start:stop:count' or a comma list, got {text!r}"
-        ) from None
+            "sweep_thresholds expects finite 'start:stop:count' with count >= 1 or a "
+            f"comma list, got {text!r}"
+        )
+    return values
 
 
 def _codebook_ref(books) -> str:
@@ -328,10 +337,11 @@ def cmd_hybrid(args, s):
 
 
 def cmd_eval(args, s):
-    cohort = _read_features_at_step(args.features, s["step_sec"])
-    cfg = eval_config(s)
     if args.emit_curves and args.mode != "both":
         raise ValueError("--emit-curves needs --mode both")
+    thresholds = _parse_thresholds(s["sweep_thresholds"]) if args.emit_curves else None
+    cohort = _read_features_at_step(args.features, s["step_sec"])
+    cfg = eval_config(s)
     # everything is computed before the first write, so a failure leaves no
     # partial report set behind
     reports = {}
@@ -343,7 +353,6 @@ def cmd_eval(args, s):
         _, models = _train_cohort(cohort, cfg)
         _, mean = evolution_curve(models, cfg.merge,
                                   repetitions=s["repetitions"], seed=s["seed"])
-        thresholds = _parse_thresholds(s["sweep_thresholds"])
         sweeps = {
             stage: sweep_selection(
                 per_subject_scores(reports["generalized"], stage),
@@ -455,8 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--source-features", metavar="DIR")
     src.add_argument("--source-models", metavar="DIR")
     p.add_argument("--target-features", required=True, metavar="DIR")
-    p.add_argument("--mode", choices=["generalized", *HYBRID_MODES],
-                   default="generalized")
+    p.add_argument("--mode", choices=TRANSFER_MODES, default="generalized")
     p.add_argument("--out", required=True, metavar="DIR")
     p.set_defaults(func=cmd_transfer)
     return parser

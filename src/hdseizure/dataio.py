@@ -6,10 +6,14 @@ Formats:
   feature CSV   header `start_sec,label,<name1>,...`, one row per window
   model file    binary, magic "HDCM" (layout documented in save_model)
   report JSON   subject, model kind and flat metric dict
+
+Every writer goes through `_replacing`, so a failed write leaves the old
+file as it was.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -175,6 +179,32 @@ def synthetic_model_cohort(num_subjects: int, dim: int = 10000,
     return models
 
 
+# ---- writing ----
+
+@contextlib.contextmanager
+def _replacing(path, mode):
+    """An open `<path>.tmp` (text files with newline="") that replaces `path`
+    when the block succeeds; on an exception the temporary file is removed
+    and `path` keeps its old content."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, mode, newline=None if "b" in mode else "") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _write_csv(path, header, rows):
+    """`header` and then each of `rows` as CSV lines, ended by CRLF."""
+    with _replacing(path, "w") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 # ---- numeric CSV bodies ----
 
 #: The bytes a body may hold for the numpy fast path. On cells made of
@@ -283,7 +313,7 @@ def write_record(record: SignalRecord, path):
     table = np.column_stack([t, record.samples.T, record.labels])
     fmt = ["%.12g"] * (1 + len(record.channels)) + ["%d"]
     header = ",".join(["time_s", *record.channels, "label"])
-    with open(path, "w", newline="") as fh:
+    with _replacing(path, "w") as fh:
         fh.write(header + "\n")
         np.savetxt(fh, table, fmt=fmt, delimiter=",")
 
@@ -351,7 +381,7 @@ def write_features(features: FeatureMatrix, path):
         [features.window_start_sec, features.window_labels, features.values]
     )
     fmt = ["%.17g", "%d"] + ["%.17g"] * features.num_features
-    with open(path, "w", newline="") as fh:
+    with _replacing(path, "w") as fh:
         fh.write(header + "\n")
         np.savetxt(fh, table, fmt=fmt, delimiter=",")
 
@@ -465,12 +495,8 @@ def save_model(model: ClassModel, codebooks: Codebooks, path):
         },
     }
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<B", MODEL_VERSION))
-        fh.write(struct.pack("<I", codebooks.dim))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
+    with _replacing(path, "wb") as fh:
+        fh.write(MODEL_MAGIC + struct.pack("<BII", MODEL_VERSION, codebooks.dim, len(blob)) + blob)
         fh.write(to_words(np.vstack([model.seizure.bits, model.non_seizure.bits,
                                      codebooks.level_vectors, codebooks.id_vectors])).tobytes())
 
@@ -547,15 +573,14 @@ def load_model(path):
         raise CorruptModelError(
             f"expected {expected} bytes for {count} vectors, got {len(buf)}"
         )
-    raw = np.frombuffer(buf, np.uint8, count * stride, offset=13 + meta_len)
-    vectors = raw.reshape(count, stride)[:, : _packed_size(dim)].copy()
-    if dim % 8:
-        # bits past dim in each vector's last byte must be zero
-        set_past = np.flatnonzero(vectors[:, -1] >> (dim % 8))
-        if set_past.size:
-            raise CorruptModelError(
-                f"vector {int(set_past[0])} has bits set past dim {dim}"
-            )
+    words = np.frombuffer(buf, np.uint8, count * stride, offset=13 + meta_len).reshape(count, stride)
+    # every bit past dim, in the last packed byte or the word padding after
+    # it, lies in a vector's last 64-bit word and must be zero; the largest
+    # of those words has such a bit set if any of them does
+    if dim % 64 and (last_words := words.view("<u8")[:, -1]).max() >> dim % 64:
+        first = int(np.flatnonzero(last_words >> dim % 64)[0])
+        raise CorruptModelError(f"vector {first} has bits set past dim {dim}")
+    vectors = words[:, : _packed_size(dim)].copy()
     try:
         model = ClassModel(
             seizure=Hypervector(vectors[0], dim),
@@ -589,7 +614,7 @@ def write_report(report: EvalReport, path):
         "modelKind": report.model_kind,
         "metrics": report.metrics,
     }
-    with open(path, "w") as fh:
+    with _replacing(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -611,47 +636,29 @@ def read_report(path) -> EvalReport:
 def write_reports_csv(reports, path):
     reports = list(reports)
     keys = list(reports[0].metrics.keys())
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["subject", "kind", *keys])
-        for r in reports:
-            w.writerow([r.subject_id, r.model_kind,
-                        *(f"{r.metrics[k]:.17g}" for k in keys)])
+    _write_csv(path, ["subject", "kind", *keys],
+               ([r.subject_id, r.model_kind, *(f"{r.metrics[k]:.17g}" for k in keys)]
+                for r in reports))
 
 
 def write_matrices_csv(mats, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["matrix", "subject", *mats.subject_ids])
-        for name, m in (("sToS", mats.s_to_s), ("nsToNs", mats.ns_to_ns),
-                        ("sToNs", mats.s_to_ns)):
-            for sid, row in zip(mats.subject_ids, m):
-                w.writerow([name, sid, *(f"{v:.17g}" for v in row)])
+    _write_csv(path, ["matrix", "subject", *mats.subject_ids],
+               ([name, sid, *(f"{v:.17g}" for v in row)]
+                for name, m in (("sToS", mats.s_to_s), ("nsToNs", mats.ns_to_ns),
+                                ("sToNs", mats.s_to_ns))
+                for sid, row in zip(mats.subject_ids, m)))
 
 
 def write_evolution_csv(curve, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["numSubjects", "simSS", "simNSNS", "simSNS", "simNSS",
-                    "separability"])
-        for i in range(curve.num_subjects.size):
-            w.writerow([
-                int(curve.num_subjects[i]),
-                *(f"{s[i]:.17g}" for s in curve.series()),
-            ])
+    _write_csv(path, ["numSubjects", "simSS", "simNSNS", "simSNS", "simNSS", "separability"],
+               ([int(n), *(f"{v:.17g}" for v in values)]
+                for n, *values in zip(curve.num_subjects, *curve.series())))
 
 
 def write_sweep_csv(sweep, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["threshold", "fractionGen", "meanF1Episode",
-                    "meanF1Duration", "oracleF1Episode", "oracleF1Duration"])
-        for i, th in enumerate(sweep.thresholds):
-            w.writerow([
-                f"{th:.17g}",
-                f"{sweep.fraction_gen[i]:.17g}",
-                f"{sweep.mean_f1_episode[i]:.17g}",
-                f"{sweep.mean_f1_duration[i]:.17g}",
-                f"{sweep.oracle_f1_episode:.17g}",
-                f"{sweep.oracle_f1_duration:.17g}",
-            ])
+    oracle = (sweep.oracle_f1_episode, sweep.oracle_f1_duration)
+    _write_csv(path, ["threshold", "fractionGen", "meanF1Episode",
+                      "meanF1Duration", "oracleF1Episode", "oracleF1Duration"],
+               ([f"{v:.17g}" for v in (*values, *oracle)]
+                for values in zip(sweep.thresholds, sweep.fraction_gen,
+                                  sweep.mean_f1_episode, sweep.mean_f1_duration)))

@@ -10,7 +10,7 @@ level in {duration, episode}, post in {raw, bayes, movavg} and name in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,11 +27,6 @@ from .generalization import MergeConfig, generalize
 from .hybrid import HYBRID_MODES, compose_hybrid
 from .hypervector import hamming_words, to_words
 from .training import ClassModel, TrainConfig, train
-
-METRIC_LEVELS = ("duration", "episode")
-POST_STAGES = ("raw", "bayes", "movavg")
-METRIC_NAMES = ("sensitivity", "precision", "f1")
-
 
 @dataclass
 class EvalConfig:
@@ -207,6 +202,11 @@ def _feature_count(records) -> int:
     return counts.pop()
 
 
+def _base_codebooks(records, cfg: EvalConfig) -> Codebooks:
+    """Unfitted codebooks for `records`, which must agree on their feature count."""
+    return build_codebooks(_feature_count(records), cfg.num_levels, cfg.dim, cfg.seed)
+
+
 def cv_personalized(records, cfg: EvalConfig = None) -> EvalReport:
     """Leave-one-record-out (one seizure per record) on a single subject.
 
@@ -220,27 +220,16 @@ def cv_personalized(records, cfg: EvalConfig = None) -> EvalReport:
         raise InsufficientDataError(
             f"leave-one-seizure-out needs >= 3 records, got {len(records)}"
         )
-    subject_id = _subject_id_of(records)
-    nfeat = _feature_count(records)
-    base = build_codebooks(nfeat, cfg.num_levels, cfg.dim, cfg.seed)
+    base = _base_codebooks(records, cfg)
     fold_raw, fold_p = [], []
     for k in range(len(records)):
-        train_recs = [r for i, r in enumerate(records) if i != k]
-        books = fit_ranges(base, _stack_values(train_recs))
-        model = train(
-            encode_windows(_stack_values(train_recs), books),
-            _stack_labels(train_recs),
-            cfg.train,
-            dim=books.dim,
-            subject_id=subject_id,
-        )
-        enc_test = encode_windows(records[k].values, books)
-        raw, p = _classify_rows(enc_test, model)
+        books, (model,) = _train_cohort([records[:k] + records[k + 1:]], cfg, base)
+        raw, p = _classify_rows(encode_windows(records[k].values, books), model)
         fold_raw.append(raw)
         fold_p.append(p)
-    truth = _stack_labels(records)
     return _report(
-        subject_id, "personalized", truth, np.concatenate(fold_raw), np.concatenate(fold_p), cfg
+        _subject_id_of(records), "personalized", _stack_labels(records),
+        np.concatenate(fold_raw), np.concatenate(fold_p), cfg,
     )
 
 
@@ -259,12 +248,10 @@ def _train_cohort(cohort, cfg: EvalConfig, base: Codebooks = None):
     """Fit feature ranges on the pooled cohort, then train one personalized
     model per subject on them. Returns (fitted codebooks, models).
 
-    Without `base` the unfitted codebooks are built here, after checking
-    that every record has the same feature count.
+    Without `base` the unfitted codebooks are built here.
     """
     if base is None:
-        nfeat = _feature_count([fm for recs in cohort for fm in recs])
-        base = build_codebooks(nfeat, cfg.num_levels, cfg.dim, cfg.seed)
+        base = _base_codebooks([fm for recs in cohort for fm in recs], cfg)
     books = fit_ranges(base, np.vstack([_stack_values(recs) for recs in cohort]))
     return books, [train_personalized(recs, books, cfg) for recs in cohort]
 
@@ -287,22 +274,22 @@ def _evaluate_target(target_recs, subject_id, models, books: Codebooks, mode: st
 
 
 def cv_generalized(cohort, cfg: EvalConfig = None):
-    """Leave-one-subject-out: merge everyone else's personalized models,
-    evaluate on the held-out subject. Returns one report per subject."""
-    cfg = cfg or EvalConfig()
+    """Leave-one-subject-out as the cohort transferred onto itself: each
+    subject is scored by the merge of everyone else's personalized models.
+    Returns one report per subject. A subject without an id is named
+    `subject{i}`; as subjects are held out by id, no two may share one.
+    """
     cohort = [list(recs) for recs in cohort]
     if len(cohort) < 2:
         raise InsufficientDataError(
             f"leave-one-subject-out needs >= 2 subjects, got {len(cohort)}"
         )
-    nfeat = _feature_count([fm for recs in cohort for fm in recs])
-    base = build_codebooks(nfeat, cfg.num_levels, cfg.dim, cfg.seed)
-    reports = []
-    for i, recs in enumerate(cohort):
-        books, models = _train_cohort(cohort[:i] + cohort[i + 1:], cfg, base)
-        name = _subject_id_of(recs) or f"subject{i}"
-        reports.append(_evaluate_target(recs, name, models, books, "generalized", cfg))
-    return reports
+    ids = [_subject_id_of(recs) or f"subject{i}" for i, recs in enumerate(cohort)]
+    repeated = [sid for k, sid in enumerate(ids) if sid in ids[:k]]
+    if repeated:
+        raise IncompatibleModelsError(f"subject id {repeated[0]!r} names more than one subject")
+    cohort = [[replace(fm, subject_id=sid) for fm in recs] for sid, recs in zip(ids, cohort)]
+    return transfer_eval(cohort, cohort, "generalized", cfg)
 
 
 TRANSFER_MODES = ("generalized",) + HYBRID_MODES
@@ -314,7 +301,7 @@ def transfer_eval(source, target_cohort, mode: str = "generalized", cfg: EvalCon
     `source` is either a raw cohort (list of per-subject FeatureMatrix
     lists) or a list of pre-trained personalized ClassModels with their
     `source_codebooks`. Source subjects sharing a target's subject_id are
-    excluded from its merge, so running a cohort against itself reproduces
+    excluded from its merge, so running a cohort against itself is
     leave-one-subject-out. Hybrid modes swap in a class vector trained on
     the target subject's own data, encoded with the transfer codebooks.
     """
@@ -330,37 +317,31 @@ def transfer_eval(source, target_cohort, mode: str = "generalized", cfg: EvalCon
     raw_source = not (source and isinstance(source[0], ClassModel))
     if raw_source:
         source = [list(recs) for recs in source]
-        if _feature_count([fm for recs in source for fm in recs]) != target_nfeat:
-            raise IncompatibleModelsError(
-                "source and target cohorts use different feature counts"
-            )
-        base = build_codebooks(target_nfeat, cfg.num_levels, cfg.dim, cfg.seed)
+        books = _base_codebooks([fm for recs in source for fm in recs], cfg)
+    elif source_codebooks is None:
+        raise IncompatibleModelsError("pre-trained source models need their codebooks")
     else:
-        if source_codebooks is None:
-            raise IncompatibleModelsError("pre-trained source models need their codebooks")
-        if source_codebooks.num_features != target_nfeat:
-            raise IncompatibleModelsError(
-                f"source encoder expects {source_codebooks.num_features} features, "
-                f"target provides {target_nfeat}"
-            )
+        books = source_codebooks
         for m in source:
-            if m.dim != source_codebooks.dim:
+            if m.dim != books.dim:
                 raise IncompatibleModelsError("source model dim differs from codebooks dim")
+    if books.num_features != target_nfeat:
+        raise IncompatibleModelsError(
+            f"source encoder expects {books.num_features} features, "
+            f"target provides {target_nfeat}"
+        )
 
     reports = []
     for target_recs in target_cohort:
         target_id = _subject_id_of(target_recs)
         if raw_source:
             eligible = [recs for recs in source if _subject_id_of(recs) != target_id or not target_id]
-            if not eligible:
-                raise InsufficientDataError("no source subjects left after exclusion")
-            books, models = _train_cohort(eligible, cfg, base)
         else:
-            books = source_codebooks
-            models = [m for m in source if m.subject_id != target_id or not target_id]
-            if not models:
-                raise InsufficientDataError("no source models left after exclusion")
-        reports.append(_evaluate_target(target_recs, target_id or "target", models, books, mode, cfg))
+            eligible = [m for m in source if m.subject_id != target_id or not target_id]
+        if not eligible:
+            raise InsufficientDataError("no source subjects left after exclusion")
+        fitted, models = _train_cohort(eligible, cfg, books) if raw_source else (books, eligible)
+        reports.append(_evaluate_target(target_recs, target_id or "target", models, fitted, mode, cfg))
     return reports
 
 

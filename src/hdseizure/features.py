@@ -81,10 +81,6 @@ class SignalRecord:
         if not np.isin(self.labels, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
 
-    @property
-    def duration_sec(self) -> float:
-        return self.samples.shape[1] / self.fs
-
 
 @dataclass
 class FeatureMatrix:
@@ -240,6 +236,10 @@ def extract_features(record: SignalRecord, config: FeatureConfig = None) -> Feat
     """Windowed feature matrix for one record; channel-major feature order."""
     config = config or FeatureConfig()
     fs = record.fs
+    for name in ("window_sec", "step_sec"):
+        sec = getattr(config, name)
+        if not 0.5 < sec * fs < np.inf:
+            raise ValueError(f"{name} must be finite and at least one sample at {fs:g} Hz, got {sec:g} s")
     wlen = int(round(config.window_sec * fs))
     step = int(round(config.step_sec * fs))
     total = record.samples.shape[1]

@@ -294,6 +294,20 @@ class TestErrorPaths:
         rc = run(["generalize", "--models", str(d), "--out", str(d / "g.hdcm")])
         assert rc in ((0, 4, 5) if loads else (4, 5))
 
+    def test_set_word_padding_byte_is_data_error(self, tmp_path, capsys):
+        d = tmp_path / "models"
+        d.mkdir()
+        data = bytearray(model_file_bytes())
+        (d / "a.hdcm").write_bytes(bytes(data))
+        # byte 14 of vector 0 lies in the word padding of a dim-100 file
+        data[13 + struct.unpack_from("<I", data, 9)[0] + 14] = 0xFF
+        (d / "b.hdcm").write_bytes(bytes(data))
+        rc = run(["generalize", "--models", str(d), "--out", str(tmp_path / "g.hdcm")])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert err.startswith("DATA:") and "vector 0 has bits set past dim 100" in err
+        assert not (tmp_path / "g.hdcm").exists()
+
     def test_mixed_encoders_rejected(self, tmp_path, capsys):
         _, feats, models = build_pipeline(tmp_path)
         other = tmp_path / "other_models"
@@ -355,6 +369,20 @@ class TestErrorPaths:
         assert rc == 5
         err = capsys.readouterr().err
         assert err.startswith("DATA:") and "32 Hz" in err and "fs > 40 Hz" in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--step-sec", "0"), ("--step-sec", "0.001"), ("--window-sec", "0"), ("--step-sec", "-0.5"),
+    ])
+    def test_window_or_step_below_one_sample_is_config_error(self, tmp_path, capsys, flag, value):
+        cohort = str(tmp_path / "cohort")
+        assert run(["synth", *TINY, "--subjects", "1", "--out", cohort]) == 0
+        out = tmp_path / "f"
+        rc = run(["features", *TINY, flag, value, "--cohort", cohort, "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        name = flag[2:].replace("-", "_")
+        assert err.startswith(f"CONFIG: {name} must be finite and at least one sample at 64 Hz")
+        assert not out.exists()
 
     def test_hybrid_parents_swapped_is_data_error(self, tmp_path, capsys):
         _, _, models = build_pipeline(tmp_path)
@@ -466,6 +494,20 @@ class TestBadInputExitCodes:
         assert run(["features", *TINY, "--step-sec", "0.3", "--cohort", cohort, "--out", odd]) == 0
         assert run(["transfer", *TINY, "--step-sec", "0.3", "--source-models", models,
                     "--target-features", odd, "--out", str(tmp_path / "t")]) == 0
+
+    @pytest.mark.parametrize("thresholds", ["0:1:0", "0:1:-2", "0.5,x", "0.5,nan", "0:inf:3"])
+    def test_bad_sweep_thresholds_fail_before_cross_validation(
+            self, feats, tmp_path, capsys, monkeypatch, thresholds):
+        def not_reached(*args, **kwargs):
+            pytest.fail("cross-validation ran before sweep_thresholds was checked")
+
+        monkeypatch.setattr(cli, "cv_personalized", not_reached)
+        out = tmp_path / "e"
+        rc = run(["eval", *TINY, "--sweep-thresholds", thresholds, "--emit-curves",
+                  "--features", feats, "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("CONFIG: sweep_thresholds expects")
+        assert not out.exists()
 
     def test_one_subject_is_data_error(self, feats, tmp_path, capsys):
         one = tmp_path / "one_subject"

@@ -2,6 +2,7 @@ import csv
 import functools
 import hashlib
 import json
+import os
 import struct
 import tempfile
 import warnings
@@ -691,6 +692,17 @@ class TestModelFile:
             with pytest.raises(CorruptModelError, match=f"vector {k} has bits set past dim 1001"):
                 load_model(path)
 
+    @pytest.mark.parametrize("k, offset", [(0, 14), (1, 13), (3, 15)])
+    def test_word_padding_bytes_rejected(self, tmp_path, k, offset):
+        # dim 100: 13 packed bytes per vector in a 16-byte stride
+        data = bytearray(model_file_bytes())
+        meta_len = struct.unpack_from("<I", data, 9)[0]
+        data[13 + meta_len + 16 * k + offset] = 0xFF
+        path = tmp_path / "m.hdcm"
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptModelError, match=f"vector {k} has bits set past dim 100"):
+            load_model(path)
+
     def test_dim_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(8)
         books = fitted_books(rng, dim=256)
@@ -857,6 +869,53 @@ class TestReports:
         assert len(rows) == 4
         col = rows[0].index("episode.bayes.precision")
         assert float(rows[2][col]) == reports[1].metrics["episode.bayes.precision"]
+
+
+def _raise(*args, **kwargs):
+    raise RuntimeError("write failed")
+
+
+class TestAtomicWrites:
+    """A writer that fails part-way leaves the file it replaces untouched."""
+
+    @staticmethod
+    def writer(kind):
+        """(write(path), (owner, attribute) that fails part-way) for one writer."""
+        rng = np.random.default_rng(12)
+        if kind == "report":
+            return lambda p: write_report(tiny_report(rng), p), (dataio.json, "dump")
+        if kind == "reports_csv":
+            return lambda p: write_reports_csv([tiny_report(rng)], p), (dataio.csv, "writer")
+        if kind == "model":
+            books = fitted_books(rng, nfeat=3, dim=100, levels=4)
+            model = ClassModel(seizure=random_hypervector(5, 1, 100),
+                               non_seizure=random_hypervector(5, 2, 100))
+            return lambda p: save_model(model, books, p), (dataio, "to_words")
+        fm = FeatureMatrix(values=rng.random((4, 2)), window_labels=np.array([0, 0, 1, 1]),
+                           window_start_sec=np.arange(4) * 0.5, feature_names=["a:x", "a:y"],
+                           channels=["a"], features_per_channel=2)
+        return lambda p: write_features(fm, p), (dataio.np, "savetxt")
+
+    @pytest.mark.parametrize("kind", ["report", "reports_csv", "model", "features"])
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, kind):
+        write, (owner, name) = self.writer(kind)
+        path = tmp_path / "out"
+        path.write_bytes(b"previous output\n")
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, _raise)
+            with pytest.raises(RuntimeError, match="write failed"):
+                write(path)
+        assert path.read_bytes() == b"previous output\n"
+        assert os.listdir(tmp_path) == ["out"]
+        write(path)
+        assert path.read_bytes() != b"previous output\n"
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_failed_write_creates_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataio.json, "dump", _raise)
+        with pytest.raises(RuntimeError):
+            write_report(tiny_report(np.random.default_rng(13)), tmp_path / "r.json")
+        assert os.listdir(tmp_path) == []
 
 
 class TestCurveCsvs:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hdseizure import evaluation
 from hdseizure.errors import IncompatibleModelsError, InsufficientDataError
 from hdseizure.evaluation import (
     EvalConfig,
@@ -425,6 +426,54 @@ class TestCvGeneralized:
         # no target id to exclude by: every source subject is merged
         reports = transfer_eval(cohort, cohort[:2], "generalized", cfg)
         assert [r.subject_id for r in reports] == ["target", "target"]
+
+
+    def test_repeated_subject_id_rejected(self):
+        rng = np.random.default_rng(14)
+        cohort = make_cohort(rng, 2) + [make_subject(rng, "s0")]
+        with pytest.raises(IncompatibleModelsError, match="'s0' names more than one subject"):
+            cv_generalized(cohort, small_cfg())
+
+    def test_placeholder_name_may_not_repeat_an_id(self):
+        rng = np.random.default_rng(15)
+        cohort = [make_subject(rng, "subject1"), make_subject(rng, "")]
+        with pytest.raises(IncompatibleModelsError, match="'subject1'"):
+            cv_generalized(cohort, small_cfg())
+
+
+class TestProtocolWork:
+    """How often each protocol builds codebooks, fits ranges and trains."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"build_codebooks": 0, "fit_ranges": 0, "train": 0}
+        for name in counts:
+            original = getattr(evaluation, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(evaluation, name, counted)
+        return counts
+
+    def test_loro_trains_once_per_fold(self, calls):
+        records = make_subject(np.random.default_rng(30), "p0")
+        cv_personalized(records, small_cfg())
+        assert calls == {"build_codebooks": 1, "fit_ranges": 3, "train": 3}
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_loso_trains_every_other_subject_per_fold(self, calls, n):
+        cv_generalized(make_cohort(np.random.default_rng(31), n), small_cfg())
+        assert calls == {"build_codebooks": 1, "fit_ranges": n, "train": n * (n - 1)}
+
+    def test_hybrid_transfer_trains_source_and_target(self, calls):
+        rng = np.random.default_rng(32)
+        source = make_cohort(rng, 3, prefix="src")
+        target = make_cohort(rng, 2, prefix="tgt")
+        transfer_eval(source, target, "NSgen-Spers", small_cfg())
+        # per target: one range fit, the 3 source models and the target's own class
+        assert calls == {"build_codebooks": 1, "fit_ranges": 2, "train": 2 * (3 + 1)}
 
 
 class TestTransferEval:

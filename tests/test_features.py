@@ -436,6 +436,22 @@ class TestEmptyBandWarning:
             extract_features(record, FeatureConfig(window_sec=4.0))
 
 
+class TestWindowAndStepLength:
+    @pytest.mark.parametrize("name, value", [
+        ("step_sec", 0.0), ("step_sec", 0.001), ("window_sec", 0.0), ("step_sec", -0.5),
+        ("window_sec", float("inf")),
+    ])
+    def test_below_one_sample_or_infinite_rejected(self, name, value):
+        record = make_record(fs=64, seconds=20.0, seed=5)
+        with pytest.raises(ValueError, match=f"{name} must be finite and at least one sample at 64 Hz"):
+            extract_features(record, FeatureConfig(**{name: value}))
+
+    def test_one_sample_step_accepted(self):
+        record = make_record(fs=64, seconds=6.0, seed=5)
+        fm = extract_features(record, FeatureConfig(step_sec=1 / 64))
+        assert fm.num_windows == window_count(6 * 64, 4 * 64, 1)
+
+
 class TestSignalRecordValidation:
     def test_label_length_mismatch(self):
         with pytest.raises(ValueError):
