@@ -26,7 +26,7 @@ import numpy as np
 
 from .encoding import Codebooks
 from .errors import CorruptModelError, IncompatibleModelsError, ParseError
-from .evaluation import EvalReport
+from .evaluation import EvalReport, _require_positive
 from .features import DEFAULT_CHANNELS, FeatureMatrix, SignalRecord
 from .hypervector import Hypervector, _packed_size, _philox, random_hypervector, to_words
 from .training import ClassModel
@@ -60,10 +60,11 @@ class CohortSpec:
             raise ValueError(
                 f"records_per_subject must be >= 3, got {self.records_per_subject}"
             )
-        if self.fs <= 0 or self.num_channels < 1:
-            raise ValueError("fs must be positive and num_channels >= 1")
-        if self.seizure_sec <= 0 or self.non_seizure_sec <= 0:
-            raise ValueError("segment durations must be positive")
+        _require_positive(fs=self.fs, seizure_sec=self.seizure_sec,
+                          non_seizure_sec=self.non_seizure_sec,
+                          seizure_amp_gain=self.seizure_amp_gain)
+        if self.num_channels < 1:
+            raise ValueError(f"num_channels must be >= 1, got {self.num_channels}")
         if not 0.0 <= self.shared_background_weight <= 1.0:
             raise ValueError(
                 f"shared_background_weight must be in [0, 1], "
@@ -75,8 +76,6 @@ class CohortSpec:
                 f"seizure_freq_range must satisfy 0 < lo <= hi < fs/2, "
                 f"got {self.seizure_freq_range}"
             )
-        if self.seizure_amp_gain <= 0:
-            raise ValueError(f"seizure_amp_gain must be positive, got {self.seizure_amp_gain}")
 
 
 def _channel_names(n: int) -> list:

@@ -40,6 +40,18 @@ class EvalConfig:
     bayes_threshold: float = 1.5
     movavg_window_sec: float = 5.0
 
+    def __post_init__(self):
+        _require_positive(step_sec=self.step_sec, bayes_window_sec=self.bayes_window_sec,
+                          bayes_threshold=self.bayes_threshold,
+                          movavg_window_sec=self.movavg_window_sec)
+
+
+def _require_positive(**settings) -> None:
+    """Raise ValueError naming the first setting that is not finite and > 0."""
+    for name, value in settings.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+
 
 @dataclass
 class EvalReport:
@@ -110,8 +122,7 @@ def bayes_postprocess(p_seizure, window_sec: float = 5.0, threshold: float = 1.5
     ceil(window_sec/step_sec) entries reaches `threshold`; at the start
     the window grows from a single entry.
     """
-    if window_sec <= 0 or threshold <= 0 or step_sec <= 0:
-        raise ValueError("window_sec, threshold and step_sec must all be positive")
+    _require_positive(window_sec=window_sec, threshold=threshold, step_sec=step_sec)
     p = np.clip(np.asarray(p_seizure, dtype=np.float64), 1e-6, 1 - 1e-6)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("p_seizure must be a non-empty 1-D sequence")
@@ -125,8 +136,7 @@ def bayes_postprocess(p_seizure, window_sec: float = 5.0, threshold: float = 1.5
 
 def moving_average_postprocess(pred, window_sec: float = 5.0, step_sec: float = 0.5):
     """Centered majority vote; ties go to 0; edge windows shrink."""
-    if window_sec <= 0 or step_sec <= 0:
-        raise ValueError("window_sec and step_sec must be positive")
+    _require_positive(window_sec=window_sec, step_sec=step_sec)
     pred = _as_binary(pred, "pred")
     width = math.ceil(window_sec / step_sec)
     n = pred.size

@@ -20,17 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCohortError, InsufficientDataError
-from .hypervector import (
-    Hypervector,
-    _bipolar_rows,
-    _packed_size,
-    _philox,
-    _sign_threshold,
-    _sign_words,
-    hamming_words,
-)
+from .hypervector import _bipolar_rows, _philox, _SignedSums, hamming_words
 from .similarity import _cohort_words
-from .training import ClassModel
+from .training import NON_SEIZURE, SEIZURE, ClassModel, _class_model
 
 MERGE_METHODS = ("avrg", "wsub", "waddsub")
 WRONG_WEIGHT_CONVENTIONS = ("distance", "similarity")
@@ -95,56 +87,17 @@ def weight_wrong(hamm_dist: float, alpha: float) -> float:
     return alpha * hamm_dist
 
 
-class _PackedMerge:
-    """Weighted merges run side by side over a cohort matrix from
-    `_cohort_words` (S rows, then NS rows), one float64 bipolar
-    accumulator row per merge.
-
-    Each `add` step gives every merge the index of one correct-class row
-    to add and one opposite-class row to subtract. Rows are unpacked to
-    int8 +-1 only when added, and `w * row` lands every +-w exactly as
-    `Accumulator.add` does. `sign` is the `Accumulator.normalize` rule,
-    kept until the next step changes the accumulators.
-    """
-
-    def __init__(self, rows, dim: int, merges: int, cfg: MergeConfig, tie_break_seed: int):
-        self.rows = rows
-        self.dim = dim
-        self.cfg = cfg
-        self.threshold = _sign_threshold(tie_break_seed, dim)
-        self.acc = np.zeros((merges, dim))
-        self.total_weight = np.zeros(merges)
-        self.steps = 0
-        self._bits = np.zeros((merges, rows.shape[1] * 64), dtype=bool)
-        self._sign = None
-
-    def sign(self) -> np.ndarray:
-        """The binarized accumulators as word-padded rows, (merges, words)."""
-        if self._sign is None:
-            self._sign = _sign_words(self.acc, self.threshold, self._bits)
-        return self._sign
-
-    def _accumulate(self, idx, weight) -> None:
-        bipolar = _bipolar_rows(self.rows[idx].view(np.uint8), self.dim)
-        # row by row, so the float temporary is one row, not one per merge
-        weights = np.broadcast_to(weight, self.total_weight.shape)
-        for acc, w, row in zip(self.acc, weights, bipolar):
-            acc += w * row
-        self.total_weight += weight
-        self._sign = None
-
-    def add(self, corr, wrong) -> None:
-        cfg = self.cfg
-        self.steps += 1
-        if self.steps == 1:
-            w0 = weight_correct(0.0, cfg.alpha_corr) if cfg.method == "waddsub" else 1.0
-            self._accumulate(corr, w0)
-            return
-        if cfg.method == "avrg":
-            self._accumulate(corr, 1.0)
-            return
-        current = self.sign()
-        d_wrong = hamming_words(self.rows[wrong], current, self.dim)
+def _merge_step(sums: _SignedSums, rows, corr, wrong, cfg: MergeConfig, first: bool) -> None:
+    """One merge step for every row k of `sums`: add the correct-class row
+    corr[k] of the cohort matrix `rows` (from `_cohort_words`) and subtract
+    the opposite-class row wrong[k], each weighted by cfg against the
+    current signs. The first step of a merge adds the correct rows alone."""
+    if first or cfg.method == "avrg":
+        w_corr = weight_correct(0.0, cfg.alpha_corr) if first and cfg.method == "waddsub" else 1.0
+        terms = [(corr, w_corr)]
+    else:
+        current = sums.signs()
+        d_wrong = hamming_words(rows[wrong], current, sums.dim)
         if cfg.wrong_weight_convention == "distance":
             w_wrong = weight_wrong(d_wrong, cfg.alpha_wrong)
         else:
@@ -152,10 +105,11 @@ class _PackedMerge:
         if cfg.method == "wsub":
             w_corr = 1.0
         else:
-            d_corr = hamming_words(self.rows[corr], current, self.dim)
-            w_corr = weight_correct(d_corr, cfg.alpha_corr)
-        self._accumulate(corr, w_corr)
-        self._accumulate(wrong, -w_wrong)
+            w_corr = weight_correct(hamming_words(rows[corr], current, sums.dim), cfg.alpha_corr)
+        terms = [(corr, w_corr), (wrong, -w_wrong)]
+    for idx, weight in terms:
+        sums.add(range(len(idx)), _bipolar_rows(rows[idx].view(np.uint8), sums.dim),
+                 np.broadcast_to(weight, len(idx)).tolist())
 
 
 def _check_total_weight(total: float, class_name: str, where: str = "") -> None:
@@ -173,20 +127,16 @@ def generalize(cohort, cfg: MergeConfig, tie_break_seed: int = 0) -> ClassModel:
     cohort = list(cohort)
     dim, rows = _cohort_words(cohort)
     n = len(cohort)
-    merge = _PackedMerge(rows, dim, 2, cfg, tie_break_seed)
-    for _ in range(cfg.iterations):
+    sums = _SignedSums(2, dim, tie_break_seed)
+    # row NON_SEIZURE merges the cohort's NS rows (n + i), row SEIZURE its S rows (i)
+    for it in range(cfg.iterations):
         for i in range(n):
-            merge.add([i, n + i], [n + i, i])
-    _check_total_weight(merge.total_weight[0], "seizure")
-    _check_total_weight(merge.total_weight[1], "non-seizure")
-    seizure, non_seizure = merge.sign().view(np.uint8)[:, : _packed_size(dim)]
+            _merge_step(sums, rows, [n + i, i], [i, n + i], cfg, first=not (it or i))
+    _check_total_weight(sums.total_weight[SEIZURE], "seizure")
+    _check_total_weight(sums.total_weight[NON_SEIZURE], "non-seizure")
     refs = {m.codebook_ref for m in cohort}
-    return ClassModel(
-        seizure=Hypervector(seizure, dim),
-        non_seizure=Hypervector(non_seizure, dim),
-        kind="generalized",
-        codebook_ref=refs.pop() if len(refs) == 1 else "",
-    )
+    return _class_model(sums, {"kind": "generalized",
+                               "codebook_ref": refs.pop() if len(refs) == 1 else ""})
 
 
 def _evolve(rows, dim: int, orders: np.ndarray, first: int, cfg: MergeConfig, seed: int):
@@ -194,21 +144,22 @@ def _evolve(rows, dim: int, orders: np.ndarray, first: int, cfg: MergeConfig, se
     shuffles `orders` (one row each, numbered from `first`) merged side by
     side."""
     r, n = orders.shape
-    merge = _PackedMerge(rows, dim, 2 * r, cfg, seed)
+    sums = _SignedSums(2 * r, dim, seed)
     sims = np.empty((4, r, n))
     # [generalized S of each shuffle, then NS] x [cohort S rows, then NS]
     dist = np.empty((2 * r, 2 * n))
     for step in range(n):
         idx = orders[:, step]
-        merge.add(np.concatenate([idx, n + idx]), np.concatenate([n + idx, idx]))
+        _merge_step(sums, rows, np.concatenate([idx, n + idx]),
+                    np.concatenate([n + idx, idx]), cfg, first=step == 0)
         # one generalized row at a time: the XOR temporary is one cohort matrix
-        for b, gen in enumerate(merge.sign()):
+        for b, gen in enumerate(sums.signs()):
             dist[b] = hamming_words(rows, gen, dim)
         sims[0, :, step] = 1.0 - dist[:r, :n].mean(axis=1)
         sims[1, :, step] = 1.0 - dist[r:, n:].mean(axis=1)
         sims[2, :, step] = 1.0 - dist[:r, n:].mean(axis=1)
         sims[3, :, step] = 1.0 - dist[r:, :n].mean(axis=1)
-    for b, total in enumerate(merge.total_weight):
+    for b, total in enumerate(sums.total_weight):
         class_name = "seizure" if b < r else "non-seizure"
         _check_total_weight(total, class_name, f" in shuffle {first + b % r}")
     return sims

@@ -145,17 +145,6 @@ def tie_break_vector(seed: int, dim: int) -> Hypervector:
     return random_hypervector(seed, TIE_BREAK_TAG_BASE + dim, dim)
 
 
-def _sign_threshold(seed: int, dim: int) -> np.ndarray:
-    """Per-dimension threshold t with (acc > t) == the sign rule of
-    `Accumulator.normalize`: 1 where positive, the tie bit where zero.
-
-    t is 0 where the tie bit is 0, and the negative float nearest zero
-    where it is 1, so that there the comparison reads acc >= 0.
-    """
-    tie = tie_break_vector(seed, dim).to_bools().astype(bool)
-    return np.where(tie, np.nextafter(0.0, -1.0), 0.0)
-
-
 def _bipolar_rows(rows: np.ndarray, dim: int) -> np.ndarray:
     """Packed uint8 rows (..., bytes) unpacked to int8 rows (..., dim), +1
     where a bit is set and -1 where it is clear, as `to_bipolar` maps them."""
@@ -165,12 +154,54 @@ def _bipolar_rows(rows: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def _sign_words(values: np.ndarray, threshold: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Binarize accumulator rows `values` (..., dim) against a
-    `_sign_threshold` table into `to_words` rows. `bits` is a zeroed bool
-    buffer (..., words * 64) whose first dim columns the call overwrites."""
-    np.greater(values, threshold, out=bits[..., : values.shape[-1]])
-    return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
+class _SignedSums:
+    """`count` float64 bipolar-sum rows of `dim`, each with its total
+    weight and packed sign: the accumulators of the online trainer and of
+    the merge.
+
+    `add` lands every w * row exactly as `Accumulator.add` does. `signs`
+    binarizes by the `Accumulator.normalize` rule into `to_words` rows and
+    recomputes only the rows that changed since its last call.
+    """
+
+    def __init__(self, count: int, dim: int, tie_break_seed: int):
+        self.dim = dim
+        self.values = np.zeros((count, dim))
+        self.total_weight = [0.0] * count
+        # values > threshold is the sign rule: the threshold is 0 where the
+        # tie bit is 0, and the negative float nearest zero where it is 1,
+        # so that there the comparison reads values >= 0
+        tie = tie_break_vector(tie_break_seed, dim).to_bools().astype(bool)
+        self._threshold = np.where(tie, np.nextafter(0.0, -1.0), 0.0)
+        self._bits = np.zeros((count, -(-dim // 64) * 64), dtype=bool)
+        self._changed = set(range(count))
+        self._signs = None
+
+    def add(self, targets, rows, weights) -> None:
+        """Add weights[k] * rows[k] to row targets[k], for integer rows
+        (k, dim), one row at a time so the float temporary is one row. A
+        zero weight changes nothing."""
+        for t, row, w in zip(targets, rows, weights):
+            if w:
+                acc = self.values[t]  # `values[t] += ...` would copy the row back onto itself
+                acc += w * row
+                self.total_weight[t] += w
+                self._changed.add(t)
+
+    def signs(self) -> np.ndarray:
+        """The binarized rows as `to_words` rows, (count, words); a later
+        `add` and `signs` may overwrite the returned matrix in place."""
+        dim = self.dim
+        if len(self._changed) == len(self.values):
+            np.greater(self.values, self._threshold, out=self._bits[:, :dim])
+            self._signs = np.packbits(self._bits, axis=-1, bitorder="little").view(np.uint64)
+        else:
+            for t in self._changed:
+                bits = self._bits[t]
+                np.greater(self.values[t], self._threshold, out=bits[:dim])
+                self._signs[t] = np.packbits(bits, bitorder="little").view(np.uint64)
+        self._changed.clear()
+        return self._signs
 
 
 class Accumulator:

@@ -18,8 +18,7 @@ from .hypervector import (
     Hypervector,
     _bipolar_rows,
     _packed_size,
-    _sign_threshold,
-    _sign_words,
+    _SignedSums,
     hamming_words,
     to_words,
 )
@@ -95,22 +94,23 @@ def train(samples, labels, cfg: TrainConfig, *, dim: int, **kwargs) -> ClassMode
     return train_online(samples, labels, cfg, dim=dim, **kwargs)
 
 
-def _class_model(acc, threshold: np.ndarray, dim: int, meta: dict) -> ClassModel:
-    """The model whose class vectors are acc[NON_SEIZURE] and acc[SEIZURE]
-    binarized by the `_sign_threshold` rule."""
-    bits = np.zeros((2, -(-dim // 64) * 64), dtype=bool)
-    rows = _sign_words(np.stack(acc), threshold, bits).view(np.uint8)[:, : _packed_size(dim)]
-    return ClassModel(seizure=Hypervector(rows[SEIZURE], dim),
-                      non_seizure=Hypervector(rows[NON_SEIZURE], dim), **meta)
+def _class_model(sums: _SignedSums, meta: dict) -> ClassModel:
+    """The model whose class vectors are the signs of rows NON_SEIZURE and
+    SEIZURE of `sums`."""
+    rows = sums.signs().view(np.uint8)[:, : _packed_size(sums.dim)]
+    return ClassModel(seizure=Hypervector(rows[SEIZURE], sums.dim),
+                      non_seizure=Hypervector(rows[NON_SEIZURE], sums.dim), **meta)
 
 
 def train_standard(samples, labels, cfg: TrainConfig, *, dim: int, **meta) -> ClassModel:
     """Each class vector is the majority bundle of its samples: the sign of
     its bipolar sum, 2 * count - n."""
     samples, labels = _check_samples(samples, labels, dim)
-    sums = [_bipolar_rows(samples[labels == c], dim).sum(axis=0, dtype=np.int64)
-            for c in (NON_SEIZURE, SEIZURE)]
-    return _class_model(sums, _sign_threshold(cfg.seed, dim), dim, meta)
+    sums = _SignedSums(2, dim, cfg.seed)
+    classes = (NON_SEIZURE, SEIZURE)
+    sums.add(classes, [_bipolar_rows(samples[labels == c], dim).sum(axis=0, dtype=np.int64)
+                       for c in classes], (1.0, 1.0))
+    return _class_model(sums, meta)
 
 
 def train_online(samples, labels, cfg: TrainConfig, *, dim: int, stats: dict = None, **meta) -> ClassModel:
@@ -123,47 +123,33 @@ def train_online(samples, labels, cfg: TrainConfig, *, dim: int, stats: dict = N
     subtracted from acc_W with weight alpha * s_W. Similarities are taken
     before either accumulator is touched.
 
-    Accumulators are float64 bipolar sums, so every +-w lands exactly as
-    in `Accumulator.add`; each class keeps its packed sign, padded to
-    words, and recomputes it only after its accumulator changed.
+    The two accumulators are the rows of one `_SignedSums`, indexed by
+    class, so every +-w lands exactly as in `Accumulator.add`.
     """
     samples, labels = _check_samples(samples, labels, dim)
     words = to_words(samples)
     bipolar = _bipolar_rows(samples, dim)
-    threshold = _sign_threshold(cfg.seed, dim)
-    bits = np.zeros(words.shape[1] * 64, dtype=bool)
-    acc = [None, None]
-    sign = [None, None]
-
-    def similarity(x, c):
-        if sign[c] is None:
-            sign[c] = _sign_words(acc[c], threshold, bits)
-        return 1.0 - float(hamming_words(x, sign[c], dim))
-
-    def add(c, row, weight):
-        if weight:
-            acc[c] += weight * row
-            sign[c] = None
-
+    sums = _SignedSums(2, dim, cfg.seed)
+    seen = [False, False]
     mispredictions = 0
     for _ in range(cfg.epochs):
         for x, row, label in zip(words, bipolar, labels.tolist()):
-            if acc[label] is None:
-                acc[label] = row.astype(np.float64)
+            if not seen[label]:
+                seen[label] = True
+                sums.add((label,), (row,), (1.0,))
                 continue
             other = 1 - label
-            s_own = similarity(x, label)
-            s_other = None if acc[other] is None else similarity(x, other)
-            add(label, row, cfg.alpha * (1.0 - s_own))
-            if s_other is not None:
+            dist = hamming_words(x, sums.signs(), dim).tolist()
+            s_own, s_other = 1.0 - dist[label], 1.0 - dist[other]
+            sums.add((label,), (row,), (cfg.alpha * (1.0 - s_own),))
+            if seen[other]:
                 d_s = 1.0 - (s_own if label == SEIZURE else s_other)
                 d_ns = 1.0 - (s_other if label == SEIZURE else s_own)
                 predicted = SEIZURE if d_s < d_ns else NON_SEIZURE
                 if predicted != label:
                     mispredictions += 1
-                    add(other, row, -cfg.alpha * s_other)
+                    sums.add((other,), (row,), (-cfg.alpha * s_other,))
     if stats is not None:
         stats["mispredictions"] = mispredictions
         stats["subtractions"] = mispredictions
-    return _class_model(acc, threshold, dim, meta)
-
+    return _class_model(sums, meta)

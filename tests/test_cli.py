@@ -384,6 +384,18 @@ class TestErrorPaths:
         assert err.startswith(f"CONFIG: {name} must be finite and at least one sample at 64 Hz")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--seizure-amp-gain", "nan"), ("--seizure-amp-gain", "inf"), ("--fs", "inf"),
+        ("--fs", "nan"), ("--non-seizure-sec", "inf"), ("--seizure-sec", "nan"),
+    ])
+    def test_non_finite_cohort_setting_is_config_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "cohort"
+        rc = run(["synth", *TINY, flag, value, "--out", str(out)])
+        assert rc == 3
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err.startswith(f"CONFIG: {name} must be finite and > 0")
+        assert not out.exists()
+
     def test_hybrid_parents_swapped_is_data_error(self, tmp_path, capsys):
         _, _, models = build_pipeline(tmp_path)
         gen = str(tmp_path / "gen.hdcm")
@@ -508,6 +520,28 @@ class TestBadInputExitCodes:
         assert rc == 3
         assert capsys.readouterr().err.startswith("CONFIG: sweep_thresholds expects")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--bayes-threshold", "nan"), ("--bayes-threshold", "inf"),
+        ("--bayes-window-sec", "inf"), ("--bayes-window-sec", "nan"),
+        ("--movavg-window-sec", "inf"), ("--movavg-window-sec", "nan"),
+        ("--step-sec", "inf"),
+    ])
+    def test_non_finite_postprocessing_fails_before_any_fold(
+            self, feats, tmp_path, capsys, monkeypatch, flag, value):
+        def not_reached(*args, **kwargs):
+            pytest.fail("a fold ran before the postprocessing settings were checked")
+
+        for name in ("cv_personalized", "cv_generalized", "transfer_eval"):
+            monkeypatch.setattr(cli, name, not_reached)
+        name = flag[2:].replace("-", "_")
+        out = tmp_path / "out"
+        for command in (["eval", "--features", feats],
+                        ["transfer", "--source-features", feats, "--target-features", feats]):
+            rc = run([command[0], *TINY, flag, value, *command[1:], "--out", str(out)])
+            assert rc == 3, command[0]
+            assert capsys.readouterr().err.startswith(f"CONFIG: {name} must be finite and > 0")
+            assert not out.exists()
 
     def test_one_subject_is_data_error(self, feats, tmp_path, capsys):
         one = tmp_path / "one_subject"

@@ -2,6 +2,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -70,6 +71,12 @@ class TestCohortSpec:
     def test_invalid_fields(self, kw):
         with pytest.raises(ValueError):
             CohortSpec(**kw)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["fs", "seizure_sec", "non_seizure_sec", "seizure_amp_gain"])
+    def test_non_finite_field_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+            CohortSpec(**{name: value})
 
 
 class TestSyntheticCohort:

@@ -216,6 +216,14 @@ class TestBayesPostprocess:
         with pytest.raises(ValueError):
             bayes_postprocess(np.array([]), 5.0, 1.5, 0.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["window_sec", "threshold", "step_sec"])
+    def test_non_finite_arguments_named(self, name, value):
+        kw = dict(window_sec=5.0, threshold=1.5, step_sec=0.5)
+        kw[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+            bayes_postprocess(np.array([0.9, 0.1]), **kw)
+
 
 class TestMovingAverage:
     def test_matches_oracle(self):
@@ -253,6 +261,23 @@ class TestMovingAverage:
             moving_average_postprocess([0, 1], -1.0, 0.5)
         with pytest.raises(ValueError):
             moving_average_postprocess([0, 1], 5.0, 0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["window_sec", "step_sec"])
+    def test_non_finite_arguments_named(self, name, value):
+        kw = dict(window_sec=5.0, step_sec=0.5)
+        kw[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+            moving_average_postprocess([0, 1], **kw)
+
+
+class TestEvalConfig:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "name", ["step_sec", "bayes_window_sec", "bayes_threshold", "movavg_window_sec"])
+    def test_postprocessing_settings_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+            EvalConfig(**{name: value})
 
 
 # ---- protocol tests on small synthetic feature cohorts ----

@@ -11,6 +11,8 @@ from hdseizure.errors import InvalidDimensionError
 from hdseizure.hypervector import (
     Accumulator,
     Hypervector,
+    _bipolar_rows,
+    _SignedSums,
     bind,
     bundle,
     hamming_distance,
@@ -163,6 +165,52 @@ class TestAccumulator:
         # per-dimension majority by hand
         expect = [1 if (2 * int(x) + int(y)) > 1 else 0 for x, y in zip(a.to_bools(), b.to_bools())]
         assert acc.normalize() == Hypervector.from_bools(expect)
+
+
+class TestSignedSums:
+    """The accumulator rows of the trainer and the merge against one
+    `Accumulator` per row, the scalar reference."""
+
+    SEED = 5
+
+    def run_steps(self, dim, count, pick):
+        """Random adds through the kernel and the references side by side;
+        `pick(rng)` chooses the rows a step changes. Weights are dyadic, so
+        sums cancel to exact zeros and the tie-break bits decide there."""
+        rng = np.random.default_rng(dim)
+        sums = _SignedSums(count, dim, self.SEED)
+        refs = [Accumulator(dim) for _ in range(count)]
+        ties = 0
+        for step in range(30):
+            targets = pick(rng)
+            vectors = [rv(step, int(t), dim) for t in targets]
+            weights = rng.choice([1.0, -1.0, 0.5, -0.5, 2.0, 0.0], size=len(targets))
+            sums.add(targets, _bipolar_rows(np.stack([v.bits for v in vectors]), dim), weights)
+            for t, v, w in zip(targets, vectors, weights):
+                refs[t].add(v, w)
+            signs = sums.signs()
+            for t, ref in enumerate(refs):
+                assert np.array_equal(sums.values[t], ref.values)
+                assert sums.total_weight[t] == ref.total_weight
+                assert np.array_equal(signs[t], to_words(ref.normalize(self.SEED).bits))
+            ties += int((sums.values == 0).sum())
+        assert ties > 0
+
+    @pytest.mark.parametrize("dim", [64, 100, 1001])
+    def test_some_rows_changed(self, dim):
+        count = 4
+        self.run_steps(dim, count,
+                       lambda rng: rng.choice(count, size=rng.integers(1, count), replace=False))
+
+    @pytest.mark.parametrize("dim", [64, 100, 1001])
+    def test_every_row_changed(self, dim):
+        count = 3
+        self.run_steps(dim, count, lambda rng: rng.permutation(count))
+
+    def test_untouched_rows_are_the_tie_vector(self):
+        sums = _SignedSums(2, 128, 17)
+        expect = to_words(tie_break_vector(17, 128).bits)
+        assert all(np.array_equal(row, expect) for row in sums.signs())
 
 
 class TestBundle:

@@ -1,0 +1,42 @@
+"""The benchmark's traced work counts at a pinned seed.
+
+`perfbench/run.py --trace 1` counts what the pipeline did by wrapping
+package functions from outside; `training.train_online` reports its
+mispredictions through the `stats=` dict the tracer passes in. The counts
+are fixed by the seed, so a change in how much work a protocol does, or
+a trainer the tracer no longer reaches, changes them."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+EXPECTED = {
+    "crossval": {
+        "encoding.encoded_rows": 3132,
+        "encoding.codebook_builds": 6,
+        "training.samples": 2262,
+        "training.models": 30,
+        "training.mispredictions": 398,
+        "generalization.merge_steps": 16,
+    },
+    "merge": {"generalization.merge_steps": 144},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(EXPECTED))
+def test_traced_counts_at_seed_zero(workload):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+         "--size", "tiny", "--seed", "0", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    counts = {name: result["metrics"][name]["value"] for name in EXPECTED[workload]}
+    assert counts == EXPECTED[workload]
