@@ -7,6 +7,7 @@ majority bundle over features of bind(id[f], level[quantize(x[f])]).
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -29,7 +30,9 @@ class Codebooks:
     `id_vectors` (F, ceil(dim/8)) and `level_vectors` (L, ceil(dim/8)) are
     uint8 row matrices, one vector per row in `Hypervector` bit layout.
     `feature_min`/`feature_max` are None until `fit_ranges` has seen
-    training data; encoding requires fitted ranges.
+    training data; encoding requires fitted ranges. `_unpacked` caches the
+    kernel tables with the vectors and seed they were built from, so new
+    vectors assigned to a field get new tables and a new chain check.
     """
 
     dim: int
@@ -63,7 +66,9 @@ class Codebooks:
         the one `build_codebooks` makes, so any other chain (say one read
         from a model file) raises IncompatibleModelsError.
         """
-        if self._unpacked is None:
+        cached = self._unpacked
+        if not (cached and cached[0] is self.id_vectors and cached[1] is self.level_vectors
+                and cached[2] == self.seed):
             self._check_level_chain()
             base = np.unpackbits(self.id_vectors ^ self.level_vectors[0], axis=1,
                                  count=self.dim, bitorder="little")
@@ -71,8 +76,9 @@ class Codebooks:
             signed = (1 - 2 * base.astype(np.int8)).astype(np.float32)
             tie = tie_break_vector(self.seed, self.dim).to_bools().astype(np.int32)
             threshold = ((self.num_features - tie - 2 * total) / 2).astype(np.float32)
-            self._unpacked = (signed, threshold)
-        return self._unpacked
+            self._unpacked = cached = (self.id_vectors, self.level_vectors, self.seed,
+                                       (signed, threshold))
+        return cached[3]
 
     def _check_level_chain(self):
         """The levels must be the chain `_level_chain` grows from level[0]."""
@@ -108,6 +114,10 @@ def build_codebooks(
     floor(dim / (2(L-1))) flipped positions, so distance along the chain
     is exactly proportional to level separation and the chain ends are
     close to orthogonal.
+
+    The vectors and kernel tables of the last 8 (num_features, num_levels,
+    dim, seed) keys are kept read-only; every call returns a new
+    `Codebooks` that shares them.
     """
     if num_features < 1:
         raise ValueError(f"need at least one feature, got {num_features}")
@@ -117,11 +127,19 @@ def build_codebooks(
         raise InvalidDimensionError(
             f"{num_levels} levels need dim >= {2 * num_levels}, got {dim}"
         )
+    return replace(_built_codebooks(num_features, num_levels, dim, seed))
+
+
+@functools.lru_cache(maxsize=8)
+def _built_codebooks(num_features: int, num_levels: int, dim: int, seed: int) -> Codebooks:
     ids = np.stack([random_hypervector(seed, f, dim).bits for f in range(num_features)])
     levels = _level_chain(random_hypervector(seed, LEVEL_CHAIN_TAG, dim).bits, dim, num_levels)
-    return Codebooks(
+    books = Codebooks(
         dim=dim, num_levels=num_levels, seed=seed, id_vectors=ids, level_vectors=levels
     )
+    for array in (ids, levels, *books.unpacked_bits()):
+        array.flags.writeable = False
+    return books
 
 
 def _feature_matrix(codebooks: Codebooks, values) -> np.ndarray:
@@ -161,7 +179,8 @@ def fit_ranges(codebooks: Codebooks, values: np.ndarray) -> Codebooks:
             "they will encode at level 0",
             stacklevel=2,
         )
-    return replace(codebooks, feature_min=lo, feature_max=hi, _unpacked=codebooks.unpacked_bits())
+    codebooks.unpacked_bits()
+    return replace(codebooks, feature_min=lo, feature_max=hi)
 
 
 def _quantize_rows(codebooks: Codebooks, values: np.ndarray) -> np.ndarray:

@@ -115,6 +115,13 @@ def episode_metrics(pred, truth):
     return tpr, ppv, _f1(tpr, ppv)
 
 
+def _window_width(window_sec: float, step_sec: float, n: int) -> int:
+    """ceil(window_sec / step_sec) entries, capped at 2n: every window of an
+    n-entry series already spans the whole series at that width, and the
+    cap keeps a huge ratio from overflowing `math.ceil`."""
+    return math.ceil(min(window_sec / step_sec, 2 * n))
+
+
 def bayes_postprocess(p_seizure, window_sec: float = 5.0, threshold: float = 1.5, step_sec: float = 0.5):
     """Trailing-window cumulative log-odds decision.
 
@@ -126,7 +133,7 @@ def bayes_postprocess(p_seizure, window_sec: float = 5.0, threshold: float = 1.5
     p = np.clip(np.asarray(p_seizure, dtype=np.float64), 1e-6, 1 - 1e-6)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("p_seizure must be a non-empty 1-D sequence")
-    width = math.ceil(window_sec / step_sec)
+    width = _window_width(window_sec, step_sec, p.size)
     log_odds = np.log(p / (1 - p))
     cum = np.concatenate(([0.0], np.cumsum(log_odds)))
     t = np.arange(p.size)
@@ -138,8 +145,8 @@ def moving_average_postprocess(pred, window_sec: float = 5.0, step_sec: float = 
     """Centered majority vote; ties go to 0; edge windows shrink."""
     _require_positive(window_sec=window_sec, step_sec=step_sec)
     pred = _as_binary(pred, "pred")
-    width = math.ceil(window_sec / step_sec)
     n = pred.size
+    width = _window_width(window_sec, step_sec, n)
     cum = np.concatenate(([0], np.cumsum(pred, dtype=np.int64)))
     t = np.arange(n)
     lo = np.maximum(t - (width - 1) // 2, 0)
@@ -266,21 +273,18 @@ def _train_cohort(cohort, cfg: EvalConfig, base: Codebooks = None):
     return books, [train_personalized(recs, books, cfg) for recs in cohort]
 
 
-def _evaluate_target(target_recs, subject_id, models, books: Codebooks, mode: str, cfg: EvalConfig) -> EvalReport:
-    """Merge `models` (a lone generalized model is used as is), swap in one
-    of the target's own class vectors when `mode` is a hybrid, then
-    classify the target's windows and report them under `subject_id`."""
-    if len(models) == 1 and models[0].kind == "generalized":
-        merged = models[0]
-    else:
-        merged = generalize(models, cfg.merge, tie_break_seed=cfg.seed)
-    if mode == "generalized":
-        applied = merged
-    else:
-        pers = train_personalized(target_recs, books, cfg, subject_id=subject_id)
-        applied = compose_hybrid(pers, merged, mode)
-    raw, p = _classify_rows(encode_windows(_stack_values(target_recs), books), applied)
-    return _report(subject_id, mode, _stack_labels(target_recs), raw, p, cfg)
+def _evaluate_target(target_recs, subject_id, merged: ClassModel, books: Codebooks, mode: str, cfg: EvalConfig) -> EvalReport:
+    """Classify the target's windows with `merged`, or, when `mode` is a
+    hybrid, with `merged` holding one of the target's own class vectors,
+    and report them under `subject_id`. The windows are encoded once: the
+    same rows train the personal class and are classified."""
+    rows = encode_windows(_stack_values(target_recs), books)
+    truth = _stack_labels(target_recs)
+    if mode != "generalized":
+        pers = train(rows, truth, cfg.train, dim=books.dim, subject_id=subject_id)
+        merged = compose_hybrid(pers, merged, mode)
+    raw, p = _classify_rows(rows, merged)
+    return _report(subject_id, mode, truth, raw, p, cfg)
 
 
 def cv_generalized(cohort, cfg: EvalConfig = None):
@@ -314,6 +318,11 @@ def transfer_eval(source, target_cohort, mode: str = "generalized", cfg: EvalCon
     excluded from its merge, so running a cohort against itself is
     leave-one-subject-out. Hybrid modes swap in a class vector trained on
     the target subject's own data, encoded with the transfer codebooks.
+
+    Ranges are fitted, source models trained and merged once per distinct
+    set of eligible source subjects: a source that shares no id with the
+    targets is merged once for all of them, while leave-one-subject-out,
+    where every set differs, does that work once per subject.
     """
     cfg = cfg or EvalConfig()
     if mode not in TRANSFER_MODES:
@@ -341,17 +350,23 @@ def transfer_eval(source, target_cohort, mode: str = "generalized", cfg: EvalCon
             f"target provides {target_nfeat}"
         )
 
+    source_ids = [_subject_id_of(recs) for recs in source] if raw_source else [m.subject_id for m in source]
+    merges = {}  # eligible source indices -> (fitted codebooks, merged model)
     reports = []
     for target_recs in target_cohort:
         target_id = _subject_id_of(target_recs)
-        if raw_source:
-            eligible = [recs for recs in source if _subject_id_of(recs) != target_id or not target_id]
-        else:
-            eligible = [m for m in source if m.subject_id != target_id or not target_id]
+        eligible = tuple(k for k, sid in enumerate(source_ids) if sid != target_id or not target_id)
         if not eligible:
             raise InsufficientDataError("no source subjects left after exclusion")
-        fitted, models = _train_cohort(eligible, cfg, books) if raw_source else (books, eligible)
-        reports.append(_evaluate_target(target_recs, target_id or "target", models, fitted, mode, cfg))
+        if eligible not in merges:
+            picked = [source[k] for k in eligible]
+            fitted, models = _train_cohort(picked, cfg, books) if raw_source else (books, picked)
+            if len(models) == 1 and models[0].kind == "generalized":
+                merges[eligible] = fitted, models[0]  # a lone generalized model is used as is
+            else:
+                merges[eligible] = fitted, generalize(models, cfg.merge, tie_break_seed=cfg.seed)
+        fitted, merged = merges[eligible]
+        reports.append(_evaluate_target(target_recs, target_id or "target", merged, fitted, mode, cfg))
     return reports
 
 

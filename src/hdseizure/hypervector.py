@@ -25,6 +25,7 @@ stable across runs and platforms.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -154,6 +155,17 @@ def _bipolar_rows(rows: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _sign_threshold(tie_break_seed: int, dim: int) -> np.ndarray:
+    """Read-only float64 (dim,) threshold of the sign rule `values >
+    threshold`: 0 where the tie bit is 0, and the negative float nearest
+    zero where it is 1, so that there the comparison reads values >= 0."""
+    tie = tie_break_vector(tie_break_seed, dim).to_bools().astype(bool)
+    threshold = np.where(tie, np.nextafter(0.0, -1.0), 0.0)
+    threshold.flags.writeable = False
+    return threshold
+
+
 class _SignedSums:
     """`count` float64 bipolar-sum rows of `dim`, each with its total
     weight and packed sign: the accumulators of the online trainer and of
@@ -161,18 +173,21 @@ class _SignedSums:
 
     `add` lands every w * row exactly as `Accumulator.add` does. `signs`
     binarizes by the `Accumulator.normalize` rule into `to_words` rows and
-    recomputes only the rows that changed since its last call.
+    recomputes only the rows that changed since its last call. The sign
+    threshold is built once per (tie_break_seed, dim).
+
+    Each row also keeps the sum of its |w|. While the added rows have
+    entries in [-1, 1] (all but `train_standard`'s two unit-weight count
+    rows do), that sum bounds every |value| under monotone rounding, so
+    while it is finite no value overflows.
     """
 
     def __init__(self, count: int, dim: int, tie_break_seed: int):
         self.dim = dim
         self.values = np.zeros((count, dim))
         self.total_weight = [0.0] * count
-        # values > threshold is the sign rule: the threshold is 0 where the
-        # tie bit is 0, and the negative float nearest zero where it is 1,
-        # so that there the comparison reads values >= 0
-        tie = tie_break_vector(tie_break_seed, dim).to_bools().astype(bool)
-        self._threshold = np.where(tie, np.nextafter(0.0, -1.0), 0.0)
+        self._abs_weight = [0.0] * count
+        self._threshold = _sign_threshold(tie_break_seed, dim)
         self._bits = np.zeros((count, -(-dim // 64) * 64), dtype=bool)
         self._changed = set(range(count))
         self._signs = None
@@ -180,9 +195,17 @@ class _SignedSums:
     def add(self, targets, rows, weights) -> None:
         """Add weights[k] * rows[k] to row targets[k], for integer rows
         (k, dim), one row at a time so the float temporary is one row. A
-        zero weight changes nothing."""
+        zero weight changes nothing. Raises ValueError, before touching the
+        row, when its sum of |w| would overflow float64."""
         for t, row, w in zip(targets, rows, weights):
             if w:
+                bound = self._abs_weight[t] + math.fabs(w)
+                if not math.isfinite(bound):
+                    raise ValueError(
+                        f"the alpha weights overflow float64: the absolute weights "
+                        f"added to one accumulator sum to {bound}"
+                    )
+                self._abs_weight[t] = bound
                 acc = self.values[t]  # `values[t] += ...` would copy the row back onto itself
                 acc += w * row
                 self.total_weight[t] += w

@@ -4,8 +4,11 @@ straight from the definitions, and are not used by the package itself."""
 
 import numpy as np
 
+from hdseizure import evaluation
 from hdseizure.errors import DegenerateInputError, MissingClassError
 from hdseizure.features import DEFAULT_BANDS
+from hdseizure.generalization import generalize
+from hdseizure.hybrid import compose_hybrid
 from hdseizure.hypervector import (
     Accumulator,
     Hypervector,
@@ -189,6 +192,41 @@ def azc_features(window, epsilons, fs: float) -> np.ndarray:
         crossings = int(np.count_nonzero(np.sign(vals[:-1]) != np.sign(vals[1:])))
         out[k] = crossings / seconds
     return out
+
+
+def transfer_oracle(source, target_cohort, mode, cfg, source_codebooks=None):
+    """`evaluation.transfer_eval` as a plain loop over the targets: each one
+    fits ranges, trains and merges its eligible source subjects anew, and a
+    hybrid target's windows are encoded once to train its own class and
+    once more to classify."""
+    raw_source = not isinstance(source[0], ClassModel)
+    if raw_source:
+        books = evaluation._base_codebooks([fm for recs in source for fm in recs], cfg)
+    else:
+        books = source_codebooks
+    reports = []
+    for target_recs in target_cohort:
+        target_id = evaluation._subject_id_of(target_recs)
+        subject_id = target_id or "target"
+        if raw_source:
+            eligible = [recs for recs in source
+                        if evaluation._subject_id_of(recs) != target_id or not target_id]
+            fitted, models = evaluation._train_cohort(eligible, cfg, books)
+        else:
+            fitted = books
+            models = [m for m in source if m.subject_id != target_id or not target_id]
+        if len(models) == 1 and models[0].kind == "generalized":
+            applied = models[0]
+        else:
+            applied = generalize(models, cfg.merge, tie_break_seed=cfg.seed)
+        if mode != "generalized":
+            own = evaluation.train_personalized(target_recs, fitted, cfg, subject_id=subject_id)
+            applied = compose_hybrid(own, applied, mode)
+        rows = evaluation.encode_windows(evaluation._stack_values(target_recs), fitted)
+        raw, p = evaluation._classify_rows(rows, applied)
+        reports.append(evaluation._report(subject_id, mode, evaluation._stack_labels(target_recs),
+                                          raw, p, cfg))
+    return reports
 
 
 def binarize_oracle(values, seed, dim):

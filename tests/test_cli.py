@@ -2,6 +2,9 @@ import filecmp
 import json
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -542,6 +545,27 @@ class TestBadInputExitCodes:
             assert rc == 3, command[0]
             assert capsys.readouterr().err.startswith(f"CONFIG: {name} must be finite and > 0")
             assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--bayes-window-sec", "--movavg-window-sec"])
+    def test_huge_postprocessing_window_runs(self, feats, tmp_path, flag):
+        # the window spans every series whole; its ratio to the step overflows
+        rc = run(["eval", *TINY, flag, "1e308", "--features", feats, "--out", str(tmp_path / "e")])
+        assert rc == 0
+
+    def test_overflowing_alpha_is_config_error(self, feats, tmp_path):
+        # run apart, so that a numpy overflow warning would be an error, not a pass
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "e"
+        proc = subprocess.run(
+            [sys.executable, "-m", "hdseizure.cli", "eval", *TINY, "--alpha", "1e308",
+             "--features", feats, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "\nCONFIG: the alpha weights overflow float64" in "\n" + proc.stderr
+        assert not out.exists()
 
     def test_one_subject_is_data_error(self, feats, tmp_path, capsys):
         one = tmp_path / "one_subject"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oracles import encode_window as reference_encoding
 from oracles import quantize
 
+from hdseizure import encoding
 from hdseizure.encoding import (
     Codebooks,
     _quantize_rows,
@@ -86,6 +87,58 @@ class TestLevelChain:
         b = build_codebooks(4, 8, dim=128, seed=9)
         assert np.array_equal(a.id_vectors, b.id_vectors)
         assert np.array_equal(a.level_vectors, b.level_vectors)
+
+
+class TestCodebookMemo:
+    """build_codebooks builds each key's vectors and kernel tables once and
+    hands out read-only views of them."""
+
+    KEY = (5, 6, 192, 123)
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        encoding._built_codebooks.cache_clear()
+        calls = []
+        original = encoding.random_hypervector
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(encoding, "random_hypervector", counted)
+        return calls
+
+    def test_second_call_draws_no_vectors(self, draws):
+        first = build_codebooks(*self.KEY)
+        assert len(draws) == 5 + 1  # one ID vector per feature and level 0
+        second = build_codebooks(*self.KEY)
+        assert len(draws) == 6
+        assert second is not first
+        assert second.id_vectors is first.id_vectors
+        assert second.unpacked_bits() is first.unpacked_bits()
+        build_codebooks(5, 6, 192, 124)
+        assert len(draws) == 12
+
+    def test_cached_arrays_are_read_only(self, draws):
+        books = build_codebooks(*self.KEY)
+        fitted = fit_ranges(books, np.arange(10.0).reshape(2, 5))
+        for cb in (books, fitted):
+            for array in (cb.id_vectors, cb.level_vectors, *cb.unpacked_bits()):
+                assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            books.level_vectors[0, 0] ^= 1
+
+    def test_reassigned_levels_stay_on_their_object(self, draws):
+        fresh = build_codebooks(*self.KEY)
+        levels = fresh.level_vectors.copy()
+        bad = build_codebooks(*self.KEY)
+        bad.level_vectors = bad.level_vectors[::-1]
+        # tables built for the old chain are not reused: the new one is checked
+        with pytest.raises(IncompatibleModelsError, match="block-flip chain"):
+            bad.unpacked_bits()
+        again = build_codebooks(*self.KEY)
+        assert np.array_equal(again.level_vectors, levels)
+        assert again.unpacked_bits() is fresh.unpacked_bits()
 
 
 class TestLevelChainCheck:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import transfer_oracle
 
 from hdseizure import evaluation
 from hdseizure.errors import IncompatibleModelsError, InsufficientDataError
@@ -225,6 +226,15 @@ class TestBayesPostprocess:
             bayes_postprocess(np.array([0.9, 0.1]), **kw)
 
 
+    def test_huge_window_equals_capped_width(self):
+        p = np.random.default_rng(4).uniform(0.01, 0.99, 40)
+        capped = bayes_postprocess(p, 2 * p.size * 0.5, 1.5, 0.5)
+        assert bayes_postprocess(p, 1e3, 1.5, 0.5).tolist() == capped.tolist()
+        assert bayes_postprocess(p, 1e308, 1.5, 0.5).tolist() == capped.tolist()
+        assert bayes_postprocess([0.5, 0.6], 1e308, 1.5, 0.5).tolist() == \
+            bayes_postprocess([0.5, 0.6], 2.0, 1.5, 0.5).tolist()
+
+
 class TestMovingAverage:
     def test_matches_oracle(self):
         rng = np.random.default_rng(11)
@@ -269,6 +279,15 @@ class TestMovingAverage:
         kw[name] = value
         with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
             moving_average_postprocess([0, 1], **kw)
+
+
+    def test_huge_window_equals_capped_width(self):
+        pred = np.random.default_rng(5).integers(0, 2, 40)
+        capped = moving_average_postprocess(pred, 2 * pred.size * 0.5, 0.5)
+        assert moving_average_postprocess(pred, 1e3, 0.5).tolist() == capped.tolist()
+        assert moving_average_postprocess(pred, 1e308, 0.5).tolist() == capped.tolist()
+        assert moving_average_postprocess([0, 1], 1e308, 0.5).tolist() == \
+            moving_average_postprocess([0, 1], 2.0, 0.5).tolist()
 
 
 class TestEvalConfig:
@@ -497,8 +516,68 @@ class TestProtocolWork:
         source = make_cohort(rng, 3, prefix="src")
         target = make_cohort(rng, 2, prefix="tgt")
         transfer_eval(source, target, "NSgen-Spers", small_cfg())
-        # per target: one range fit, the 3 source models and the target's own class
-        assert calls == {"build_codebooks": 1, "fit_ranges": 2, "train": 2 * (3 + 1)}
+        # one range fit and 3 source models for both targets, then each target's own class
+        assert calls == {"build_codebooks": 1, "fit_ranges": 1, "train": 3 + 2}
+
+    def test_shared_id_transfer_trains_each_eligible_set_once(self, calls):
+        rng = np.random.default_rng(33)
+        source = [make_subject(rng, sid) for sid in ("a", "b", "c")]
+        target = [make_subject(rng, sid) for sid in ("a", "x", "y")]
+        transfer_eval(source, target, "NSgen-Spers", small_cfg())
+        # target a merges [b, c], x and y share [a, b, c]; then each target's own class
+        assert calls == {"build_codebooks": 1, "fit_ranges": 2, "train": 2 + 3 + 3}
+
+
+def assert_same_reports(got, want):
+    """Byte-identical reports: ids, kinds, metrics, p(seizure) and every
+    prediction stage."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.subject_id, a.model_kind) == (b.subject_id, b.model_kind)
+        assert a.metrics == b.metrics
+        assert a.truth.tobytes() == b.truth.tobytes()
+        assert a.p_seizure.tobytes() == b.p_seizure.tobytes()
+        assert a.predictions.keys() == b.predictions.keys() == {"raw", "bayes", "movavg"}
+        for stage in a.predictions:
+            assert a.predictions[stage].tobytes() == b.predictions[stage].tobytes()
+
+
+class TestTransferMatchesPerTargetLoop:
+    """Merging once per distinct eligible source set gives the reports of
+    `transfer_oracle`, which trains and merges anew for every target."""
+
+    MODES = list(evaluation.TRANSFER_MODES)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_disjoint_raw_source(self, mode):
+        rng = np.random.default_rng(40)
+        source = make_cohort(rng, 3, prefix="src")
+        target = make_cohort(rng, 3, prefix="tgt")
+        cfg = small_cfg()
+        assert_same_reports(transfer_eval(source, target, mode, cfg),
+                            transfer_oracle(source, target, mode, cfg))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_source_sharing_one_target_id(self, mode):
+        rng = np.random.default_rng(41)
+        source = [make_subject(rng, sid) for sid in ("a", "b", "c")]
+        target = [make_subject(rng, sid) for sid in ("a", "x")]
+        cfg = small_cfg()
+        reports = transfer_eval(source, target, mode, cfg)
+        assert [r.subject_id for r in reports] == ["a", "x"]
+        assert_same_reports(reports, transfer_oracle(source, target, mode, cfg))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_pretrained_source_models(self, mode):
+        rng = np.random.default_rng(42)
+        source = [make_subject(rng, sid) for sid in ("a", "b", "c")]
+        target = [make_subject(rng, sid) for sid in ("a", "x", "y")]
+        cfg = small_cfg()
+        books, models = evaluation._train_cohort(source, cfg)
+        assert_same_reports(
+            transfer_eval(models, target, mode, cfg, source_codebooks=books),
+            transfer_oracle(models, target, mode, cfg, source_codebooks=books),
+        )
 
 
 class TestTransferEval:

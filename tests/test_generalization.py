@@ -149,6 +149,16 @@ class TestGeneralize:
         with pytest.raises(DegenerateCohortError):
             generalize(cohort, MergeConfig(method="wsub", alpha_wrong=50.0))
 
+    @pytest.mark.parametrize("alpha_corr, alpha_wrong", [(1e308, 0.5), (0.5, 1e308)])
+    def test_overflowing_weights_rejected(self, alpha_corr, alpha_wrong):
+        # the weights are finite, but their sums overflow float64
+        cohort = synthetic_model_cohort(10, dim=256, seed=0)
+        cfg = MergeConfig(alpha_corr=alpha_corr, alpha_wrong=alpha_wrong)
+        with pytest.raises(ValueError, match="alpha weights overflow float64"):
+            generalize(cohort, cfg)
+        with pytest.raises(ValueError, match="alpha weights overflow float64"):
+            evolution_curve(cohort, cfg, repetitions=2)
+
     def test_codebook_ref_propagates_when_uniform(self):
         cohort = [make_model(s, codebook_ref="cb1") for s in (1, 2)]
         assert generalize(cohort, MergeConfig()).codebook_ref == "cb1"

@@ -207,6 +207,25 @@ class TestSignedSums:
         count = 3
         self.run_steps(dim, count, lambda rng: rng.permutation(count))
 
+    def test_sign_threshold_shared_per_seed_and_dim(self):
+        a, b = _SignedSums(2, 128, 17), _SignedSums(3, 128, 17)
+        assert a._threshold is b._threshold
+        assert not a._threshold.flags.writeable
+        assert _SignedSums(2, 128, 18)._threshold is not a._threshold
+
+    def test_weight_sum_overflow_rejected_before_the_add(self):
+        sums = _SignedSums(2, 64, 0)
+        rows = _bipolar_rows(np.stack([rv(1, 0, 64).bits, rv(2, 0, 64).bits]), 64)
+        sums.add((0, 1), rows, (1e308, 1.0))
+        before = sums.values.copy()
+        with pytest.raises(ValueError, match="alpha weights overflow float64"):
+            sums.add((0,), rows[:1], (1e308,))
+        assert np.array_equal(sums.values, before)
+        assert sums.total_weight == [1e308, 1.0]
+        # a cancelling weight counts in the bound too
+        with pytest.raises(ValueError, match="alpha weights overflow float64"):
+            sums.add((0,), rows[:1], (-1e308,))
+
     def test_untouched_rows_are_the_tie_vector(self):
         sums = _SignedSums(2, 128, 17)
         expect = to_words(tie_break_vector(17, 128).bits)

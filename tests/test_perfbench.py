@@ -17,12 +17,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 EXPECTED = {
     "crossval": {
-        "encoding.encoded_rows": 3132,
+        "encoding.encoded_rows": 2784,
         "encoding.codebook_builds": 6,
-        "training.samples": 2262,
-        "training.models": 30,
-        "training.mispredictions": 398,
-        "generalization.merge_steps": 16,
+        "training.samples": 2088,
+        "training.models": 28,
+        "training.mispredictions": 363,
+        "generalization.merge_steps": 14,
     },
     "merge": {"generalization.merge_steps": 144},
 }

@@ -282,6 +282,14 @@ class TestConfigsAndModel:
         with pytest.raises(ValueError, match="finite"):
             TrainConfig(alpha=alpha)
 
+    def test_overflowing_alpha_rejected(self):
+        # alpha is finite, but the sum of the sample weights overflows float64
+        samples = cluster_samples(per_class=6, noise=0.4)
+        with pytest.raises(ValueError, match="alpha weights overflow float64"):
+            fit(train_online, samples, TrainConfig(alpha=1e308, seed=0))
+        # an alpha whose weight sums stay finite still trains
+        assert fit(train_online, samples, TrainConfig(alpha=1e300, seed=0)).dim == 256
+
     def test_bad_kind(self):
         v = random_hypervector(0, 0, 64)
         with pytest.raises(ValueError):
