@@ -29,10 +29,13 @@ from .errors import CorruptModelError, IncompatibleModelsError, ParseError
 from .evaluation import EvalReport, _require_positive
 from .features import DEFAULT_CHANNELS, FeatureMatrix, SignalRecord
 from .hypervector import Hypervector, _packed_size, _philox, random_hypervector, to_words
-from .training import ClassModel
+from .training import NON_SEIZURE, SEIZURE, ClassModel
 
 MODEL_MAGIC = b"HDCM"
 MODEL_VERSION = 1
+#: the model's class rows in file order, S then NS; as a permutation of
+#: two rows it is its own inverse, so it also maps file rows to model rows
+_FILE_ROWS = np.array([SEIZURE, NON_SEIZURE])
 
 #: resting background scale, microvolts RMS
 BACKGROUND_RMS = 30.0
@@ -63,6 +66,11 @@ class CohortSpec:
         _require_positive(fs=self.fs, seizure_sec=self.seizure_sec,
                           non_seizure_sec=self.non_seizure_sec,
                           seizure_amp_gain=self.seizure_amp_gain)
+        for name, span in (("seizure_sec", self.seizure_sec),
+                           ("non_seizure_sec", self.non_seizure_sec)):
+            if not (math.isfinite(span * self.fs) and round(span * self.fs) >= 1):
+                raise ValueError(f"{name} must be finite and at least one sample "
+                                 f"at {self.fs:g} Hz, got {span:g} s")
         if self.num_channels < 1:
             raise ValueError(f"num_channels must be >= 1, got {self.num_channels}")
         if not 0.0 <= self.shared_background_weight <= 1.0:
@@ -167,9 +175,9 @@ def synthetic_model_cohort(num_subjects: int, dim: int = 10000,
     for i in range(num_subjects):
         rng = _philox(seed, (i + 2) << 16)
         models.append(
-            ClassModel(
-                seizure=_flip_bits(base_s, s_flip, rng),
-                non_seizure=_flip_bits(base_ns, ns_flip, rng),
+            ClassModel.from_vectors(
+                _flip_bits(base_s, s_flip, rng),
+                _flip_bits(base_ns, ns_flip, rng),
                 kind="personalized",
                 subject_id=f"s{i:03d}",
                 source_cohort="synthetic-models",
@@ -496,8 +504,8 @@ def save_model(model: ClassModel, codebooks: Codebooks, path):
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     with _replacing(path, "wb") as fh:
         fh.write(MODEL_MAGIC + struct.pack("<BII", MODEL_VERSION, codebooks.dim, len(blob)) + blob)
-        fh.write(to_words(np.vstack([model.seizure.bits, model.non_seizure.bits,
-                                     codebooks.level_vectors, codebooks.id_vectors])).tobytes())
+        fh.write(model.words[_FILE_ROWS].tobytes())
+        fh.write(to_words(np.vstack([codebooks.level_vectors, codebooks.id_vectors])).tobytes())
 
 
 #: exact JSON types of kind, sourceCohort, subjectId, codebookRef and the
@@ -579,11 +587,12 @@ def load_model(path):
     if dim % 64 and (last_words := words.view("<u8")[:, -1]).max() >> dim % 64:
         first = int(np.flatnonzero(last_words >> dim % 64)[0])
         raise CorruptModelError(f"vector {first} has bits set past dim {dim}")
-    vectors = words[:, : _packed_size(dim)].copy()
+    class_words = words[:2].take(_FILE_ROWS, axis=0).view(np.uint64)
+    vectors = words[2:, : _packed_size(dim)].copy()
     try:
         model = ClassModel(
-            seizure=Hypervector(vectors[0], dim),
-            non_seizure=Hypervector(vectors[1], dim),
+            class_words,
+            dim,
             kind=meta["kind"],
             source_cohort=meta["sourceCohort"],
             subject_id=meta["subjectId"],
@@ -593,8 +602,8 @@ def load_model(path):
             dim=dim,
             num_levels=num_levels,
             seed=enc["seed"],
-            id_vectors=vectors[2 + num_levels :],
-            level_vectors=vectors[2 : 2 + num_levels],
+            id_vectors=vectors[num_levels:],
+            level_vectors=vectors[:num_levels],
             feature_min=None if ranges["min"] is None else np.asarray(ranges["min"], float),
             feature_max=None if ranges["max"] is None else np.asarray(ranges["max"], float),
         )

@@ -26,7 +26,7 @@ from .errors import IncompatibleModelsError, InsufficientDataError
 from .generalization import MergeConfig, generalize
 from .hybrid import HYBRID_MODES, compose_hybrid
 from .hypervector import hamming_words, to_words
-from .training import ClassModel, TrainConfig, train
+from .training import NON_SEIZURE, SEIZURE, ClassModel, TrainConfig, train
 
 @dataclass
 class EvalConfig:
@@ -170,8 +170,8 @@ def _metrics_block(truth, predictions: dict) -> dict:
 def _classify_rows(rows, model: ClassModel):
     """Nearest-prototype labels and p(seizure) for packed encoded rows."""
     rows = to_words(rows)
-    d_s = hamming_words(rows, to_words(model.seizure.bits), model.dim)
-    d_ns = hamming_words(rows, to_words(model.non_seizure.bits), model.dim)
+    d_s = hamming_words(rows, model.words[SEIZURE], model.dim)
+    d_ns = hamming_words(rows, model.words[NON_SEIZURE], model.dim)
     raw = (d_s < d_ns).astype(np.uint8)
     sim = (1 - d_s) + (1 - d_ns)
     with np.errstate(invalid="ignore"):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompatibleModelsError
-from .training import ClassModel
+from .training import NON_SEIZURE, SEIZURE, ClassModel
 
 HYBRID_MODES = ("NSgen-Spers", "NSpers-Sgen")
 
@@ -43,18 +43,12 @@ def compose_hybrid(pers: ClassModel, gen: ClassModel, mode: str) -> ClassModel:
         )
     if pers.dim != gen.dim:
         raise IncompatibleModelsError(f"dimension mismatch: {pers.dim} != {gen.dim}")
-    if mode == "NSgen-Spers":
-        seizure, non_seizure = pers.seizure, gen.non_seizure
-    else:
-        seizure, non_seizure = gen.seizure, pers.non_seizure
-    return ClassModel(
-        seizure=seizure,
-        non_seizure=non_seizure,
-        kind="hybrid",
-        subject_id=pers.subject_id,
-        source_cohort=mode,
-        codebook_ref=pers.codebook_ref if pers.codebook_ref == gen.codebook_ref else "",
-    )
+    words = gen.words.copy()
+    personal = SEIZURE if mode == "NSgen-Spers" else NON_SEIZURE
+    words[personal] = pers.words[personal]
+    ref = pers.codebook_ref if pers.codebook_ref == gen.codebook_ref else ""
+    return ClassModel(words, pers.dim, kind="hybrid", subject_id=pers.subject_id,
+                      source_cohort=mode, codebook_ref=ref)
 
 
 def sweep_selection(gen_scores: dict, pers_scores: dict, thresholds) -> SelectionSweep:

@@ -6,7 +6,9 @@ The computational kernel of the package:
     - bind(a, b):          per-dimension XOR (self-inverse, distance preserving)
     - hamming_distance:    normalized Hamming distance in [0, 1]
     - similarity:          1 - hamming_distance (the only similarity used here)
-    - Accumulator:         signed bipolar sum for weighted bundling/merging
+    - Accumulator:         signed bipolar sum of one vector at a time, the
+                           test oracles' reference for `_SignedSums`
+    - _SignedSums:         the accumulator rows of the trainer and the merge
     - bundle(vectors):     majority-vote superposition
     - to_words, hamming_words: distances over packed row matrices
 

@@ -9,7 +9,8 @@ import numpy as np
 from scipy.stats import norm, rankdata
 
 from .errors import DegenerateInputError, IncompatibleModelsError, InsufficientDataError
-from .hypervector import hamming_words, to_words
+from .hypervector import hamming_words
+from .training import NON_SEIZURE, SEIZURE
 
 
 @dataclass
@@ -36,15 +37,15 @@ class SimilarityMatrices:
 
 
 def _cohort_words(cohort):
-    """(dim, rows): the cohort's S vectors then its NS vectors as one
-    word-padded matrix of 2n rows (see `to_words`)."""
+    """(dim, rows): the cohort's S rows then its NS rows as one matrix of
+    2n `to_words` rows."""
     if not cohort:
         raise InsufficientDataError("empty cohort")
     dim = cohort[0].dim
     for m in cohort:
         if m.dim != dim:
             raise IncompatibleModelsError(f"dimension mismatch: {m.dim} != {dim}")
-    rows = to_words([m.seizure.bits for m in cohort] + [m.non_seizure.bits for m in cohort])
+    rows = np.array([m.words[label] for label in (SEIZURE, NON_SEIZURE) for m in cohort])
     return dim, rows
 
 
@@ -55,17 +56,12 @@ def pairwise_matrices(cohort) -> SimilarityMatrices:
         raise InsufficientDataError(f"need at least 2 models, got {len(cohort)}")
     dim, rows = _cohort_words(cohort)
     n = len(cohort)
-    s_rows, ns_rows = rows[:n], rows[n:]
-    s_to_s = np.empty((n, n))
-    ns_to_ns = np.empty((n, n))
-    s_to_ns = np.empty((n, n))
-    for i in range(n):
-        s_to_s[i] = 1.0 - hamming_words(s_rows, s_rows[i], dim)
-        ns_to_ns[i] = 1.0 - hamming_words(ns_rows, ns_rows[i], dim)
-        s_to_ns[i] = 1.0 - hamming_words(ns_rows, s_rows[i], dim)
+    # row i: S_i against every S row, then against every NS row
+    from_s = np.stack([1.0 - hamming_words(rows, s, dim) for s in rows[:n]])
+    ns_to_ns = np.stack([1.0 - hamming_words(rows[n:], ns, dim) for ns in rows[n:]])
     ids = [m.subject_id or f"subject{i}" for i, m in enumerate(cohort)]
     return SimilarityMatrices(
-        subject_ids=ids, s_to_s=s_to_s, ns_to_ns=ns_to_ns, s_to_ns=s_to_ns
+        subject_ids=ids, s_to_s=from_s[:, :n], ns_to_ns=ns_to_ns, s_to_ns=from_s[:, n:]
     )
 
 
@@ -77,14 +73,10 @@ def separability(general, cohort) -> float:
     if general.dim != dim:
         raise IncompatibleModelsError(f"dimension mismatch: {general.dim} != {dim}")
     n = len(cohort)
-    s_rows, ns_rows = rows[:n], rows[n:]
-    gen_s, gen_ns = to_words([general.seizure.bits, general.non_seizure.bits])
-
-    def sim(v, block):
-        return 1.0 - hamming_words(block, v, dim)
-
-    correct = np.mean((sim(gen_s, s_rows) + sim(gen_ns, ns_rows)) / 2)
-    opposite = np.mean((sim(gen_s, ns_rows) + sim(gen_ns, s_rows)) / 2)
+    # each generalized class row against the cohort's S rows, then its NS rows
+    sim_s, sim_ns = (1.0 - hamming_words(rows, general.words[c], dim) for c in (SEIZURE, NON_SEIZURE))
+    correct = np.mean((sim_s[:n] + sim_ns[n:]) / 2)
+    opposite = np.mean((sim_s[n:] + sim_ns[:n]) / 2)
     return float(correct - opposite)
 
 

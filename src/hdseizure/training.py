@@ -17,6 +17,7 @@ from .errors import MissingClassError
 from .hypervector import (
     Hypervector,
     _bipolar_rows,
+    _check_dim,
     _packed_size,
     _SignedSums,
     hamming_words,
@@ -29,12 +30,17 @@ SEIZURE = 1
 NON_SEIZURE = 0
 
 
-@dataclass
+@dataclass(eq=False)
 class ClassModel:
-    """A trained seizure/non-seizure prototype pair plus provenance."""
+    """A trained seizure/non-seizure prototype pair plus provenance.
 
-    seizure: Hypervector
-    non_seizure: Hypervector
+    `words` holds the two class vectors as uint64 `to_words` rows indexed
+    by NON_SEIZURE and SEIZURE, the layout `_SignedSums.signs` returns.
+    Models compare by identity; compare their `words` for content.
+    """
+
+    words: np.ndarray
+    dim: int
     kind: str = "personalized"
     source_cohort: str = ""
     subject_id: str = ""
@@ -43,12 +49,30 @@ class ClassModel:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"kind must be one of {MODEL_KINDS}, got {self.kind!r}")
-        if self.seizure.dim != self.non_seizure.dim:
+        _check_dim(self.dim)
+        shape = (2, -(-self.dim // 64))
+        if getattr(self.words, "dtype", None) != np.uint64 or np.shape(self.words) != shape:
+            raise ValueError(f"class words must be a uint64 {shape} matrix for dim {self.dim}")
+
+    @classmethod
+    def from_vectors(cls, seizure: Hypervector, non_seizure: Hypervector, **meta) -> "ClassModel":
+        """The model with class vectors `seizure` and `non_seizure`."""
+        if seizure.dim != non_seizure.dim:
             raise ValueError("class vectors must share a dimension")
+        rows = [None, None]
+        rows[SEIZURE], rows[NON_SEIZURE] = seizure.bits, non_seizure.bits
+        return cls(to_words(rows), seizure.dim, **meta)
+
+    def _vector(self, label: int) -> Hypervector:
+        return Hypervector(self.words[label].view(np.uint8)[: _packed_size(self.dim)].copy(), self.dim)
 
     @property
-    def dim(self) -> int:
-        return self.seizure.dim
+    def seizure(self) -> Hypervector:
+        return self._vector(SEIZURE)
+
+    @property
+    def non_seizure(self) -> Hypervector:
+        return self._vector(NON_SEIZURE)
 
 
 @dataclass
@@ -95,11 +119,9 @@ def train(samples, labels, cfg: TrainConfig, *, dim: int, **kwargs) -> ClassMode
 
 
 def _class_model(sums: _SignedSums, meta: dict) -> ClassModel:
-    """The model whose class vectors are the signs of rows NON_SEIZURE and
-    SEIZURE of `sums`."""
-    rows = sums.signs().view(np.uint8)[:, : _packed_size(sums.dim)]
-    return ClassModel(seizure=Hypervector(rows[SEIZURE], sums.dim),
-                      non_seizure=Hypervector(rows[NON_SEIZURE], sums.dim), **meta)
+    """The model whose class rows are a copy of the two-row `sums.signs()`,
+    which a later `add` and `signs` may overwrite."""
+    return ClassModel(sums.signs().copy(), sums.dim, **meta)
 
 
 def train_standard(samples, labels, cfg: TrainConfig, *, dim: int, **meta) -> ClassModel:

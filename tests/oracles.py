@@ -66,7 +66,7 @@ def train_standard(samples, cfg: TrainConfig, **meta) -> ClassModel:
     samples = _split_classes(samples)
     s_vec = bundle((v for v, y in samples if y == SEIZURE), tie_break_seed=cfg.seed)
     ns_vec = bundle((v for v, y in samples if y == NON_SEIZURE), tie_break_seed=cfg.seed)
-    return ClassModel(seizure=s_vec, non_seizure=ns_vec, **meta)
+    return ClassModel.from_vectors(seizure=s_vec, non_seizure=ns_vec, **meta)
 
 
 def train_online(samples, cfg: TrainConfig, stats: dict = None, **meta) -> ClassModel:
@@ -98,7 +98,7 @@ def train_online(samples, cfg: TrainConfig, stats: dict = None, **meta) -> Class
     if stats is not None:
         stats["mispredictions"] = mispredictions
         stats["subtractions"] = subtractions
-    return ClassModel(
+    return ClassModel.from_vectors(
         seizure=acc[SEIZURE].normalize(cfg.seed),
         non_seizure=acc[NON_SEIZURE].normalize(cfg.seed),
         **meta,

@@ -167,7 +167,7 @@ def test_02_random_vector_orthogonality(capsys):
 
 def _random_models(n, dim, seed):
     return [
-        ClassModel(
+        ClassModel.from_vectors(
             seizure=random_hypervector(seed, 2 * i, dim),
             non_seizure=random_hypervector(seed, 2 * i + 1, dim),
             subject_id=f"m{i}",

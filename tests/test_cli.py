@@ -399,6 +399,19 @@ class TestErrorPaths:
         assert capsys.readouterr().err.startswith(f"CONFIG: {name} must be finite and > 0")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--seizure-sec", "1e308", "seizure_sec"), ("--fs", "1e308", "seizure_sec"),
+        ("--seizure-sec", "1e-9", "seizure_sec"), ("--non-seizure-sec", "1e-9", "non_seizure_sec"),
+    ])
+    def test_cohort_span_not_a_sample_count_is_config_error(self, tmp_path, capsys,
+                                                            flag, value, name):
+        out = tmp_path / "cohort"
+        rc = run(["synth", *TINY, flag, value, "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(
+            f"CONFIG: {name} must be finite and at least one sample")
+        assert not out.exists()
+
     def test_hybrid_parents_swapped_is_data_error(self, tmp_path, capsys):
         _, _, models = build_pipeline(tmp_path)
         gen = str(tmp_path / "gen.hdcm")

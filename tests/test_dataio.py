@@ -78,6 +78,24 @@ class TestCohortSpec:
         with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
             CohortSpec(**{name: value})
 
+    @pytest.mark.parametrize("kw, name", [
+        (dict(seizure_sec=1e308), "seizure_sec"),
+        (dict(non_seizure_sec=1e308), "non_seizure_sec"),
+        (dict(fs=1e308), "seizure_sec"),
+        (dict(seizure_sec=1e-9), "seizure_sec"),
+        (dict(non_seizure_sec=1e-9), "non_seizure_sec"),
+        (dict(seizure_sec=0.5 / 64), "seizure_sec"),  # half a sample rounds to none
+    ])
+    def test_span_not_a_finite_sample_count_named(self, kw, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and at least one sample"):
+            CohortSpec(**{**SMALL, **kw})
+
+    def test_spans_of_one_sample_and_more_accepted(self):
+        CohortSpec(**{**SMALL, "seizure_sec": 1 / 64, "non_seizure_sec": 0.6 / 64})
+        # Large finite spans are valid settings that only cost memory or time
+        # to generate; generating them is untested, so only the spec is built.
+        CohortSpec(**{**SMALL, "seizure_sec": 1e12, "non_seizure_sec": 1e12})
+
 
 class TestSyntheticCohort:
     def test_same_seed_bit_identical(self):
@@ -591,7 +609,7 @@ class TestModelFile:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(4)
         books = fitted_books(rng)
-        model = ClassModel(
+        model = ClassModel.from_vectors(
             seizure=random_hypervector(3, 100, 256),
             non_seizure=random_hypervector(3, 101, 256),
             kind="generalized",
@@ -618,7 +636,7 @@ class TestModelFile:
 
     def test_unfitted_ranges_round_trip(self, tmp_path):
         books = build_codebooks(4, 5, 128, 0)
-        model = ClassModel(
+        model = ClassModel.from_vectors(
             seizure=random_hypervector(0, 50, 128),
             non_seizure=random_hypervector(0, 51, 128),
         )
@@ -630,7 +648,7 @@ class TestModelFile:
     def test_size_arithmetic(self, tmp_path):
         rng = np.random.default_rng(5)
         books = fitted_books(rng, nfeat=5, dim=10000, levels=20)
-        model = ClassModel(
+        model = ClassModel.from_vectors(
             seizure=random_hypervector(1, 60, 10000),
             non_seizure=random_hypervector(1, 61, 10000),
         )
@@ -649,7 +667,7 @@ class TestModelFile:
     def test_bad_version(self, tmp_path):
         rng = np.random.default_rng(6)
         books = fitted_books(rng)
-        model = ClassModel(seizure=random_hypervector(2, 70, 256),
+        model = ClassModel.from_vectors(seizure=random_hypervector(2, 70, 256),
                            non_seizure=random_hypervector(2, 71, 256))
         path = tmp_path / "m.hdcm"
         save_model(model, books, path)
@@ -662,7 +680,7 @@ class TestModelFile:
     def test_truncation(self, tmp_path):
         rng = np.random.default_rng(7)
         books = fitted_books(rng)
-        model = ClassModel(seizure=random_hypervector(2, 80, 256),
+        model = ClassModel.from_vectors(seizure=random_hypervector(2, 80, 256),
                            non_seizure=random_hypervector(2, 81, 256))
         path = tmp_path / "m.hdcm"
         save_model(model, books, path)
@@ -683,7 +701,7 @@ class TestModelFile:
     def test_padding_bits_past_dim_rejected(self, tmp_path):
         rng = np.random.default_rng(9)
         books = fitted_books(rng, dim=1001)
-        model = ClassModel(seizure=random_hypervector(2, 95, 1001),
+        model = ClassModel.from_vectors(seizure=random_hypervector(2, 95, 1001),
                            non_seizure=random_hypervector(2, 96, 1001))
         path = tmp_path / "m.hdcm"
         save_model(model, books, path)
@@ -713,7 +731,7 @@ class TestModelFile:
     def test_dim_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(8)
         books = fitted_books(rng, dim=256)
-        model = ClassModel(seizure=random_hypervector(2, 90, 128),
+        model = ClassModel.from_vectors(seizure=random_hypervector(2, 90, 128),
                            non_seizure=random_hypervector(2, 91, 128))
         with pytest.raises(IncompatibleModelsError):
             save_model(model, books, tmp_path / "m.hdcm")
@@ -723,7 +741,7 @@ class TestModelFile:
 def model_file_bytes() -> bytes:
     """A fitted model file with dim 100, so its vectors carry padding bits."""
     books = fitted_books(np.random.default_rng(10), nfeat=3, dim=100, levels=4)
-    model = ClassModel(seizure=random_hypervector(5, 1, 100),
+    model = ClassModel.from_vectors(seizure=random_hypervector(5, 1, 100),
                        non_seizure=random_hypervector(5, 2, 100), subject_id="s000")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.hdcm"
@@ -741,7 +759,7 @@ class TestModelFileBytes:
     def test_full_size_model_digest(self, tmp_path):
         values = np.random.default_rng(0).normal(size=(40, 88))
         books = fit_ranges(build_codebooks(88, 20, 10000, 0), values)
-        model = ClassModel(seizure=random_hypervector(0, 1, 10000),
+        model = ClassModel.from_vectors(seizure=random_hypervector(0, 1, 10000),
                            non_seizure=random_hypervector(0, 2, 10000), subject_id="s000")
         save_model(model, books, tmp_path / "m.hdcm")
         data = (tmp_path / "m.hdcm").read_bytes()
@@ -895,7 +913,7 @@ class TestAtomicWrites:
             return lambda p: write_reports_csv([tiny_report(rng)], p), (dataio.csv, "writer")
         if kind == "model":
             books = fitted_books(rng, nfeat=3, dim=100, levels=4)
-            model = ClassModel(seizure=random_hypervector(5, 1, 100),
+            model = ClassModel.from_vectors(seizure=random_hypervector(5, 1, 100),
                                non_seizure=random_hypervector(5, 2, 100))
             return lambda p: save_model(model, books, p), (dataio, "to_words")
         fm = FeatureMatrix(values=rng.random((4, 2)), window_labels=np.array([0, 0, 1, 1]),

@@ -21,7 +21,7 @@ from oracles import binarize_oracle, complement, evolution_oracle, merge_oracle
 
 
 def make_model(seed, dim=64, subject_id="", codebook_ref=""):
-    return ClassModel(
+    return ClassModel.from_vectors(
         seizure=random_hypervector(seed, 0, dim),
         non_seizure=random_hypervector(seed, 1, dim),
         subject_id=subject_id,
@@ -42,7 +42,7 @@ def flip_cohort(n, dim=256, s_flip=0.3, ns_flip=0.1, seed=0):
         s[rng.random(dim) < s_flip] ^= 1
         ns[rng.random(dim) < ns_flip] ^= 1
         cohort.append(
-            ClassModel(
+            ClassModel.from_vectors(
                 seizure=Hypervector.from_bools(s),
                 non_seizure=Hypervector.from_bools(ns),
                 subject_id=f"s{i:02d}",
@@ -58,7 +58,7 @@ def tied_cohort(dim, pairs=3):
     for s in range(pairs):
         m = make_model(50 + s, dim=dim)
         cohort.append(m)
-        cohort.append(ClassModel(seizure=complement(m.seizure), non_seizure=complement(m.non_seizure)))
+        cohort.append(ClassModel.from_vectors(seizure=complement(m.seizure), non_seizure=complement(m.non_seizure)))
     return cohort
 
 
@@ -184,7 +184,7 @@ def merge_cases(draw):
     for _ in range(n):
         m = make_model(draw(st.integers(0, 8)), dim=dim)
         if draw(st.booleans()):  # complements make exact ties
-            m = ClassModel(seizure=complement(m.seizure), non_seizure=complement(m.non_seizure))
+            m = ClassModel.from_vectors(seizure=complement(m.seizure), non_seizure=complement(m.non_seizure))
         cohort.append(m)
     alphas = st.sampled_from([0.0, 0.5, 1.0, 1.7])
     cfg = MergeConfig(
@@ -261,7 +261,7 @@ class TestEvolutionCurve:
     def test_identical_cohort_constant_ones(self):
         m = make_model(1, dim=256)
         cohort = [
-            ClassModel(seizure=m.seizure, non_seizure=m.non_seizure, subject_id=f"s{i}")
+            ClassModel.from_vectors(seizure=m.seizure, non_seizure=m.non_seizure, subject_id=f"s{i}")
             for i in range(4)
         ]
         curves, mean = evolution_curve(cohort, MergeConfig(method="avrg"), repetitions=2, seed=0)

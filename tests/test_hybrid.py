@@ -4,12 +4,12 @@ import pytest
 from hdseizure.errors import IncompatibleModelsError
 from hdseizure.hybrid import compose_hybrid, sweep_selection
 from hdseizure.hypervector import random_hypervector
-from hdseizure.training import ClassModel
+from hdseizure.training import NON_SEIZURE, SEIZURE, ClassModel
 from oracles import select_models
 
 
 def make_model(seed, kind, dim=64, **meta):
-    return ClassModel(
+    return ClassModel.from_vectors(
         seizure=random_hypervector(seed, 0, dim),
         non_seizure=random_hypervector(seed, 1, dim),
         kind=kind,
@@ -32,7 +32,7 @@ class TestComposeHybrid:
 
     def test_identical_parents(self):
         pers = make_model(3, "personalized")
-        gen = ClassModel(seizure=pers.seizure, non_seizure=pers.non_seizure, kind="generalized")
+        gen = ClassModel.from_vectors(seizure=pers.seizure, non_seizure=pers.non_seizure, kind="generalized")
         h = compose_hybrid(pers, gen, "NSgen-Spers")
         assert h.seizure == pers.seizure and h.non_seizure == pers.non_seizure
 
@@ -48,8 +48,18 @@ class TestComposeHybrid:
         pers = make_model(6, "personalized")
         gen = make_model(7, "generalized")
         h = compose_hybrid(pers, gen, "NSgen-Spers")
-        assert h.seizure.bits is pers.seizure.bits
-        assert h.non_seizure.bits is gen.non_seizure.bits
+        np.testing.assert_array_equal(h.words[SEIZURE], pers.words[SEIZURE])
+        np.testing.assert_array_equal(h.words[NON_SEIZURE], gen.words[NON_SEIZURE])
+
+    @pytest.mark.parametrize("mode", ["NSgen-Spers", "NSpers-Sgen"])
+    def test_parents_untouched(self, mode):
+        pers = make_model(11, "personalized", dim=200)
+        gen = make_model(12, "generalized", dim=200)
+        before = pers.words.copy(), gen.words.copy()
+        h = compose_hybrid(pers, gen, mode)
+        h.words[:] = 0  # the hybrid owns its matrix
+        np.testing.assert_array_equal(pers.words, before[0])
+        np.testing.assert_array_equal(gen.words, before[1])
 
     def test_kind_and_dim_validation(self):
         pers = make_model(8, "personalized")

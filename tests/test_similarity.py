@@ -16,7 +16,7 @@ from hdseizure.training import ClassModel
 
 
 def make_model(seed, dim=128, subject_id=""):
-    return ClassModel(
+    return ClassModel.from_vectors(
         seizure=random_hypervector(seed, 0, dim),
         non_seizure=random_hypervector(seed, 1, dim),
         subject_id=subject_id,
@@ -30,7 +30,7 @@ def naive_similarity(a, b):
 class TestPairwiseMatrices:
     def test_identical_models_all_ones(self):
         m = make_model(1)
-        twin = ClassModel(seizure=m.seizure, non_seizure=m.non_seizure)
+        twin = ClassModel.from_vectors(seizure=m.seizure, non_seizure=m.non_seizure)
         mats = pairwise_matrices([m, twin])
         np.testing.assert_array_equal(mats.s_to_s, 1.0)
         np.testing.assert_array_equal(mats.ns_to_ns, 1.0)
@@ -106,7 +106,7 @@ class TestSeparability:
 
     def test_equal_class_vectors_zero(self):
         v = random_hypervector(1, 5, 256)
-        degenerate = ClassModel(seizure=v, non_seizure=v)
+        degenerate = ClassModel.from_vectors(seizure=v, non_seizure=v)
         cohort = [make_model(s, dim=256) for s in range(3)]
         assert separability(degenerate, cohort) == 0.0
 

@@ -4,15 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdseizure import generalization, training
 from hdseizure.errors import MissingClassError
 from hdseizure.evaluation import _classify_rows
+from hdseizure.generalization import MergeConfig
 from hdseizure.hypervector import (
     Hypervector,
+    _bipolar_rows,
+    _SignedSums,
     hamming_distance,
     random_hypervector,
     tie_break_vector,
+    to_words,
 )
 from hdseizure.training import (
+    NON_SEIZURE,
+    SEIZURE,
     ClassModel,
     TrainConfig,
     train,
@@ -196,7 +203,7 @@ class TestTrainingSanity:
 
 class TestClassify:
     def test_exact_prototype_matches(self):
-        model = ClassModel(
+        model = ClassModel.from_vectors(
             seizure=random_hypervector(0, 1, 128),
             non_seizure=random_hypervector(0, 2, 128),
         )
@@ -207,7 +214,7 @@ class TestClassify:
 
     def test_tie_goes_to_non_seizure(self):
         v = random_hypervector(5, 0, 64)
-        model = ClassModel(seizure=v, non_seizure=complement(v))
+        model = ClassModel.from_vectors(seizure=v, non_seizure=complement(v))
         bits = v.to_bools().copy()
         bits[:32] ^= 1  # exactly half flipped: equidistant from both
         probe = Hypervector.from_bools(bits)
@@ -217,11 +224,11 @@ class TestClassify:
 
     def test_swapping_vectors_swaps_label(self):
         rng = np.random.default_rng(29)
-        model = ClassModel(
+        model = ClassModel.from_vectors(
             seizure=random_hypervector(9, 1, 256),
             non_seizure=random_hypervector(9, 2, 256),
         )
-        swapped = ClassModel(seizure=model.non_seizure, non_seizure=model.seizure)
+        swapped = ClassModel.from_vectors(seizure=model.non_seizure, non_seizure=model.seizure)
         for _ in range(20):
             probe = Hypervector.from_bools(rng.integers(0, 2, 256))
             label, d_s, d_ns = classify(probe, model)
@@ -229,7 +236,7 @@ class TestClassify:
                 assert classify(probe, swapped)[0] == 1 - label
 
     def test_dim_mismatch(self):
-        model = ClassModel(
+        model = ClassModel.from_vectors(
             seizure=random_hypervector(0, 1, 128),
             non_seizure=random_hypervector(0, 2, 128),
         )
@@ -243,7 +250,7 @@ class TestClassify:
         half = v.to_bools().copy()
         half[: dim // 2] ^= 1
         for non_seizure in (random_hypervector(7, 2, dim), complement(v), v):
-            model = ClassModel(seizure=v, non_seizure=non_seizure)
+            model = ClassModel.from_vectors(seizure=v, non_seizure=non_seizure)
             probes = [Hypervector.from_bools(rng.integers(0, 2, dim)) for _ in range(30)]
             probes += [v, complement(v), non_seizure, Hypervector.from_bools(half)]
             raw, p = _classify_rows(np.stack([x.bits for x in probes]), model)
@@ -293,7 +300,7 @@ class TestConfigsAndModel:
     def test_bad_kind(self):
         v = random_hypervector(0, 0, 64)
         with pytest.raises(ValueError):
-            ClassModel(seizure=v, non_seizure=v, kind="mixed")
+            ClassModel.from_vectors(seizure=v, non_seizure=v, kind="mixed")
 
     def test_metadata_passthrough(self):
         samples = cluster_samples(per_class=3)
@@ -307,6 +314,71 @@ class TestConfigsAndModel:
         assert model.subject_id == "s01"
         assert model.source_cohort == "unit"
         assert hamming_distance(model.seizure, model.non_seizure) > 0
+
+
+def record_sums(monkeypatch, module):
+    """The `_SignedSums` that `module` makes from now on, in order."""
+    made = []
+
+    class Recorded(_SignedSums):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(module, "_SignedSums", Recorded)
+    return made
+
+
+class TestClassModelWords:
+    @pytest.mark.parametrize("words", [
+        np.zeros((2, 2), np.int64),
+        np.zeros((2, 2), ">u8"),
+        np.zeros((2, 16), np.uint8),
+        np.zeros((2, 3), np.uint64),
+        np.zeros((3, 2), np.uint64),
+        np.zeros((1, 2), np.uint64),
+        np.zeros(4, np.uint64),
+        [[0, 0], [0, 0]],
+    ])
+    def test_rejects_words_that_are_not_uint64_2_by_words(self, words):
+        with pytest.raises(ValueError, match=r"uint64 \(2, 2\) matrix for dim 100"):
+            ClassModel(words, 100)
+
+    def test_from_vectors_rejects_mixed_dims(self):
+        with pytest.raises(ValueError, match="share a dimension"):
+            ClassModel.from_vectors(random_hypervector(0, 1, 64), random_hypervector(0, 2, 128))
+
+    @pytest.mark.parametrize("dim", [64, 100, 1001])
+    def test_from_vectors_round_trip(self, dim):
+        s, ns = random_hypervector(1, 1, dim), random_hypervector(1, 2, dim)
+        model = ClassModel.from_vectors(s, ns, subject_id="s01")
+        assert model.seizure == s and model.non_seizure == ns
+        assert model.dim == dim and model.subject_id == "s01"
+        np.testing.assert_array_equal(model.words[SEIZURE], to_words(s.bits))
+        np.testing.assert_array_equal(model.words[NON_SEIZURE], to_words(ns.bits))
+        model.seizure.bits[:] = 0  # each read is a copy of the row
+        assert model.seizure == s
+
+    @staticmethod
+    def assert_owns_words(model, sums):
+        """A further add on one row, then signs(), which rewrites that row of
+        its matrix in place, leave `model` as it was."""
+        before = model.words.copy()
+        flip = -_bipolar_rows(model.seizure.bits, model.dim)
+        sums.add((SEIZURE,), (flip,), (1e9,))
+        assert not np.array_equal(sums.signs()[SEIZURE], before[SEIZURE])
+        np.testing.assert_array_equal(model.words, before)
+
+    def test_online_model_owns_its_words(self, monkeypatch):
+        made = record_sums(monkeypatch, training)
+        model = fit(train_online, cluster_samples(per_class=4), TrainConfig(seed=0))
+        self.assert_owns_words(model, made[-1])
+
+    def test_generalized_model_owns_its_words(self, monkeypatch):
+        made = record_sums(monkeypatch, generalization)
+        cohort = [ClassModel.from_vectors(random_hypervector(i, 0, 200),
+                                          random_hypervector(i, 1, 200)) for i in range(3)]
+        self.assert_owns_words(generalization.generalize(cohort, MergeConfig()), made[-1])
 
 
 class TestPackedInputChecks:
