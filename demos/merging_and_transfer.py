@@ -43,7 +43,7 @@ print(f"  waddsub evolution plateaus after {plateau_onset(mean)} of {len(models)
 print("\n-- part 2: cross-cohort transfer --")
 base = dict(num_subjects=4, records_per_subject=3, fs=64.0, num_channels=4,
             seizure_sec=16.0, non_seizure_sec=16.0, seed=9)
-fcfg = FeatureConfig(window_sec=2.0, step_sec=0.5)
+fcfg = FeatureConfig(window_sec=4.0, step_sec=0.5)
 
 
 def featurize(spec):

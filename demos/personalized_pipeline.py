@@ -29,7 +29,7 @@ cohort = generate_synthetic_cohort(spec)
 print(f"generated {len(cohort)} subject(s), {len(cohort[0])} records of "
       f"{spec.seizure_sec + spec.non_seizure_sec:.0f} s at {spec.fs:.0f} Hz")
 
-fcfg = FeatureConfig(window_sec=2.0, step_sec=0.5)
+fcfg = FeatureConfig(window_sec=4.0, step_sec=0.5)
 records = [extract_features(rec, fcfg) for rec in cohort[0]]
 fm = records[0]
 print(f"features: {fm.values.shape[0]} windows x {fm.values.shape[1]} values "

@@ -67,7 +67,7 @@ def _as_binary(x, name):
     arr = np.asarray(x)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-D sequence")
-    if not np.isin(arr, (0, 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():
         raise ValueError(f"{name} must contain only 0 and 1")
     return arr.astype(np.uint8)
 

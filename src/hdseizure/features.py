@@ -78,7 +78,7 @@ class SignalRecord:
             raise ValueError("samples must be a (channels, time) matrix")
         if self.labels.shape != (self.samples.shape[1],):
             raise ValueError("labels length must equal the sample count")
-        if not np.isin(self.labels, (0, 1)).all():
+        if not ((self.labels == 0) | (self.labels == 1)).all():
             raise ValueError("labels must be 0 or 1")
 
 

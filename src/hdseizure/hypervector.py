@@ -31,6 +31,7 @@ import functools
 import math
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 
 from .errors import InvalidDimensionError
 
@@ -173,7 +174,10 @@ class _SignedSums:
     weight and packed sign: the accumulators of the online trainer and of
     the merge.
 
-    `add` lands every w * row exactly as `Accumulator.add` does. `signs`
+    `add` lands every w * row exactly as `Accumulator.add` does, with one
+    BLAS axpy into the row of `values`, in place: the rows are +-1, or
+    `train_standard`'s integer counts at weight 1, so w * row is exact and
+    the add rounds each entry once, fused or not. `signs`
     binarizes by the `Accumulator.normalize` rule into `to_words` rows and
     recomputes only the rows that changed since its last call. The sign
     threshold is built once per (tie_break_seed, dim).
@@ -196,7 +200,7 @@ class _SignedSums:
 
     def add(self, targets, rows, weights) -> None:
         """Add weights[k] * rows[k] to row targets[k], for integer rows
-        (k, dim), one row at a time so the float temporary is one row. A
+        (k, dim), one row at a time so the float copy BLAS takes is one row. A
         zero weight changes nothing. Raises ValueError, before touching the
         row, when its sum of |w| would overflow float64."""
         for t, row, w in zip(targets, rows, weights):
@@ -208,8 +212,7 @@ class _SignedSums:
                         f"added to one accumulator sum to {bound}"
                     )
                 self._abs_weight[t] = bound
-                acc = self.values[t]  # `values[t] += ...` would copy the row back onto itself
-                acc += w * row
+                daxpy(row, self.values[t], a=w)
                 self.total_weight[t] += w
                 self._changed.add(t)
 

@@ -102,7 +102,7 @@ def _check_samples(samples, labels, dim: int):
         )
     if labels.shape != (samples.shape[0],):
         raise ValueError(f"expected {samples.shape[0]} labels, got shape {labels.shape}")
-    if not np.isin(labels, (0, 1)).all():
+    if not ((labels == 0) | (labels == 1)).all():
         raise ValueError(f"labels must be 0 or 1, got {sorted(set(labels.tolist()))}")
     if not (labels == SEIZURE).any():
         raise MissingClassError("no seizure samples")

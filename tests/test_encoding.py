@@ -342,6 +342,20 @@ class TestEncoderMatchesOracle:
         for row, values in zip(packed, rows):
             assert np.array_equal(row, reference_encoding(values, cb).bits)
 
+    def test_default_size(self):
+        # bits from (levels - 1) * block = 4997 on, mid-byte, take no level
+        # flip and come from the tie-break threshold alone
+        dim, levels = encoding.DEFAULT_DIM, encoding.DEFAULT_LEVELS
+        assert (levels - 1) * (dim // (2 * (levels - 1))) == 4997
+        rng = np.random.default_rng(4997)
+        nfeat = 396  # 18 channels x 22 features
+        cb = fitted_codebooks(nfeat, dim=dim, levels=levels, seed=11)
+        rows = rng.uniform(-0.2, 1.2, size=(4, nfeat))
+        rows[0] = 0.0
+        rows[1] = 1.0
+        for row, values in zip(encode_windows(rows, cb), rows):
+            assert np.array_equal(row, reference_encoding(values, cb).bits)
+
     def test_more_features_than_a_byte_counts(self):
         # 18 channels x 22 features: counts and thresholds exceed 255
         rng = np.random.default_rng(19)

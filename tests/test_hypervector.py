@@ -173,39 +173,97 @@ class TestSignedSums:
 
     SEED = 5
 
-    def run_steps(self, dim, count, pick):
+    @staticmethod
+    def dyadic(rng, size):
+        """Dyadic weights: sums cancel to exact zeros, where the tie-break
+        bits decide."""
+        return rng.choice([1.0, -1.0, 0.5, -0.5, 2.0, 0.0], size=size)
+
+    def run_steps(self, dim, count, pick, draw=dyadic, steps=30):
         """Random adds through the kernel and the references side by side;
-        `pick(rng)` chooses the rows a step changes. Weights are dyadic, so
-        sums cancel to exact zeros and the tie-break bits decide there."""
+        `pick(rng)` chooses the rows a step changes and `draw(rng, k)` their
+        weights. Returns how many exactly-zero entries the steps met."""
         rng = np.random.default_rng(dim)
         sums = _SignedSums(count, dim, self.SEED)
         refs = [Accumulator(dim) for _ in range(count)]
         ties = 0
-        for step in range(30):
+        for step in range(steps):
             targets = pick(rng)
             vectors = [rv(step, int(t), dim) for t in targets]
-            weights = rng.choice([1.0, -1.0, 0.5, -0.5, 2.0, 0.0], size=len(targets))
+            weights = draw(rng, len(targets))
             sums.add(targets, _bipolar_rows(np.stack([v.bits for v in vectors]), dim), weights)
             for t, v, w in zip(targets, vectors, weights):
                 refs[t].add(v, w)
             signs = sums.signs()
             for t, ref in enumerate(refs):
-                assert np.array_equal(sums.values[t], ref.values)
+                assert sums.values[t].tobytes() == ref.values.tobytes()
                 assert sums.total_weight[t] == ref.total_weight
                 assert np.array_equal(signs[t], to_words(ref.normalize(self.SEED).bits))
             ties += int((sums.values == 0).sum())
-        assert ties > 0
+        return ties
 
     @pytest.mark.parametrize("dim", [64, 100, 1001])
     def test_some_rows_changed(self, dim):
         count = 4
-        self.run_steps(dim, count,
-                       lambda rng: rng.choice(count, size=rng.integers(1, count), replace=False))
+        assert self.run_steps(
+            dim, count, lambda rng: rng.choice(count, size=rng.integers(1, count), replace=False))
 
     @pytest.mark.parametrize("dim", [64, 100, 1001])
     def test_every_row_changed(self, dim):
         count = 3
-        self.run_steps(dim, count, lambda rng: rng.permutation(count))
+        assert self.run_steps(dim, count, lambda rng: rng.permutation(count))
+
+    @pytest.mark.parametrize("dim", [64, 1001, 10000])
+    def test_non_dyadic_weights(self, dim):
+        # each sum rounds, so these bytes show whether the kernel rounds
+        # every entry once, as `Accumulator.add` does
+        count = 3
+        self.run_steps(dim, count, lambda rng: rng.permutation(count),
+                       draw=lambda rng, k: rng.uniform(-1.0, 1.0, size=k), steps=50)
+
+    def test_subnormal_weights(self):
+        # the smallest subnormal, and sums of a few: a flush-to-zero add
+        # would leave the values at zero
+        count = 2
+        assert self.run_steps(256, count, lambda rng: rng.permutation(count),
+                              draw=lambda rng, k: rng.choice([5e-324, -5e-324, 1e-323], size=k))
+
+    def test_weights_just_under_the_overflow_bound(self):
+        big = np.finfo(np.float64).max
+        weights = iter([1e308, 1e308, -(big - 1e308), 5e-324, -0.75, 0.3])
+        count = 2
+        self.run_steps(128, count, lambda rng: rng.permutation(count),
+                       draw=lambda rng, k: [next(weights) for _ in range(k)], steps=3)
+
+    @pytest.mark.parametrize("weight", [1.0, -1.0, 0.5, 2.0])
+    def test_int64_count_rows(self, weight):
+        # train_standard adds per-class bipolar sums, int64 counts beyond +-1
+        dim = 1001
+        rows = _bipolar_rows(np.stack([rv(9, t, dim).bits for t in range(7)]), dim)
+        counts = np.stack([rows[:4].sum(axis=0, dtype=np.int64),
+                           rows[3:].sum(axis=0, dtype=np.int64)])
+        assert counts.dtype == np.int64 and np.abs(counts).max() > 1
+        sums = _SignedSums(2, dim, self.SEED)
+        sums.add((0, 1), counts, (weight, weight))
+        sums.add((1,), counts[:1], (1.0,))
+        # from zeros, as the kernel starts: 0.0 + (-1.0 * 0) is +0.0
+        expect = np.zeros((2, dim))
+        expect += weight * counts
+        expect[1] += counts[0]
+        assert sums.values.tobytes() == expect.tobytes()
+        bits = [Hypervector.from_bools(row > sums._threshold) for row in expect]
+        assert all(np.array_equal(a, to_words(b.bits)) for a, b in zip(sums.signs(), bits))
+
+    def test_add_updates_values_in_place(self):
+        # the BLAS wrapper would update and return a copy of a `y` that is
+        # not contiguous float64; every row must land in `values` itself
+        dim, count = 100, 3
+        sums = _SignedSums(count, dim, self.SEED)
+        values = sums.values
+        rows = _bipolar_rows(np.stack([rv(4, t, dim).bits for t in range(count)]), dim)
+        sums.add(range(count), rows, (1.0, -0.5, 0.25))
+        assert sums.values is values
+        assert np.array_equal(values, rows * np.array([[1.0], [-0.5], [0.25]]))
 
     def test_sign_threshold_shared_per_seed_and_dim(self):
         a, b = _SignedSums(2, 128, 17), _SignedSums(3, 128, 17)
