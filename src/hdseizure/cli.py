@@ -184,11 +184,9 @@ def _codebook_ref(books) -> str:
 
 
 def _same_encoder(a, b) -> bool:
-    """Same scalars, ID and level vectors, and feature ranges (None when unfitted)."""
-    if (a.dim, a.num_levels, a.seed) != (b.dim, b.num_levels, b.seed):
-        return False
-    return all(np.array_equal(getattr(a, k), getattr(b, k))
-               for k in ("id_vectors", "level_vectors", "feature_min", "feature_max"))
+    """Same key and feature ranges (None when unfitted)."""
+    return a.key == b.key and all(np.array_equal(getattr(a, k), getattr(b, k))
+                                  for k in ("feature_min", "feature_max"))
 
 
 def _load_model_dir(dirpath):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -28,7 +29,7 @@ from .encoding import Codebooks
 from .errors import CorruptModelError, IncompatibleModelsError, ParseError
 from .evaluation import EvalReport, _require_positive
 from .features import DEFAULT_CHANNELS, FeatureMatrix, SignalRecord
-from .hypervector import Hypervector, _packed_size, _philox, random_hypervector, to_words
+from .hypervector import Hypervector, _philox, random_hypervector, to_words
 from .training import NON_SEIZURE, SEIZURE, ClassModel
 
 MODEL_MAGIC = b"HDCM"
@@ -66,6 +67,10 @@ class CohortSpec:
         _require_positive(fs=self.fs, seizure_sec=self.seizure_sec,
                           non_seizure_sec=self.non_seizure_sec,
                           seizure_amp_gain=self.seizure_amp_gain)
+        # the largest rhythm amplitude generate_synthetic_cohort can draw
+        if not math.isfinite(RHYTHM_BASE_AMP * (self.seizure_amp_gain - 1.0) * 1.1):
+            raise ValueError(f"seizure_amp_gain {self.seizure_amp_gain:g} gives a "
+                             "non-finite seizure rhythm amplitude")
         for name, span in (("seizure_sec", self.seizure_sec),
                            ("non_seizure_sec", self.non_seizure_sec)):
             if not (math.isfinite(span * self.fs) and round(span * self.fs) >= 1):
@@ -505,7 +510,14 @@ def save_model(model: ClassModel, codebooks: Codebooks, path):
     with _replacing(path, "wb") as fh:
         fh.write(MODEL_MAGIC + struct.pack("<BII", MODEL_VERSION, codebooks.dim, len(blob)) + blob)
         fh.write(model.words[_FILE_ROWS].tobytes())
-        fh.write(to_words(np.vstack([codebooks.level_vectors, codebooks.id_vectors])).tobytes())
+        fh.write(_encoder_rows(*codebooks.key))
+
+
+@functools.lru_cache(maxsize=8)
+def _encoder_rows(num_features: int, num_levels: int, dim: int, seed: int) -> bytes:
+    """The level then ID vectors of one encoder key, as model-file words."""
+    books = Codebooks(num_features, num_levels, dim, seed)
+    return to_words(np.vstack([books.level_vectors, books.id_vectors])).tobytes()
 
 
 #: exact JSON types of kind, sourceCohort, subjectId, codebookRef and the
@@ -531,11 +543,7 @@ def _model_meta(blob: bytes) -> dict:
         raise CorruptModelError(
             f"invalid metadata: field types {[type(v).__name__ for v in fields]}"
         )
-    num_levels, num_features = fields[5], fields[6]
-    if num_levels < 2 or num_features < 1:
-        raise CorruptModelError(
-            f"invalid metadata: {num_levels} levels and {num_features} features"
-        )
+    num_features = fields[6]
     if lo is None and hi is None:
         return meta
     try:
@@ -570,11 +578,18 @@ def load_model(path):
         raise CorruptModelError("truncated metadata block")
     meta = _model_meta(buf[13 : 13 + meta_len])
     enc, ranges = meta["encoder"], meta["featureRanges"]
-    num_levels, num_features = enc["numLevels"], enc["numFeatures"]
     if enc["dim"] != dim:
         raise CorruptModelError("metadata dim disagrees with header")
+    try:
+        books = Codebooks(
+            enc["numFeatures"], enc["numLevels"], dim, enc["seed"],
+            feature_min=None if ranges["min"] is None else np.asarray(ranges["min"], float),
+            feature_max=None if ranges["max"] is None else np.asarray(ranges["max"], float),
+        )
+    except ValueError as exc:
+        raise CorruptModelError(f"invalid metadata: {exc}") from None
     stride = -(-dim // 64) * 8
-    count = 2 + num_levels + num_features
+    count = 2 + books.num_levels + books.num_features
     expected = 13 + meta_len + count * stride
     if len(buf) != expected:
         raise CorruptModelError(
@@ -587,28 +602,27 @@ def load_model(path):
     if dim % 64 and (last_words := words.view("<u8")[:, -1]).max() >> dim % 64:
         first = int(np.flatnonzero(last_words >> dim % 64)[0])
         raise CorruptModelError(f"vector {first} has bits set past dim {dim}")
-    class_words = words[:2].take(_FILE_ROWS, axis=0).view(np.uint64)
-    vectors = words[2:, : _packed_size(dim)].copy()
     try:
         model = ClassModel(
-            class_words,
+            words[:2].take(_FILE_ROWS, axis=0).view(np.uint64),
             dim,
             kind=meta["kind"],
             source_cohort=meta["sourceCohort"],
             subject_id=meta["subjectId"],
             codebook_ref=meta.get("codebookRef", ""),
         )
-        books = Codebooks(
-            dim=dim,
-            num_levels=num_levels,
-            seed=enc["seed"],
-            id_vectors=vectors[num_levels:],
-            level_vectors=vectors[:num_levels],
-            feature_min=None if ranges["min"] is None else np.asarray(ranges["min"], float),
-            feature_max=None if ranges["max"] is None else np.asarray(ranges["max"], float),
-        )
     except ValueError as exc:
         raise CorruptModelError(f"invalid model contents: {exc}") from None
+    # the level and ID rows end the file, whose length is checked above
+    rows = _encoder_rows(*books.key)
+    if not buf.endswith(rows):
+        differ = (words[2:] != np.frombuffer(rows, np.uint8).reshape(-1, stride)).any(axis=1)
+        first = int(np.flatnonzero(differ)[0])
+        which = f"level {first}" if first < books.num_levels else f"ID {first - books.num_levels}"
+        raise CorruptModelError(
+            f"{which} vector is not the one encoder seed {books.seed} draws for "
+            f"{books.num_features} features, {books.num_levels} levels and dim {dim}"
+        )
     return model, books
 
 

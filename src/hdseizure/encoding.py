@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateInputError, IncompatibleModelsError, InvalidDimensionError
+from .errors import DegenerateInputError, InvalidDimensionError
 from .hypervector import random_hypervector, tie_break_vector
 
 DEFAULT_DIM = 10000
@@ -23,34 +23,50 @@ DEFAULT_LEVELS = 20
 LEVEL_CHAIN_TAG = 1 << 33
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Codebooks:
-    """Immutable encoding state: ID vectors, level chain, feature ranges.
+    """An encoder: its key (num_features, num_levels, dim, seed) and, once
+    `fit_ranges` has seen training data, the per-feature ranges.
 
-    `id_vectors` (F, ceil(dim/8)) and `level_vectors` (L, ceil(dim/8)) are
-    uint8 row matrices, one vector per row in `Hypervector` bit layout.
-    `feature_min`/`feature_max` are None until `fit_ranges` has seen
-    training data; encoding requires fitted ranges. `_unpacked` caches the
-    kernel tables with the vectors and seed they were built from, so new
-    vectors assigned to a field get new tables and a new chain check.
+    The key fixes every vector. `id_vectors` (F, ceil(dim/8)) and
+    `level_vectors` (L, ceil(dim/8)) are read-only uint8 row matrices in
+    `Hypervector` bit layout, shared by every `Codebooks` of one key.
+    `feature_min`/`feature_max` are None until fitted; encoding requires
+    fitted ranges.
     """
 
-    dim: int
+    num_features: int
     num_levels: int
+    dim: int
     seed: int
-    id_vectors: np.ndarray
-    level_vectors: np.ndarray
     feature_min: np.ndarray = None
     feature_max: np.ndarray = None
-    _unpacked: tuple = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.num_features < 1:
+            raise ValueError(f"need at least one feature, got {self.num_features}")
+        if self.num_levels < 2:
+            raise ValueError(f"need at least two levels, got {self.num_levels}")
+        if self.num_levels > self.dim // 2:
+            raise InvalidDimensionError(
+                f"{self.num_levels} levels need dim >= {2 * self.num_levels}, got {self.dim}"
+            )
 
     @property
-    def num_features(self) -> int:
-        return len(self.id_vectors)
+    def key(self) -> tuple:
+        return self.num_features, self.num_levels, self.dim, self.seed
 
     @property
     def is_fitted(self) -> bool:
         return self.feature_min is not None
+
+    @property
+    def id_vectors(self) -> np.ndarray:
+        return _build(*self.key)[0]
+
+    @property
+    def level_vectors(self) -> np.ndarray:
+        return _build(*self.key)[1]
 
     def unpacked_bits(self):
         """Cached tables of the block-structured encoding kernel.
@@ -61,36 +77,8 @@ class Codebooks:
         when a feature's level bit flips. threshold folds the majority
         rule and the tie-break bit into one comparison; see
         `encode_windows`.
-
-        The kernel reads only level[0] and takes the rest of the chain to be
-        the one `build_codebooks` makes, so any other chain (say one read
-        from a model file) raises IncompatibleModelsError.
         """
-        cached = self._unpacked
-        if not (cached and cached[0] is self.id_vectors and cached[1] is self.level_vectors
-                and cached[2] == self.seed):
-            self._check_level_chain()
-            base = np.unpackbits(self.id_vectors ^ self.level_vectors[0], axis=1,
-                                 count=self.dim, bitorder="little")
-            total = base.sum(axis=0, dtype=np.int32)
-            signed = (1 - 2 * base.astype(np.int8)).astype(np.float32)
-            tie = tie_break_vector(self.seed, self.dim).to_bools().astype(np.int32)
-            threshold = ((self.num_features - tie - 2 * total) / 2).astype(np.float32)
-            self._unpacked = cached = (self.id_vectors, self.level_vectors, self.seed,
-                                       (signed, threshold))
-        return cached[3]
-
-    def _check_level_chain(self):
-        """The levels must be the chain `_level_chain` grows from level[0]."""
-        nlev = len(self.level_vectors)
-        if nlev >= 2 and self.dim // (2 * (nlev - 1)) and np.array_equal(
-            self.level_vectors, _level_chain(self.level_vectors[0], self.dim, nlev)
-        ):
-            return
-        raise IncompatibleModelsError(
-            f"the {nlev} level vectors are not the block-flip chain of "
-            f"build_codebooks at dim {self.dim}"
-        )
+        return _build(*self.key)[2]
 
 
 def _level_chain(level0: np.ndarray, dim: int, num_levels: int) -> np.ndarray:
@@ -100,6 +88,21 @@ def _level_chain(level0: np.ndarray, dim: int, num_levels: int) -> np.ndarray:
     flips = np.arange(dim) < block * np.arange(num_levels)[:, None]
     bits = np.unpackbits(level0, count=dim, bitorder="little")
     return np.packbits(bits ^ flips, axis=1, bitorder="little")
+
+
+@functools.lru_cache(maxsize=8)
+def _build(num_features: int, num_levels: int, dim: int, seed: int) -> tuple:
+    """Read-only (id_vectors, level_vectors, (signed_base, threshold)) of one key."""
+    ids = np.stack([random_hypervector(seed, f, dim).bits for f in range(num_features)])
+    levels = _level_chain(random_hypervector(seed, LEVEL_CHAIN_TAG, dim).bits, dim, num_levels)
+    base = np.unpackbits(ids ^ levels[0], axis=1, count=dim, bitorder="little")
+    total = base.sum(axis=0, dtype=np.int32)
+    signed = (1 - 2 * base.astype(np.int8)).astype(np.float32)
+    tie = tie_break_vector(seed, dim).to_bools().astype(np.int32)
+    threshold = ((num_features - tie - 2 * total) / 2).astype(np.float32)
+    for array in (ids, levels, signed, threshold):
+        array.flags.writeable = False
+    return ids, levels, (signed, threshold)
 
 
 def build_codebooks(
@@ -115,30 +118,11 @@ def build_codebooks(
     is exactly proportional to level separation and the chain ends are
     close to orthogonal.
 
-    The vectors and kernel tables of the last 8 (num_features, num_levels,
-    dim, seed) keys are kept read-only; every call returns a new
-    `Codebooks` that shares them.
+    The vectors and kernel tables of the last 8 keys are kept; a call with
+    one of them draws nothing.
     """
-    if num_features < 1:
-        raise ValueError(f"need at least one feature, got {num_features}")
-    if num_levels < 2:
-        raise ValueError(f"need at least two levels, got {num_levels}")
-    if num_levels > dim // 2:
-        raise InvalidDimensionError(
-            f"{num_levels} levels need dim >= {2 * num_levels}, got {dim}"
-        )
-    return replace(_built_codebooks(num_features, num_levels, dim, seed))
-
-
-@functools.lru_cache(maxsize=8)
-def _built_codebooks(num_features: int, num_levels: int, dim: int, seed: int) -> Codebooks:
-    ids = np.stack([random_hypervector(seed, f, dim).bits for f in range(num_features)])
-    levels = _level_chain(random_hypervector(seed, LEVEL_CHAIN_TAG, dim).bits, dim, num_levels)
-    books = Codebooks(
-        dim=dim, num_levels=num_levels, seed=seed, id_vectors=ids, level_vectors=levels
-    )
-    for array in (ids, levels, *books.unpacked_bits()):
-        array.flags.writeable = False
+    books = Codebooks(num_features, num_levels, dim, seed)
+    _build(*books.key)
     return books
 
 
@@ -165,7 +149,7 @@ def fit_ranges(codebooks: Codebooks, values: np.ndarray) -> Codebooks:
     Ranges must come from the training split only; test-time values
     outside them clamp silently. Constant features are kept but warned
     about, and later quantize to level 0. NaN or infinite values are
-    rejected. The result shares the kernel tables of `codebooks`.
+    rejected.
     """
     values = _feature_matrix(codebooks, values)
     if values.shape[0] == 0:
@@ -179,7 +163,6 @@ def fit_ranges(codebooks: Codebooks, values: np.ndarray) -> Codebooks:
             "they will encode at level 0",
             stacklevel=2,
         )
-    codebooks.unpacked_bits()
     return replace(codebooks, feature_min=lo, feature_max=hi)
 
 

@@ -38,11 +38,16 @@ class SimilarityMatrices:
 
 def _cohort_words(cohort):
     """(dim, rows): the cohort's S rows then its NS rows as one matrix of
-    2n `to_words` rows."""
+    2n `to_words` rows. Only personalized models form a cohort."""
     if not cohort:
         raise InsufficientDataError("empty cohort")
     dim = cohort[0].dim
     for m in cohort:
+        if m.kind != "personalized":
+            raise IncompatibleModelsError(
+                f"a cohort holds personalized models only; subject {m.subject_id!r} "
+                f"is a {m.kind} model"
+            )
         if m.dim != dim:
             raise IncompatibleModelsError(f"dimension mismatch: {m.dim} != {dim}")
     rows = np.array([m.words[label] for label in (SEIZURE, NON_SEIZURE) for m in cohort])

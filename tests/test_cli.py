@@ -1,5 +1,7 @@
+import csv
 import filecmp
 import json
+import math
 import os
 import struct
 import subprocess
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from test_dataio import model_file_bytes, mutated_model_files
+from test_dataio import ENCODER_FAULTS, model_file_bytes, mutated_model_files, with_encoder_fault
 
 from hdseizure import cli
 from hdseizure.dataio import load_model, read_record, save_model, synthetic_model_cohort
@@ -325,32 +327,51 @@ class TestErrorPaths:
         assert rc == 5
         assert "different encoder" in capsys.readouterr().err
 
-    def test_flipped_id_bit_is_different_encoder(self, tmp_path, capsys):
+    def test_flipped_id_bit_is_data_error(self, tmp_path, capsys):
         _, _, models = build_pipeline(tmp_path)
         path = tmp_path / "models" / "s001.hdcm"
-        data = bytearray(path.read_bytes())
-        meta_len = struct.unpack_from("<I", data, 9)[0]
-        # bit 0 of the first ID vector: after S, NS and 8 levels of 32 bytes (dim 256)
-        data[13 + meta_len + (2 + 8) * 32] ^= 1
-        path.write_bytes(bytes(data))
-        load_model(path)  # a well-formed file on its own
+        path.write_bytes(with_encoder_fault(path.read_bytes(), "ID bit"))
+        with pytest.raises(CorruptModelError, match="ID 0 vector"):
+            load_model(path)
         rc = run(["generalize", *TINY, "--models", models, "--out", str(tmp_path / "g.hdcm")])
         assert rc == 5
-        assert "s001.hdcm was built with a different encoder" in capsys.readouterr().err
+        assert "ID 0 vector is not the one encoder seed 7 draws" in capsys.readouterr().err
+        assert not (tmp_path / "g.hdcm").exists()
 
     def test_reversed_level_chain_is_data_error(self, tmp_path, capsys):
         _, feats, models = build_pipeline(tmp_path)
         bad = tmp_path / "reversed"
         bad.mkdir()
         for name in sorted(os.listdir(models)):
-            model, books = load_model(os.path.join(models, name))
-            books.level_vectors = books.level_vectors[::-1]
-            save_model(model, books, str(bad / name))
+            data = Path(models, name).read_bytes()
+            (bad / name).write_bytes(with_encoder_fault(data, "reversed chain"))
         rc = run(["transfer", *TINY, "--source-models", str(bad),
                   "--target-features", feats, "--out", str(tmp_path / "t")])
         assert rc == 5
         err = capsys.readouterr().err
-        assert err.startswith("DATA:") and "block-flip chain" in err
+        assert err.startswith("DATA:") and "level 0 vector is not the one encoder" in err
+
+    def test_only_personalized_models_form_a_cohort(self, tmp_path, capsys):
+        _, feats, models = build_pipeline(tmp_path)
+        gen = os.path.join(models, "gen.hdcm")
+        assert run(["generalize", *TINY, "--models", models, "--out", gen]) == 0
+        out = str(tmp_path / "out")
+        for argv in (["generalize", "--models", models, "--out", out],
+                     ["evolution", "--repetitions", "2", "--models", models, "--out", out],
+                     ["similarity", "--models", models, "--out", out],
+                     ["transfer", "--source-models", models, "--target-features", feats,
+                      "--out", out]):
+            capsys.readouterr()
+            assert run([*argv[:1], *TINY, *argv[1:]]) == 5
+            err = capsys.readouterr().err
+            assert err.startswith("DATA:") and "subject '' is a generalized model" in err
+            assert not os.path.exists(out)
+        # a lone generalized source model is used as it is
+        solo = tmp_path / "solo"
+        solo.mkdir()
+        os.replace(gen, solo / "gen.hdcm")
+        assert run(["transfer", *TINY, "--source-models", str(solo),
+                    "--target-features", feats, "--out", out]) == 0
 
     def test_irregular_time_column_is_parse_error(self, tmp_path, capsys):
         cohort = tmp_path / "cohort"
@@ -421,6 +442,47 @@ class TestErrorPaths:
         assert rc == 5
         err = capsys.readouterr().err
         assert err.startswith("DATA:") and "must be a personalized model" in err
+
+
+class TestEncoderRowsAtLoad:
+    """Every command that loads model files rejects one whose level or ID
+    rows are not the ones its encoder key draws, before it writes."""
+
+    @pytest.fixture(scope="class")
+    def pipeline(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("encoder_rows")
+        _, feats, models = build_pipeline(root)
+        gen = str(root / "gen.hdcm")
+        assert run(["generalize", *TINY, "--models", models, "--out", gen]) == 0
+        return feats, models, gen
+
+    @pytest.mark.parametrize("command", ["generalize", "evolution", "similarity", "hybrid",
+                                         "transfer"])
+    @pytest.mark.parametrize("fault", ENCODER_FAULTS)
+    def test_fault_is_data_error(self, tmp_path, capsys, pipeline, fault, command):
+        feats, models, gen = pipeline
+        bad = tmp_path / "models"
+        bad.mkdir()
+        for name in sorted(os.listdir(models)):
+            (bad / name).write_bytes(with_encoder_fault(Path(models, name).read_bytes(), fault))
+        bad_gen = tmp_path / "gen.hdcm"
+        bad_gen.write_bytes(with_encoder_fault(Path(gen).read_bytes(), fault))
+        out = tmp_path / "out"
+        rc = run({
+            "generalize": ["generalize", "--models", str(bad), "--out", str(out)],
+            "evolution": ["evolution", "--repetitions", "2", "--models", str(bad),
+                          "--out", str(out)],
+            "similarity": ["similarity", "--models", str(bad), "--out", str(out)],
+            "hybrid": ["hybrid", "--pers", str(bad / "s000.hdcm"), "--gen", str(bad_gen),
+                       "--mode", "NSgen-Spers", "--out", str(out)],
+            "transfer": ["transfer", *TINY, "--source-models", str(bad),
+                         "--target-features", feats, "--out", str(out)],
+        }[command])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert err.startswith("DATA:") and ("vector is not the one encoder" in err
+                                            or "levels need dim" in err)
+        assert not out.exists()
 
 
 class TestBadInputExitCodes:
@@ -618,3 +680,137 @@ class TestDeterminism:
                     "eval/personalized.csv", "eval/generalized.csv",
                     "eval/personalized_s000.json", "eval/generalized_s002.json"):
             assert filecmp.cmp(out_a / rel, out_b / rel, shallow=False), rel
+
+
+def test_cli_tree_every_command_exits_0(tmp_path):
+    """tests/cli_tree.py, the tree two checkouts are diffed on, runs clean."""
+    script = Path(__file__).with_name("cli_tree.py")
+    done = subprocess.run([sys.executable, str(script), str(tmp_path)],
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert len(os.listdir(tmp_path / "log")) == 31
+
+
+#: the pipeline, each command from the outputs of those before it; a
+#: command's output, if it has one, goes to <case dir>/<key>
+CHAIN = [
+    ("synth --out {cohort}", "cohort"),
+    ("features --cohort {cohort} --out {feats}", "feats"),
+    ("train --features {feats} --out {models}", "models"),
+    ("generalize --models {models} --out {gen}", "gen"),
+    ("evolution --models {models} --out {out}/evolution.csv", None),
+    ("similarity --models {models} --out {out}/similarity.csv", None),
+    ("hybrid --pers {models}/s000.hdcm --gen {gen} --mode NSgen-Spers --out {out}/h.hdcm", None),
+    ("eval --mode both --emit-curves --features {feats} --out {out}/eval", None),
+    ("transfer --source-models {models} --target-features {feats} --out {out}/tm", None),
+    ("transfer --source-features {feats} --target-features {feats} --mode NSgen-Spers "
+     "--out {out}/tf", None),
+]
+#: the chain step that first reads each setting
+FIRST_READER = {
+    **dict.fromkeys(["subjects", "records_per_subject", "fs", "channels", "seizure_sec",
+                     "non_seizure_sec", "shared_background_weight", "seizure_freq_min",
+                     "seizure_freq_max", "seizure_amp_gain", "seed"], 0),
+    **dict.fromkeys(["window_sec", "step_sec"], 1),
+    **dict.fromkeys(["dim", "levels", "train_mode", "alpha", "epochs"], 2),
+    **dict.fromkeys(["method", "alpha_corr", "alpha_wrong", "iterations",
+                     "wrong_weight_convention"], 3),
+    "repetitions": 4,
+    **dict.fromkeys(["bayes_window_sec", "bayes_threshold", "movavg_window_sec",
+                     "sweep_thresholds"], 7),
+}
+HOSTILE_BASE = [
+    "--subjects", "3", "--records-per-subject", "3", "--fs", "64", "--channels", "2",
+    "--seizure-sec", "8", "--non-seizure-sec", "8", "--window-sec", "4", "--step-sec", "0.5",
+    "--dim", "256", "--levels", "8", "--seed", "7", "--repetitions", "2",
+    "--sweep-thresholds", "0:1:3",
+]
+#: Untested: 2**31 for these settings, which would ask for that many
+#: dimensions, subjects, records, channels, epochs, merge passes or shuffles,
+#: and a sweep_thresholds count of 2**31. They get small values instead.
+LONG_RUN = {"dim", "subjects", "records_per_subject", "channels", "epochs", "iterations",
+            "repetitions"}
+
+
+def hostile_values(name):
+    typ = cli.SETTINGS[name][0]
+    if typ is float:
+        return ["nan", "inf", "-inf", "0", "-1", "1e308", "5e-324"]
+    if typ is int:
+        return ["0", "-1", *(("1", "2") if name in LONG_RUN else ("2147483648", "-2147483648"))]
+    if name == "sweep_thresholds":
+        return ["nan:1:3", "0:inf:3", "-1e308:1e308:3", "0:1:0", "0:1:-1", "", "0,nan",
+                "5e-324", "1e308"]
+    return ["", "x"]
+
+
+def json_leaves(doc):
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        for item in doc:
+            yield from json_leaves(item)
+    else:
+        yield doc
+
+
+def non_finite_numbers(root):
+    """'file: value' for each non-finite number in the CSV and JSON files
+    under root; model files must load, which requires finite ranges."""
+    bad = []
+    for path in sorted(Path(root).rglob("*")):
+        if path.suffix == ".csv":
+            with path.open(newline="") as fh:
+                cells = [cell for row in csv.reader(fh) for cell in row]
+        elif path.suffix == ".json":
+            cells = list(json_leaves(json.loads(path.read_text())))
+        else:
+            if path.suffix == ".hdcm" or path.name == "gen":
+                load_model(path)
+            continue
+        for cell in cells:
+            try:
+                number = float(cell)
+            except (TypeError, ValueError):
+                continue
+            if not math.isfinite(number):
+                bad.append(f"{path.relative_to(root)}: {cell}")
+    return bad
+
+
+def run_chain(root, inputs, start, stop, extra=()):
+    """Run CHAIN[start:stop] in root; returns the exit code that ended it."""
+    inputs = dict(inputs)
+    for template, key in CHAIN[start:stop]:
+        if key:
+            inputs[key] = os.path.join(root, key)
+        argv = [token.format(out=root, **inputs) for token in template.split()]
+        rc = run([argv[0], *HOSTILE_BASE, *argv[1:], *extra])
+        if rc:
+            return rc
+    return 0
+
+
+class TestHostileSettings:
+    """One of the 28 settings at a hostile value, from the first command that
+    reads it to the end of the pipeline: the run fails with a usage, config,
+    parse or data error, never an internal one (pytest also turns any
+    RuntimeWarning into one), or it succeeds and writes only finite numbers."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = str(tmp_path_factory.mktemp("hostile_base"))
+        assert run_chain(root, {}, 0, 4) == 0
+        return {key: os.path.join(root, key) for _, key in CHAIN[:4]}
+
+    def test_every_setting_has_a_reader(self):
+        assert set(FIRST_READER) == set(cli.SETTINGS) and len(cli.SETTINGS) == 28
+
+    @pytest.mark.parametrize("name, value", [
+        (name, value) for name in cli.SETTINGS for value in hostile_values(name)
+    ])
+    def test_failure_is_typed_and_success_finite(self, tmp_path, inputs, name, value):
+        flag = f"--{name.replace('_', '-')}={value}"
+        rc = run_chain(str(tmp_path), inputs, FIRST_READER[name], len(CHAIN), [flag])
+        assert rc in (0, 2, 3, 4, 5)
+        assert not non_finite_numbers(tmp_path)

@@ -67,6 +67,7 @@ class TestCohortSpec:
         dict(seizure_freq_range=(8.0, 3.0)),
         dict(seizure_freq_range=(3.0, 200.0)),
         dict(seizure_amp_gain=0.0),
+        dict(seizure_amp_gain=1e308),  # a finite gain whose rhythm amplitude is inf
     ])
     def test_invalid_fields(self, kw):
         with pytest.raises(ValueError):
@@ -749,6 +750,50 @@ def model_file_bytes() -> bytes:
         return path.read_bytes()
 
 
+ENCODER_FAULTS = ["reversed chain", "level bit", "ID bit", "seed", "levels over dim/2"]
+
+
+def with_encoder_fault(data: bytes, fault: str) -> bytes:
+    """The model file `data` with level or ID rows that are not its key's,
+    through one of ENCODER_FAULTS; the file stays well formed otherwise."""
+    meta_len = struct.unpack_from("<I", data, 9)[0]
+    meta = json.loads(data[13 : 13 + meta_len])
+    enc = meta["encoder"]
+    nlev, stride = enc["numLevels"], -(-enc["dim"] // 64) * 8
+    rows = np.frombuffer(data, np.uint8, offset=13 + meta_len).reshape(-1, stride).copy()
+    if fault == "reversed chain":
+        rows[2 : 2 + nlev] = rows[2 : 2 + nlev][::-1]
+    elif fault == "level bit":
+        rows[2 + nlev - 1, 0] ^= 1
+    elif fault == "ID bit":
+        rows[2 + nlev, 0] ^= 1
+    elif fault == "seed":
+        enc["seed"] += 1
+    else:  # one level more than dim/2 allows, each with a row
+        enc["numLevels"] = enc["dim"] // 2 + 1
+        extra = np.zeros((enc["numLevels"] - nlev, stride), np.uint8)
+        rows = np.vstack([rows[: 2 + nlev], extra, rows[2 + nlev :]])
+    blob = json.dumps(meta, sort_keys=True).encode()
+    return data[:9] + struct.pack("<I", len(blob)) + blob + rows.tobytes()
+
+
+class TestEncoderRowsChecked:
+    """load_model accepts only the level and ID rows its key draws."""
+
+    @pytest.mark.parametrize("fault, message", [
+        ("reversed chain", "level 0 vector is not the one encoder seed 11 draws"),
+        ("level bit", "level 3 vector"),
+        ("ID bit", "ID 0 vector"),
+        ("seed", "level 0 vector is not the one encoder seed 12 draws"),
+        ("levels over dim/2", "51 levels need dim >= 102, got 100"),
+    ])
+    def test_fault_is_corrupt(self, tmp_path, fault, message):
+        path = tmp_path / "m.hdcm"
+        path.write_bytes(with_encoder_fault(model_file_bytes(), fault))
+        with pytest.raises(CorruptModelError, match=message):
+            load_model(path)
+
+
 class TestModelFileBytes:
     """The file format pinned by digest: a drift in any byte fails here."""
 
@@ -915,7 +960,7 @@ class TestAtomicWrites:
             books = fitted_books(rng, nfeat=3, dim=100, levels=4)
             model = ClassModel.from_vectors(seizure=random_hypervector(5, 1, 100),
                                non_seizure=random_hypervector(5, 2, 100))
-            return lambda p: save_model(model, books, p), (dataio, "to_words")
+            return lambda p: save_model(model, books, p), (dataio, "_encoder_rows")
         fm = FeatureMatrix(values=rng.random((4, 2)), window_labels=np.array([0, 0, 1, 1]),
                            window_start_sec=np.arange(4) * 0.5, feature_names=["a:x", "a:y"],
                            channels=["a"], features_per_channel=2)

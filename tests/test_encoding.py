@@ -15,7 +15,7 @@ from hdseizure.encoding import (
     encode_windows,
     fit_ranges,
 )
-from hdseizure.errors import DegenerateInputError, IncompatibleModelsError, InvalidDimensionError
+from hdseizure.errors import DegenerateInputError, InvalidDimensionError
 from hdseizure.hypervector import Hypervector, bind, bundle, hamming_distance
 
 
@@ -97,7 +97,7 @@ class TestCodebookMemo:
 
     @pytest.fixture
     def draws(self, monkeypatch):
-        encoding._built_codebooks.cache_clear()
+        encoding._build.cache_clear()
         calls = []
         original = encoding.random_hypervector
 
@@ -128,54 +128,27 @@ class TestCodebookMemo:
         with pytest.raises(ValueError):
             books.level_vectors[0, 0] ^= 1
 
-    def test_reassigned_levels_stay_on_their_object(self, draws):
-        fresh = build_codebooks(*self.KEY)
-        levels = fresh.level_vectors.copy()
-        bad = build_codebooks(*self.KEY)
-        bad.level_vectors = bad.level_vectors[::-1]
-        # tables built for the old chain are not reused: the new one is checked
-        with pytest.raises(IncompatibleModelsError, match="block-flip chain"):
-            bad.unpacked_bits()
-        again = build_codebooks(*self.KEY)
-        assert np.array_equal(again.level_vectors, levels)
-        assert again.unpacked_bits() is fresh.unpacked_bits()
-
-
-class TestLevelChainCheck:
-    """The kernel tables are built only for the chain build_codebooks makes."""
-
-    @staticmethod
-    def with_levels(cb, levels):
-        return Codebooks(dim=cb.dim, num_levels=len(levels), seed=cb.seed,
-                         id_vectors=cb.id_vectors, level_vectors=levels)
+    def test_vectors_cannot_be_assigned(self):
+        books = build_codebooks(*self.KEY)
+        with pytest.raises(AttributeError):
+            books.level_vectors = books.level_vectors[::-1]
+        with pytest.raises(AttributeError):
+            books.seed = 124
+        assert books.key == self.KEY
 
     @pytest.mark.parametrize("levels, dim", [(2, 64), (8, 256), (20, 1001), (20, 10000), (32, 64)])
-    def test_built_chains_pass(self, levels, dim):
-        cb = build_codebooks(3, levels, dim=dim, seed=4)
-        signed, threshold = cb.unpacked_bits()
+    def test_kernel_tables_for_each_key(self, levels, dim):
+        signed, threshold = build_codebooks(3, levels, dim=dim, seed=4).unpacked_bits()
         assert signed.shape == (3, dim) and threshold.shape == (dim,)
 
-    def test_reversed_chain_rejected(self):
-        cb = build_codebooks(3, 8, dim=256, seed=4)
-        bad = self.with_levels(cb, cb.level_vectors[::-1])
-        with pytest.raises(IncompatibleModelsError, match="block-flip chain"):
-            bad.unpacked_bits()
-        with pytest.raises(IncompatibleModelsError):
-            fit_ranges(bad, np.zeros((2, 3)) + [[0.0], [1.0]])
-
-    def test_one_flipped_bit_rejected(self):
-        cb = build_codebooks(3, 8, dim=256, seed=4)
-        bits = level(cb, 3).to_bools()
-        bits[200] ^= 1
-        levels = cb.level_vectors.copy()
-        levels[3] = Hypervector.from_bools(bits).bits
-        with pytest.raises(IncompatibleModelsError):
-            self.with_levels(cb, levels).unpacked_bits()
-
-    def test_single_level_rejected(self):
-        cb = build_codebooks(3, 8, dim=256, seed=4)
-        with pytest.raises(IncompatibleModelsError):
-            self.with_levels(cb, cb.level_vectors[:1]).unpacked_bits()
+    @pytest.mark.parametrize("key, error", [
+        ((0, 6, 192, 1), ValueError), ((5, 1, 192, 1), ValueError),
+        ((5, 97, 192, 1), InvalidDimensionError),
+    ])
+    def test_constructor_checks_the_key(self, draws, key, error):
+        with pytest.raises(error):
+            Codebooks(*key)
+        assert not draws
 
 
 class TestQuantize:
