@@ -13,12 +13,12 @@ at each tolerance before counting crossings.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import butter, filtfilt
 
 from .errors import DegenerateInputError
 
@@ -127,6 +127,8 @@ def bandpass_filter(x, fs: float, low: float, high: float):
         raise DegenerateInputError(
             f"input of {x.shape[-1]} samples is too short for an order-{AZC_FILTER_ORDER} filter"
         )
+    from scipy.signal import butter, filtfilt  # only feature extraction filters
+
     b, a = butter(AZC_FILTER_ORDER // 2, [low, high], btype="bandpass", fs=fs)
     # ~20 cycles of the low corner covers the impulse ring-down; capping the
     # least-squares horizon there keeps Gustafsson's method O(n) cheap.
@@ -232,6 +234,14 @@ def window_count(num_samples: int, window: int, step: int) -> int:
     return (num_samples - window) // step + 1
 
 
+def _sample_limit(wlen: int) -> float:
+    """The largest |sample| that keeps every feature of a `wlen`-sample
+    window finite. A bin of the tapered window's spectrum is at most
+    2 * wlen * |sample|, and a band power sums at most wlen // 2 + 1
+    squared bins; the final halving leaves room for rounding."""
+    return math.sqrt(np.finfo(np.float64).max / (4 * wlen**2 * (wlen // 2 + 1))) / 2
+
+
 def extract_features(record: SignalRecord, config: FeatureConfig = None) -> FeatureMatrix:
     """Windowed feature matrix for one record; channel-major feature order."""
     config = config or FeatureConfig()
@@ -253,6 +263,14 @@ def extract_features(record: SignalRecord, config: FeatureConfig = None) -> Feat
         raise DegenerateInputError(
             f"{int(bad.sum())} non-finite sample(s), first in channel "
             f"{record.channels[ch]!r} at sample {t}: {record.samples[ch, t]}"
+        )
+    peak = np.maximum(record.samples.max(axis=1), -record.samples.min(axis=1))
+    limit = _sample_limit(wlen)
+    if (peak > limit).any():
+        ch = int(np.argmax(peak > limit))
+        raise DegenerateInputError(
+            f"channel {record.channels[ch]!r} has a sample of magnitude {peak[ch]:g}; "
+            f"the features of a {wlen}-sample window overflow above {limit:g}"
         )
     if not AZC_BAND[1] < fs / 2:
         raise DegenerateInputError(

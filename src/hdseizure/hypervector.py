@@ -8,7 +8,8 @@ The computational kernel of the package:
     - similarity:          1 - hamming_distance (the only similarity used here)
     - Accumulator:         signed bipolar sum of one vector at a time, the
                            test oracles' reference for `_SignedSums`
-    - _SignedSums:         the accumulator rows of the trainer and the merge
+    - _SignedSums:         the accumulator rows of the trainer and the merge,
+                           added to with BLAS daxpy
     - bundle(vectors):     majority-vote superposition
     - to_words, hamming_words: distances over packed row matrices
 
@@ -23,6 +24,10 @@ rather than a fixed bit, to avoid systematic bias for even bundle counts.
 Randomness comes from numpy's Philox counter-based generator keyed by
 (seed, tag), which makes every vector a pure function of its inputs,
 stable across runs and platforms.
+
+Importing this module loads numpy only. `_SignedSums` imports
+`scipy.linalg.blas.daxpy` when the first one is built, so only the
+trainer and the merge load that part of scipy.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.linalg.blas import daxpy
 
 from .errors import InvalidDimensionError
 
@@ -175,7 +179,8 @@ class _SignedSums:
     the merge.
 
     `add` lands every w * row exactly as `Accumulator.add` does, with one
-    BLAS axpy into the row of `values`, in place: the rows are +-1, or
+    BLAS axpy (`scipy.linalg.blas.daxpy`, bound once per object when it
+    is built) into the row of `values`, in place: the rows are +-1, or
     `train_standard`'s integer counts at weight 1, so w * row is exact and
     the add rounds each entry once, fused or not. `signs`
     binarizes by the `Accumulator.normalize` rule into `to_words` rows and
@@ -194,6 +199,9 @@ class _SignedSums:
         self.total_weight = [0.0] * count
         self._abs_weight = [0.0] * count
         self._threshold = _sign_threshold(tie_break_seed, dim)
+        from scipy.linalg.blas import daxpy
+
+        self._daxpy = daxpy
         self._bits = np.zeros((count, -(-dim // 64) * 64), dtype=bool)
         self._changed = set(range(count))
         self._signs = None
@@ -212,7 +220,7 @@ class _SignedSums:
                         f"added to one accumulator sum to {bound}"
                     )
                 self._abs_weight[t] = bound
-                daxpy(row, self.values[t], a=w)
+                self._daxpy(row, self.values[t], a=w)
                 self.total_weight[t] += w
                 self._changed.add(t)
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, rankdata
 
 from .errors import DegenerateInputError, IncompatibleModelsError, InsufficientDataError
 from .hypervector import hamming_words
@@ -85,6 +84,18 @@ def separability(general, cohort) -> float:
     return float(correct - opposite)
 
 
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks of a 1-D array; each group of ties shares its mean
+    rank (the ranks of `scipy.stats.rankdata`)."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    start = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    end = np.r_[start[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((start + end + 1) / 2, end - start)
+    return ranks
+
+
 def wilcoxon_signed_rank(x, y):
     """Two-sided paired Wilcoxon test: returns (W, p).
 
@@ -105,7 +116,7 @@ def wilcoxon_signed_rank(x, y):
         raise DegenerateInputError("all paired differences are zero")
     if n < 5:
         raise DegenerateInputError(f"need >= 5 nonzero differences, got {n}")
-    ranks = rankdata(np.abs(diff))
+    ranks = _average_ranks(np.abs(diff))
     w_pos = float(ranks[diff > 0].sum())
     w_neg = float(ranks[diff < 0].sum())
     w = min(w_pos, w_neg)
@@ -119,5 +130,7 @@ def wilcoxon_signed_rank(x, y):
         _, counts = np.unique(np.abs(diff), return_counts=True)
         var = n * (n + 1) * (2 * n + 1) / 24 - ((counts**3 - counts).sum()) / 48
         z = (w - total / 2) / np.sqrt(var)
-        p = 2 * norm.cdf(z)
+        from scipy.special import ndtr  # the standard normal CDF
+
+        p = 2 * ndtr(z)
     return w, float(min(p, 1.0))

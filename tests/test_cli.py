@@ -394,6 +394,23 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("DATA:") and "32 Hz" in err and "fs > 40 Hz" in err
 
+    @pytest.mark.parametrize("gain, rc", [("1e160", 5), ("1e100", 0)])
+    def test_huge_finite_samples_are_data_error(self, tmp_path, capsys, gain, rc):
+        cohort = str(tmp_path / "cohort")
+        spans = ["--subjects", "2", "--fs", "64", "--seizure-sec", "8", "--non-seizure-sec", "8"]
+        assert run(["synth", *spans, "--seizure-amp-gain", gain, "--out", cohort]) == 0
+        capsys.readouterr()
+        out = tmp_path / "f"
+        assert run(["features", "--fs", "64", "--window-sec", "4", "--cohort", cohort,
+                    "--out", str(out)]) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert err.startswith("DATA: channel 'FP1-F7' has a sample of magnitude")
+            assert "256-sample window overflow" in err
+            assert not out.exists()
+        else:
+            assert err == ""
+
     @pytest.mark.parametrize("flag, value", [
         ("--step-sec", "0"), ("--step-sec", "0.001"), ("--window-sec", "0"), ("--step-sec", "-0.5"),
     ])

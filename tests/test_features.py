@@ -15,6 +15,7 @@ from hdseizure.features import (
     SignalRecord,
     _azc_windows,
     _rdp_significance,
+    _sample_limit,
     bandpass_filter,
     extract_features,
     window_count,
@@ -380,6 +381,22 @@ class TestExtractFeatures:
             record.samples[1, 300] = bad
             with pytest.raises(DegenerateInputError, match="non-finite sample.*'C1' at sample 300"):
                 extract_features(record)
+
+    def test_samples_at_the_magnitude_limit_stay_finite(self):
+        record = make_record(seconds=6.0, channels=2, seed=3)
+        limit = _sample_limit(4 * 256)
+        t = np.arange(record.samples.shape[1]) / record.fs
+        # a 10 Hz square wave at the limit: its power lands in the bands
+        record.samples[1] = limit * np.where(np.sin(2 * np.pi * 10 * t) >= 0, 1.0, -1.0)
+        fm = extract_features(record)
+        assert np.isfinite(fm.values).all()
+        assert fm.values[:, 22:].max() > 1e290  # the power features are near the top
+
+    def test_sample_above_the_magnitude_limit_rejected(self):
+        record = make_record(seconds=6.0, channels=2, seed=3)
+        record.samples[1, 300] = -np.nextafter(_sample_limit(4 * 256), np.inf)
+        with pytest.raises(DegenerateInputError, match="channel 'C1' has a sample of magnitude"):
+            extract_features(record)
 
     @pytest.mark.parametrize("fs", [32, 40])
     def test_rate_too_low_for_azc_band(self, fs):

@@ -7,6 +7,7 @@ from scipy import stats
 from hdseizure.errors import DegenerateInputError, IncompatibleModelsError, InsufficientDataError
 from hdseizure.hypervector import Hypervector, random_hypervector, similarity
 from hdseizure.similarity import (
+    _average_ranks,
     SimilarityMatrices,
     pairwise_matrices,
     separability,
@@ -253,6 +254,51 @@ class TestWilcoxon:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             wilcoxon_signed_rank(np.zeros(5), np.zeros(6))
+
+
+class TestScipyStatsReplacement:
+    """The package ranks and takes the normal CDF without `scipy.stats`;
+    both must give the bytes `scipy.stats` gives."""
+
+    def test_average_ranks_equal_rankdata(self):
+        rng = np.random.default_rng(11)
+        cases = [np.array([3.5]), np.zeros(7), np.array([0.0, -0.0, 0.0, 1.0]),
+                 np.array([0.5, 0.25, 0.5, 0.125, 0.25, 0.5, 2.0 ** -40, 2.0 ** -40])]
+        for _ in range(1000):
+            n = int(rng.integers(1, 60))
+            cases.append(rng.standard_normal(n))
+            cases.append(rng.integers(0, max(n // 3, 1), size=n) * 0.25)  # ties
+        for values in cases:
+            ranks = _average_ranks(values)
+            assert ranks.dtype == np.float64
+            assert ranks.tobytes() == stats.rankdata(values).tobytes(), values
+
+    def test_ndtr_equals_norm_cdf(self):
+        from scipy.special import ndtr
+
+        z = np.concatenate([np.linspace(-40.0, 0.0, 200_001),
+                            -np.random.default_rng(12).exponential(2.0, 10_000)])
+        assert (2 * ndtr(z)).tobytes() == (2 * stats.norm.cdf(z)).tobytes()
+
+    def test_normal_approximation_p_equals_scipy_stats(self):
+        rng = np.random.default_rng(13)
+        for draw in range(400):
+            n = int(rng.integers(13, 80))
+            if draw % 2:
+                x, y = rng.integers(0, 5, size=(2, n)).astype(float)
+            else:
+                x, y = rng.standard_normal((2, n))
+            diff = x - y
+            diff = diff[diff != 0]
+            if diff.size <= 12:
+                continue
+            ranks = stats.rankdata(np.abs(diff))
+            w = min(ranks[diff > 0].sum(), ranks[diff < 0].sum())
+            m = diff.size
+            _, counts = np.unique(np.abs(diff), return_counts=True)
+            var = m * (m + 1) * (2 * m + 1) / 24 - ((counts**3 - counts).sum()) / 48
+            z = (w - m * (m + 1) / 4) / np.sqrt(var)
+            assert wilcoxon_signed_rank(x, y) == (w, min(float(2 * stats.norm.cdf(z)), 1.0))
 
 
 class TestMatricesContainer:
