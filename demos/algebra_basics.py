@@ -15,8 +15,8 @@ from hdseizure import (
     bundle,
     hamming_distance,
     random_hypervector,
-    similarity,
 )
+from hdseizure.hypervector import similarity
 
 DIM = 10000
 

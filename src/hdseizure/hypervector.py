@@ -11,7 +11,16 @@ The computational kernel of the package:
     - _SignedSums:         the accumulator rows of the trainer and the merge,
                            added to with BLAS daxpy
     - bundle(vectors):     majority-vote superposition
-    - to_words, hamming_words: distances over packed row matrices
+    - to_words, hamming_words: distances over packed row matrices, the
+                           kernel of classification, the trainer, the
+                           merge, `pairwise_matrices` (each unordered row
+                           pair once) and `separability`
+
+`hamming_words` converts the XORed rows' popcounts to float32 and sums
+each row with one matrix-vector product against a ones vector. Every
+partial sum is an integer of at most 64 * words, exact in float32 up to
+2**24, i.e. up to dim 16 777 216; wider rows sum in float64. So every
+distance is the integer count divided by `dim`, bit for bit.
 
 Vectors are stored bit-packed (numpy uint8, little bit order), so binding
 and distance run as byte-wise XOR plus popcount; row matrices are padded
@@ -313,8 +322,25 @@ def to_words(rows) -> np.ndarray:
     return out.view(np.uint64)
 
 
+# 64 * 2**18 = 2**24: the popcount sums of rows this wide are exact in float32
+_FLOAT32_SUM_WORDS = 1 << 18
+
+
+@functools.lru_cache(maxsize=8)
+def _ones(words: int) -> np.ndarray:
+    """Read-only (words,) ones that `hamming_words` sums each row against:
+    float32 up to `_FLOAT32_SUM_WORDS` words, float64 beyond."""
+    ones = np.ones(words, np.float32 if words <= _FLOAT32_SUM_WORDS else np.float64)
+    ones.flags.writeable = False
+    return ones
+
+
 def hamming_words(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
     """Normalized Hamming distance between rows of `to_words`, broadcast
-    over the leading axes: one row against a matrix, or pairs of rows."""
-    diff = np.bitwise_count(np.bitwise_xor(a, b))
-    return np.add.reduce(diff, axis=-1, dtype=np.int64) / dim
+    over the leading axes: one row against a matrix, or pairs of rows.
+    Each row's popcounts are summed by one matrix-vector product against
+    `_ones`, exactly (see the module docstring)."""
+    diff = np.bitwise_xor(a, b)
+    ones = _ones(diff.shape[-1])
+    counts = np.bitwise_count(diff).astype(ones.dtype)
+    return np.divide(np.dot(counts, ones), dim, dtype=np.float64)

@@ -60,12 +60,15 @@ def pairwise_matrices(cohort) -> SimilarityMatrices:
         raise InsufficientDataError(f"need at least 2 models, got {len(cohort)}")
     dim, rows = _cohort_words(cohort)
     n = len(cohort)
-    # row i: S_i against every S row, then against every NS row
-    from_s = np.stack([1.0 - hamming_words(rows, s, dim) for s in rows[:n]])
-    ns_to_ns = np.stack([1.0 - hamming_words(rows[n:], ns, dim) for ns in rows[n:]])
+    # each unordered pair once: row k against the rows after it; the
+    # distances are integer counts over dim, so the mirror is exact
+    dist = np.zeros((2 * n, 2 * n))
+    for k in range(2 * n - 1):
+        dist[k, k + 1 :] = hamming_words(rows[k + 1 :], rows[k], dim)
+    sim = 1.0 - (dist + dist.T)
     ids = [m.subject_id or f"subject{i}" for i, m in enumerate(cohort)]
     return SimilarityMatrices(
-        subject_ids=ids, s_to_s=from_s[:, :n], ns_to_ns=ns_to_ns, s_to_ns=from_s[:, n:]
+        subject_ids=ids, s_to_s=sim[:n, :n], ns_to_ns=sim[n:, n:], s_to_ns=sim[:n, n:]
     )
 
 

@@ -354,6 +354,36 @@ class TestBatchHelpers:
             pairs = hamming_words(rows, rows[::-1], dim)
             assert pairs.tolist() == [hamming_distance(v, w) for v, w in zip(vs, vs[::-1])]
 
+    # 2**18 words: row sums up to 2**24, the widest summed in float32;
+    # one word more: summed in float64
+    @pytest.mark.parametrize("words", [1, 157, 1 << 18, (1 << 18) + 1])
+    def test_hamming_words_exact_on_every_call_shape(self, words):
+        def popcount(x):
+            """Oracle: integer count of set bits over the last axis."""
+            x = np.atleast_2d(x)
+            return [int(np.unpackbits(row.view(np.uint8)).sum(dtype=np.int64)) for row in x]
+
+        dim = 64 * words
+        rng = np.random.default_rng(words)
+        rows = rng.integers(0, 1 << 64, size=(3, words), dtype=np.uint64)
+        # all bits set, and all but 63 (an odd count above 2**24 on the
+        # widest rows, which float32 cannot hold)
+        rows[1:] = np.iinfo(np.uint64).max
+        rows[2, 0] = 1
+        zero = np.zeros(words, dtype=np.uint64)
+        for a, b in (
+            (zero, rows),  # 1-D against 2-D
+            (rows, rows[0]),  # 2-D against 1-D
+            (rows, rows[::-1]),  # row pairs
+        ):
+            got = hamming_words(a, b, dim)
+            assert got.dtype == np.float64 and got.shape == (3,)
+            expect = [count / dim for count in popcount(np.bitwise_xor(a, b))]
+            assert got.tolist() == expect
+        for b in rows:  # 1-D against 1-D: a scalar
+            got = hamming_words(zero, b, dim)
+            assert type(got) is np.float64 and got == popcount(b)[0] / dim
+
     @pytest.mark.parametrize("dim", [64, 72, 1001])
     def test_to_words_pads_with_zero_bytes(self, dim):
         zero = np.zeros(-(-dim // 8), dtype=np.uint8)

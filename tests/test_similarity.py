@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from hdseizure.errors import DegenerateInputError, IncompatibleModelsError, InsufficientDataError
-from hdseizure.hypervector import Hypervector, random_hypervector, similarity
+from hdseizure.hypervector import Hypervector, hamming_words, random_hypervector, similarity
 from hdseizure.similarity import (
     _average_ranks,
     SimilarityMatrices,
@@ -26,6 +26,17 @@ def make_model(seed, dim=128, subject_id=""):
 
 def naive_similarity(a, b):
     return 1.0 - np.mean(a.to_bools() != b.to_bools())
+
+
+def test_package_similarity_is_the_module():
+    import hdseizure
+    import hdseizure.similarity as module
+    from hdseizure import similarity as top_level
+
+    assert top_level is module
+    assert hdseizure.pairwise_matrices is top_level.pairwise_matrices
+    assert "similarity" not in hdseizure.__all__
+    assert all(hasattr(hdseizure, name) for name in hdseizure.__all__)
 
 
 class TestPairwiseMatrices:
@@ -53,6 +64,27 @@ class TestPairwiseMatrices:
                 assert mats.s_to_ns[i, j] == naive_similarity(
                     cohort[i].seizure, cohort[j].non_seizure
                 )
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_compares_each_row_pair_once(self, n, monkeypatch):
+        import hdseizure.similarity as module
+
+        compared = []
+
+        def counting(a, b, dim):
+            out = hamming_words(a, b, dim)
+            compared.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(module, "hamming_words", counting)
+        cohort = [make_model(s, dim=200) for s in range(n)]
+        mats = pairwise_matrices(cohort)
+        assert sum(compared) == 2 * n * (2 * n - 1) // 2
+        for i, j in itertools.product(range(n), repeat=2):
+            a, b = cohort[i], cohort[j]
+            assert mats.s_to_s[i, j] == naive_similarity(a.seizure, b.seizure)
+            assert mats.ns_to_ns[i, j] == naive_similarity(a.non_seizure, b.non_seizure)
+            assert mats.s_to_ns[i, j] == naive_similarity(a.seizure, b.non_seizure)
 
     def test_symmetry_and_bounds(self):
         cohort = [make_model(s, dim=256) for s in range(5)]
