@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import io
 import json
 import math
@@ -29,7 +28,7 @@ from .encoding import Codebooks
 from .errors import CorruptModelError, IncompatibleModelsError, ParseError
 from .evaluation import EvalReport, _require_positive
 from .features import DEFAULT_CHANNELS, FeatureMatrix, SignalRecord
-from .hypervector import Hypervector, _philox, random_hypervector, to_words
+from .hypervector import Hypervector, _philox, random_hypervector
 from .training import NON_SEIZURE, SEIZURE, ClassModel
 
 MODEL_MAGIC = b"HDCM"
@@ -510,14 +509,7 @@ def save_model(model: ClassModel, codebooks: Codebooks, path):
     with _replacing(path, "wb") as fh:
         fh.write(MODEL_MAGIC + struct.pack("<BII", MODEL_VERSION, codebooks.dim, len(blob)) + blob)
         fh.write(model.words[_FILE_ROWS].tobytes())
-        fh.write(_encoder_rows(*codebooks.key))
-
-
-@functools.lru_cache(maxsize=8)
-def _encoder_rows(num_features: int, num_levels: int, dim: int, seed: int) -> bytes:
-    """The level then ID vectors of one encoder key, as model-file words."""
-    books = Codebooks(num_features, num_levels, dim, seed)
-    return to_words(np.vstack([books.level_vectors, books.id_vectors])).tobytes()
+        fh.write(codebooks.words)
 
 
 #: exact JSON types of kind, sourceCohort, subjectId, codebookRef and the
@@ -588,14 +580,14 @@ def load_model(path):
         )
     except ValueError as exc:
         raise CorruptModelError(f"invalid metadata: {exc}") from None
-    stride = -(-dim // 64) * 8
+    row_words = -(-dim // 64)
     count = 2 + books.num_levels + books.num_features
-    expected = 13 + meta_len + count * stride
+    expected = 13 + meta_len + count * row_words * 8
     if len(buf) != expected:
         raise CorruptModelError(
             f"expected {expected} bytes for {count} vectors, got {len(buf)}"
         )
-    words = np.frombuffer(buf, np.uint8, count * stride, offset=13 + meta_len).reshape(count, stride)
+    words = np.frombuffer(buf, np.uint64, count * row_words, offset=13 + meta_len).reshape(count, -1)
     # every bit past dim, in the last packed byte or the word padding after
     # it, lies in a vector's last 64-bit word and must be zero; the largest
     # of those words has such a bit set if any of them does
@@ -604,7 +596,7 @@ def load_model(path):
         raise CorruptModelError(f"vector {first} has bits set past dim {dim}")
     try:
         model = ClassModel(
-            words[:2].take(_FILE_ROWS, axis=0).view(np.uint64),
+            words[:2].take(_FILE_ROWS, axis=0),
             dim,
             kind=meta["kind"],
             source_cohort=meta["sourceCohort"],
@@ -614,9 +606,8 @@ def load_model(path):
     except ValueError as exc:
         raise CorruptModelError(f"invalid model contents: {exc}") from None
     # the level and ID rows end the file, whose length is checked above
-    rows = _encoder_rows(*books.key)
-    if not buf.endswith(rows):
-        differ = (words[2:] != np.frombuffer(rows, np.uint8).reshape(-1, stride)).any(axis=1)
+    if not buf.endswith(books.words):
+        differ = (words[2:] != books.words).any(axis=1)
         first = int(np.flatnonzero(differ)[0])
         which = f"level {first}" if first < books.num_levels else f"ID {first - books.num_levels}"
         raise CorruptModelError(

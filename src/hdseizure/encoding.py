@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidDimensionError
-from .hypervector import random_hypervector, tie_break_vector
+from .hypervector import _bipolar_rows, _pack_words, random_hypervector, tie_break_vector, to_words
 
 DEFAULT_DIM = 10000
 DEFAULT_LEVELS = 20
@@ -28,9 +28,10 @@ class Codebooks:
     """An encoder: its key (num_features, num_levels, dim, seed) and, once
     `fit_ranges` has seen training data, the per-feature ranges.
 
-    The key fixes every vector. `id_vectors` (F, ceil(dim/8)) and
-    `level_vectors` (L, ceil(dim/8)) are read-only uint8 row matrices in
-    `Hypervector` bit layout, shared by every `Codebooks` of one key.
+    The key fixes every vector. `words` is one read-only uint64
+    (L + F, ceil(dim/64)) matrix of `to_words` rows in model-file order,
+    the level vectors then the ID vectors, shared by every `Codebooks` of
+    one key; `level_vectors` and `id_vectors` are views of it.
     `feature_min`/`feature_max` are None until fitted; encoding requires
     fitted ranges.
     """
@@ -61,12 +62,16 @@ class Codebooks:
         return self.feature_min is not None
 
     @property
-    def id_vectors(self) -> np.ndarray:
+    def words(self) -> np.ndarray:
         return _build(*self.key)[0]
 
     @property
     def level_vectors(self) -> np.ndarray:
-        return _build(*self.key)[1]
+        return self.words[: self.num_levels]
+
+    @property
+    def id_vectors(self) -> np.ndarray:
+        return self.words[self.num_levels :]
 
     def unpacked_bits(self):
         """Cached tables of the block-structured encoding kernel.
@@ -78,31 +83,31 @@ class Codebooks:
         rule and the tie-break bit into one comparison; see
         `encode_windows`.
         """
-        return _build(*self.key)[2]
+        return _build(*self.key)[1]
 
 
 def _level_chain(level0: np.ndarray, dim: int, num_levels: int) -> np.ndarray:
-    """Packed level rows (L, ceil(dim/8)) from packed level 0: level k is
-    level 0 with its first k blocks of floor(dim / (2(L-1))) bits flipped."""
+    """Level rows (L, words) from level 0's row: level k is level 0 with its
+    first k blocks of floor(dim / (2(L-1))) bits flipped."""
     block = dim // (2 * (num_levels - 1))
-    flips = np.arange(dim) < block * np.arange(num_levels)[:, None]
-    bits = np.unpackbits(level0, count=dim, bitorder="little")
-    return np.packbits(bits ^ flips, axis=1, bitorder="little")
+    flips = np.arange(64 * level0.shape[-1]) < block * np.arange(num_levels)[:, None]
+    return level0 ^ _pack_words(flips)
 
 
 @functools.lru_cache(maxsize=8)
 def _build(num_features: int, num_levels: int, dim: int, seed: int) -> tuple:
-    """Read-only (id_vectors, level_vectors, (signed_base, threshold)) of one key."""
-    ids = np.stack([random_hypervector(seed, f, dim).bits for f in range(num_features)])
-    levels = _level_chain(random_hypervector(seed, LEVEL_CHAIN_TAG, dim).bits, dim, num_levels)
-    base = np.unpackbits(ids ^ levels[0], axis=1, count=dim, bitorder="little")
-    total = base.sum(axis=0, dtype=np.int32)
-    signed = (1 - 2 * base.astype(np.int8)).astype(np.float32)
-    tie = tie_break_vector(seed, dim).to_bools().astype(np.int32)
-    threshold = ((num_features - tie - 2 * total) / 2).astype(np.float32)
-    for array in (ids, levels, signed, threshold):
+    """Read-only (words, (signed_base, threshold)) of one key."""
+    drawn = to_words([random_hypervector(seed, tag, dim).bits
+                      for tag in (LEVEL_CHAIN_TAG, *range(num_features))])
+    words = np.vstack([_level_chain(drawn[0], dim, num_levels), drawn[1:]])
+    # base = id ^ level 0 as +-1: signed_base = -base, threshold = -(sum + tie) / 2
+    base = _bipolar_rows(drawn[1:] ^ drawn[0], dim)
+    signed = -base.astype(np.float32)
+    tie = tie_break_vector(seed, dim).to_bools()
+    threshold = (-(base.sum(axis=0, dtype=np.int32) + tie) / 2).astype(np.float32)
+    for array in (words, signed, threshold):
         array.flags.writeable = False
-    return ids, levels, (signed, threshold)
+    return words, (signed, threshold)
 
 
 def build_codebooks(
@@ -178,8 +183,8 @@ def _quantize_rows(codebooks: Codebooks, values: np.ndarray) -> np.ndarray:
 
 
 def encode_windows(values, codebooks: Codebooks) -> np.ndarray:
-    """Encode a (windows, features) matrix into packed (windows, ceil(dim/8))
-    uint8 rows, one hypervector per window in `Hypervector` bit layout.
+    """Encode a (windows, features) matrix into uint64 (windows,
+    ceil(dim/64)) `to_words` rows, one hypervector per window.
 
     Bit-exact equal to bundling bind(id[f], level[q(x[f])]) per row with
     the codebook seed as the tie-break seed.
@@ -195,11 +200,11 @@ def encode_windows(values, codebooks: Codebooks) -> np.ndarray:
     # window's bound-bit count is base_count + (q > j) @ signed_base; the
     # bit is set when twice that count beats the feature count, or equals
     # it and the tie-break bit is set. The float32 sums are exact integers.
-    bits = np.empty((q.shape[0], dim), dtype=bool)
+    bits = np.zeros((q.shape[0], -(-dim // 64) * 64), dtype=bool)
     rest = slice((nlev - 1) * block, dim)
     bits[:, rest] = threshold[rest] < 0
     for j in range(nlev - 1):
         sel = slice(j * block, (j + 1) * block)
         above = (q > j).astype(np.float32)
         np.greater(above @ signed[:, sel], threshold[sel], out=bits[:, sel])
-    return np.packbits(bits, axis=1, bitorder="little")
+    return _pack_words(bits)

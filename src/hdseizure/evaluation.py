@@ -25,7 +25,7 @@ from .encoding import (
 from .errors import IncompatibleModelsError, InsufficientDataError
 from .generalization import MergeConfig, generalize
 from .hybrid import HYBRID_MODES, compose_hybrid
-from .hypervector import hamming_words, to_words
+from .hypervector import hamming_words
 from .training import NON_SEIZURE, SEIZURE, ClassModel, TrainConfig, train
 
 @dataclass
@@ -168,8 +168,7 @@ def _metrics_block(truth, predictions: dict) -> dict:
 
 
 def _classify_rows(rows, model: ClassModel):
-    """Nearest-prototype labels and p(seizure) for packed encoded rows."""
-    rows = to_words(rows)
+    """Nearest-prototype labels and p(seizure) for encoded `to_words` rows."""
     d_s = hamming_words(rows, model.words[SEIZURE], model.dim)
     d_ns = hamming_words(rows, model.words[NON_SEIZURE], model.dim)
     raw = (d_s < d_ns).astype(np.uint8)

@@ -108,7 +108,7 @@ def _merge_step(sums: _SignedSums, rows, corr, wrong, cfg: MergeConfig, first: b
             w_corr = weight_correct(hamming_words(rows[corr], current, sums.dim), cfg.alpha_corr)
         terms = [(corr, w_corr), (wrong, -w_wrong)]
     for idx, weight in terms:
-        sums.add(range(len(idx)), _bipolar_rows(rows[idx].view(np.uint8), sums.dim),
+        sums.add(range(len(idx)), _bipolar_rows(rows[idx], sums.dim),
                  np.broadcast_to(weight, len(idx)).tolist())
 
 

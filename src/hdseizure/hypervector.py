@@ -10,7 +10,7 @@ The computational kernel of the package:
                            test oracles' reference for `_SignedSums`
     - _SignedSums:         the accumulator rows of the trainer and the merge,
                            added to with BLAS daxpy
-    - bundle(vectors):     majority-vote superposition
+    - bundle(vectors):     majority-vote superposition, by `Accumulator`
     - to_words, hamming_words: distances over packed row matrices, the
                            kernel of classification, the trainer, the
                            merge, `pairwise_matrices` (each unordered row
@@ -22,13 +22,15 @@ partial sum is an integer of at most 64 * words, exact in float32 up to
 2**24, i.e. up to dim 16 777 216; wider rows sum in float64. So every
 distance is the integer count divided by `dim`, bit for bit.
 
-Vectors are stored bit-packed (numpy uint8, little bit order), so binding
-and distance run as byte-wise XOR plus popcount; row matrices are padded
-to 64-bit words so they run one word at a time. Accumulation maps bits to
-the bipolar domain (0 -> -1, 1 -> +1) so weighted subtraction is well
-defined, and binarizes back by sign. Ties (an exactly-zero accumulator
-entry) are resolved from a deterministic seed-derived tie-break vector
-rather than a fixed bit, to avoid systematic bias for even bundle counts.
+A `Hypervector` is bit-packed into uint8 bytes (little bit order). Every
+packed row matrix is uint64 `to_words` rows (..., ceil(dim/64)) of the
+same bits, zero-padded to whole 64-bit words; only this module converts
+between the two. Binding and distance run as XOR plus popcount.
+Accumulation maps bits to the bipolar domain (0 -> -1, 1 -> +1) so
+weighted subtraction is well defined, and binarizes back by sign. Ties
+(an exactly-zero accumulator entry) are resolved from a deterministic
+seed-derived tie-break vector rather than a fixed bit, to avoid
+systematic bias for even bundle counts.
 
 Randomness comes from numpy's Philox counter-based generator keyed by
 (seed, tag), which makes every vector a pure function of its inputs,
@@ -93,6 +95,12 @@ class Hypervector:
         if arr.ndim != 1:
             raise ValueError("expected a 1-D bit sequence")
         return cls(np.packbits(arr.astype(bool), bitorder="little"), arr.shape[0])
+
+    @classmethod
+    def from_words(cls, row, dim: int) -> "Hypervector":
+        """A copy of one `to_words` row of `dim` bits as a vector."""
+        row = np.ascontiguousarray(row, dtype=np.uint64)
+        return cls(row.view(np.uint8)[: _packed_size(dim)].copy(), dim)
 
     def to_bools(self) -> np.ndarray:
         """Unpack to a uint8 {0,1} array of length dim."""
@@ -163,9 +171,9 @@ def tie_break_vector(seed: int, dim: int) -> Hypervector:
 
 
 def _bipolar_rows(rows: np.ndarray, dim: int) -> np.ndarray:
-    """Packed uint8 rows (..., bytes) unpacked to int8 rows (..., dim), +1
+    """`to_words` rows (..., words) unpacked to int8 rows (..., dim), +1
     where a bit is set and -1 where it is clear, as `to_bipolar` maps them."""
-    out = np.unpackbits(rows, axis=-1, count=dim, bitorder="little").view(np.int8)
+    out = np.unpackbits(rows.view(np.uint8), axis=-1, count=dim, bitorder="little").view(np.int8)
     out *= 2
     out -= 1
     return out
@@ -239,12 +247,12 @@ class _SignedSums:
         dim = self.dim
         if len(self._changed) == len(self.values):
             np.greater(self.values, self._threshold, out=self._bits[:, :dim])
-            self._signs = np.packbits(self._bits, axis=-1, bitorder="little").view(np.uint64)
+            self._signs = _pack_words(self._bits)
         else:
             for t in self._changed:
                 bits = self._bits[t]
                 np.greater(self.values[t], self._threshold, out=bits[:dim])
-                self._signs[t] = np.packbits(bits, bitorder="little").view(np.uint64)
+                self._signs[t] = _pack_words(bits)
         self._changed.clear()
         return self._signs
 
@@ -289,37 +297,31 @@ class Accumulator:
 
 
 def bundle(vectors, tie_break_seed: int = 0) -> Hypervector:
-    """Majority-vote superposition of a non-empty list of vectors.
-
-    Equivalent to unit-weight accumulation followed by `normalize`; ties
-    (possible only for even counts) resolve from the tie-break seed.
-    """
+    """Majority-vote superposition of a non-empty list of vectors: their
+    unit-weight `Accumulator`, normalized. Ties (possible only for even
+    counts) resolve from the tie-break seed."""
     vectors = list(vectors)
     if not vectors:
         raise ValueError("cannot bundle an empty list of vectors")
-    dim = vectors[0].dim
-    # Integer popcount path: sum of bits per dimension, then majority.
-    counts = np.zeros(dim, dtype=np.int64)
+    acc = Accumulator(vectors[0].dim)
     for v in vectors:
-        if v.dim != dim:
-            raise ValueError(f"dimension mismatch: {v.dim} != {dim}")
-        counts += v.to_bools()
-    n = len(vectors)
-    bits = (2 * counts > n).astype(np.uint8)
-    tied = 2 * counts == n
-    if tied.any():
-        bits[tied] = tie_break_vector(tie_break_seed, dim).to_bools()[tied]
-    return Hypervector.from_bools(bits)
+        acc.add(v)
+    return acc.normalize(tie_break_seed)
 
 
 def to_words(rows) -> np.ndarray:
-    """Packed uint8 rows (..., bytes) zero-padded to whole 64-bit words and
-    viewed as uint64 (..., words), the layout `hamming_words` reads."""
+    """`Hypervector.bits` rows (..., bytes) zero-padded to whole 64-bit words
+    and viewed as uint64 (..., words): the packed row layout."""
     rows = np.asarray(rows, dtype=np.uint8)
     nbytes = rows.shape[-1]
     out = np.zeros(rows.shape[:-1] + (-(-nbytes // 8) * 8,), dtype=np.uint8)
     out[..., :nbytes] = rows
     return out.view(np.uint64)
+
+
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """Bool rows (..., 64 * words), zero past dim, as `to_words` rows."""
+    return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
 
 
 # 64 * 2**18 = 2**24: the popcount sums of rows this wide are exact in float32

@@ -18,7 +18,6 @@ from .hypervector import (
     Hypervector,
     _bipolar_rows,
     _check_dim,
-    _packed_size,
     _SignedSums,
     hamming_words,
     to_words,
@@ -64,7 +63,7 @@ class ClassModel:
         return cls(to_words(rows), seizure.dim, **meta)
 
     def _vector(self, label: int) -> Hypervector:
-        return Hypervector(self.words[label].view(np.uint8)[: _packed_size(self.dim)].copy(), self.dim)
+        return Hypervector.from_words(self.words[label], self.dim)
 
     @property
     def seizure(self) -> Hypervector:
@@ -91,28 +90,31 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
-def _check_samples(samples, labels, dim: int):
-    """Validate a packed (N, ceil(dim/8)) sample matrix and its 0/1 labels."""
-    samples = np.asarray(samples)
+def _check_samples(samples, labels, dim: int, subject_id: str = ""):
+    """Validate a uint64 (N, ceil(dim/64)) `to_words` sample matrix and its
+    0/1 labels; a missing class names `subject_id`, when given."""
+    samples = np.ascontiguousarray(samples)
     labels = np.asarray(labels)
-    if samples.dtype != np.uint8 or samples.ndim != 2 or samples.shape[1] != _packed_size(dim):
+    words = -(-dim // 64)
+    if samples.dtype != np.uint64 or samples.ndim != 2 or samples.shape[1] != words:
         raise ValueError(
-            f"samples must be a uint8 (N, {_packed_size(dim)}) matrix for dim {dim}, "
+            f"samples must be a uint64 (N, {words}) matrix for dim {dim}, "
             f"got {samples.dtype} {samples.shape}"
         )
     if labels.shape != (samples.shape[0],):
         raise ValueError(f"expected {samples.shape[0]} labels, got shape {labels.shape}")
     if not ((labels == 0) | (labels == 1)).all():
         raise ValueError(f"labels must be 0 or 1, got {sorted(set(labels.tolist()))}")
+    whose = f" for subject {subject_id!r}" if subject_id else ""
     if not (labels == SEIZURE).any():
-        raise MissingClassError("no seizure samples")
+        raise MissingClassError(f"no seizure samples{whose}")
     if not (labels == NON_SEIZURE).any():
-        raise MissingClassError("no non-seizure samples")
+        raise MissingClassError(f"no non-seizure samples{whose}")
     return samples, labels.astype(np.int64)
 
 
 def train(samples, labels, cfg: TrainConfig, *, dim: int, **kwargs) -> ClassModel:
-    """Train on packed rows `samples` with 0/1 `labels`; `dim` is the bit count."""
+    """Train on `to_words` rows `samples` with 0/1 `labels`; `dim` is the bit count."""
     if cfg.mode == "standard":
         return train_standard(samples, labels, cfg, dim=dim, **kwargs)
     return train_online(samples, labels, cfg, dim=dim, **kwargs)
@@ -127,7 +129,7 @@ def _class_model(sums: _SignedSums, meta: dict) -> ClassModel:
 def train_standard(samples, labels, cfg: TrainConfig, *, dim: int, **meta) -> ClassModel:
     """Each class vector is the majority bundle of its samples: the sign of
     its bipolar sum, 2 * count - n."""
-    samples, labels = _check_samples(samples, labels, dim)
+    samples, labels = _check_samples(samples, labels, dim, meta.get("subject_id", ""))
     sums = _SignedSums(2, dim, cfg.seed)
     classes = (NON_SEIZURE, SEIZURE)
     sums.add(classes, [_bipolar_rows(samples[labels == c], dim).sum(axis=0, dtype=np.int64)
@@ -148,14 +150,13 @@ def train_online(samples, labels, cfg: TrainConfig, *, dim: int, stats: dict = N
     The two accumulators are the rows of one `_SignedSums`, indexed by
     class, so every +-w lands exactly as in `Accumulator.add`.
     """
-    samples, labels = _check_samples(samples, labels, dim)
-    words = to_words(samples)
+    samples, labels = _check_samples(samples, labels, dim, meta.get("subject_id", ""))
     bipolar = _bipolar_rows(samples, dim)
     sums = _SignedSums(2, dim, cfg.seed)
     seen = [False, False]
     mispredictions = 0
     for _ in range(cfg.epochs):
-        for x, row, label in zip(words, bipolar, labels.tolist()):
+        for x, row, label in zip(samples, bipolar, labels.tolist()):
             if not seen[label]:
                 seen[label] = True
                 sums.add((label,), (row,), (1.0,))

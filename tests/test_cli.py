@@ -230,6 +230,18 @@ class TestErrorPaths:
         assert err.startswith("PARSE:")
         assert "line 3" in err
 
+    def test_subject_without_seizures_is_named(self, tmp_path, capsys):
+        cohort, feats = str(tmp_path / "cohort"), str(tmp_path / "feats")
+        assert run(["synth", *TINY, "--out", cohort]) == 0
+        for path in Path(cohort).glob("s001__*.csv"):
+            lines = path.read_text().splitlines()
+            path.write_text("\n".join([lines[0], *(l.rsplit(",", 1)[0] + ",0" for l in lines[1:])]) + "\n")
+        assert run(["features", *TINY, "--cohort", cohort, "--out", feats]) == 0
+        for command in (["train"], ["eval", "--mode", "both"]):
+            capsys.readouterr()
+            assert run([*command, *TINY, "--features", feats, "--out", str(tmp_path / "o")]) == 5
+            assert capsys.readouterr().err.startswith("DATA: no seizure samples for subject 's001'")
+
     def test_corrupt_model_is_data_error(self, tmp_path, capsys):
         d = tmp_path / "models"
         d.mkdir()

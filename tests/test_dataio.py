@@ -37,7 +37,7 @@ from hdseizure.dataio import (
     write_reports_csv,
     write_sweep_csv,
 )
-from hdseizure.encoding import build_codebooks, fit_ranges
+from hdseizure.encoding import Codebooks, build_codebooks, fit_ranges
 from hdseizure.errors import CorruptModelError, IncompatibleModelsError, ParseError
 from hdseizure.evaluation import EvalReport
 from hdseizure.features import FeatureMatrix, SignalRecord
@@ -950,29 +950,31 @@ class TestAtomicWrites:
 
     @staticmethod
     def writer(kind):
-        """(write(path), (owner, attribute) that fails part-way) for one writer."""
+        """(write(path), (owner, attribute, replacement) that fails part-way)
+        for one writer."""
         rng = np.random.default_rng(12)
         if kind == "report":
-            return lambda p: write_report(tiny_report(rng), p), (dataio.json, "dump")
+            return lambda p: write_report(tiny_report(rng), p), (dataio.json, "dump", _raise)
         if kind == "reports_csv":
-            return lambda p: write_reports_csv([tiny_report(rng)], p), (dataio.csv, "writer")
+            return lambda p: write_reports_csv([tiny_report(rng)], p), (dataio.csv, "writer", _raise)
         if kind == "model":
             books = fitted_books(rng, nfeat=3, dim=100, levels=4)
             model = ClassModel.from_vectors(seizure=random_hypervector(5, 1, 100),
                                non_seizure=random_hypervector(5, 2, 100))
-            return lambda p: save_model(model, books, p), (dataio, "_encoder_rows")
+            # the codebook rows are written after the header and class rows
+            return lambda p: save_model(model, books, p), (Codebooks, "words", property(_raise))
         fm = FeatureMatrix(values=rng.random((4, 2)), window_labels=np.array([0, 0, 1, 1]),
                            window_start_sec=np.arange(4) * 0.5, feature_names=["a:x", "a:y"],
                            channels=["a"], features_per_channel=2)
-        return lambda p: write_features(fm, p), (dataio.np, "savetxt")
+        return lambda p: write_features(fm, p), (dataio.np, "savetxt", _raise)
 
     @pytest.mark.parametrize("kind", ["report", "reports_csv", "model", "features"])
     def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, kind):
-        write, (owner, name) = self.writer(kind)
+        write, (owner, name, failing) = self.writer(kind)
         path = tmp_path / "out"
         path.write_bytes(b"previous output\n")
         with monkeypatch.context() as patch:
-            patch.setattr(owner, name, _raise)
+            patch.setattr(owner, name, failing)
             with pytest.raises(RuntimeError, match="write failed"):
                 write(path)
         assert path.read_bytes() == b"previous output\n"

@@ -16,7 +16,7 @@ from hdseizure.encoding import (
     fit_ranges,
 )
 from hdseizure.errors import DegenerateInputError, InvalidDimensionError
-from hdseizure.hypervector import Hypervector, bind, bundle, hamming_distance
+from hdseizure.hypervector import Hypervector, bind, bundle, hamming_distance, to_words
 
 
 def fitted_codebooks(num_features, lo=0.0, hi=1.0, dim=256, levels=20, seed=3):
@@ -26,15 +26,15 @@ def fitted_codebooks(num_features, lo=0.0, hi=1.0, dim=256, levels=20, seed=3):
 
 
 def as_vectors(rows, cb):
-    return [Hypervector(row, cb.dim) for row in rows]
+    return [Hypervector.from_words(row, cb.dim) for row in rows]
 
 
 def level(cb, k):
-    return Hypervector(cb.level_vectors[k], cb.dim)
+    return Hypervector.from_words(cb.level_vectors[k], cb.dim)
 
 
 def ident(cb, f):
-    return Hypervector(cb.id_vectors[f], cb.dim)
+    return Hypervector.from_words(cb.id_vectors[f], cb.dim)
 
 
 def encode_window(features, cb):
@@ -114,7 +114,7 @@ class TestCodebookMemo:
         second = build_codebooks(*self.KEY)
         assert len(draws) == 6
         assert second is not first
-        assert second.id_vectors is first.id_vectors
+        assert second.words is first.words
         assert second.unpacked_bits() is first.unpacked_bits()
         build_codebooks(5, 6, 192, 124)
         assert len(draws) == 12
@@ -123,10 +123,17 @@ class TestCodebookMemo:
         books = build_codebooks(*self.KEY)
         fitted = fit_ranges(books, np.arange(10.0).reshape(2, 5))
         for cb in (books, fitted):
-            for array in (cb.id_vectors, cb.level_vectors, *cb.unpacked_bits()):
+            for array in (cb.words, cb.id_vectors, cb.level_vectors, *cb.unpacked_bits()):
                 assert not array.flags.writeable
         with pytest.raises(ValueError):
             books.level_vectors[0, 0] ^= 1
+
+    def test_one_word_matrix_in_model_file_order(self):
+        books = build_codebooks(*self.KEY)
+        assert books.words.dtype == np.uint64 and books.words.shape == (6 + 5, 3)
+        assert books.level_vectors.base is books.words and books.id_vectors.base is books.words
+        np.testing.assert_array_equal(books.words, np.vstack([books.level_vectors, books.id_vectors]))
+        assert books.level_vectors.shape == (6, 3) and books.id_vectors.shape == (5, 3)
 
     def test_vectors_cannot_be_assigned(self):
         books = build_codebooks(*self.KEY)
@@ -284,8 +291,8 @@ class TestEncodeWindows:
     def test_returns_packed_rows(self):
         cb = fitted_codebooks(3, dim=1001)
         rows = encode_windows(np.full((5, 3), 0.5), cb)
-        assert rows.dtype == np.uint8 and rows.shape == (5, 126)
-        assert encode_windows(np.zeros((0, 3)), cb).shape == (0, 126)
+        assert rows.dtype == np.uint64 and rows.shape == (5, 16)
+        assert encode_windows(np.zeros((0, 3)), cb).shape == (0, 16)
 
 
 @st.composite
@@ -313,7 +320,7 @@ class TestEncoderMatchesOracle:
             cb = fit_ranges(build_codebooks(nfeat, levels, dim=dim, seed=seed), fit)
         packed = encode_windows(rows, cb)
         for row, values in zip(packed, rows):
-            assert np.array_equal(row, reference_encoding(values, cb).bits)
+            assert np.array_equal(row, to_words(reference_encoding(values, cb).bits))
 
     def test_default_size(self):
         # bits from (levels - 1) * block = 4997 on, mid-byte, take no level
@@ -327,7 +334,7 @@ class TestEncoderMatchesOracle:
         rows[0] = 0.0
         rows[1] = 1.0
         for row, values in zip(encode_windows(rows, cb), rows):
-            assert np.array_equal(row, reference_encoding(values, cb).bits)
+            assert np.array_equal(row, to_words(reference_encoding(values, cb).bits))
 
     def test_more_features_than_a_byte_counts(self):
         # 18 channels x 22 features: counts and thresholds exceed 255
@@ -335,7 +342,7 @@ class TestEncoderMatchesOracle:
         cb = fitted_codebooks(396, dim=256, seed=2)
         rows = rng.uniform(-0.2, 1.2, size=(3, 396))
         for row, values in zip(encode_windows(rows, cb), rows):
-            assert np.array_equal(row, reference_encoding(values, cb).bits)
+            assert np.array_equal(row, to_words(reference_encoding(values, cb).bits))
 
 
 class TestNonFiniteFeatures:

@@ -191,7 +191,7 @@ class TestSignedSums:
             targets = pick(rng)
             vectors = [rv(step, int(t), dim) for t in targets]
             weights = draw(rng, len(targets))
-            sums.add(targets, _bipolar_rows(np.stack([v.bits for v in vectors]), dim), weights)
+            sums.add(targets, _bipolar_rows(to_words([v.bits for v in vectors]), dim), weights)
             for t, v, w in zip(targets, vectors, weights):
                 refs[t].add(v, w)
             signs = sums.signs()
@@ -239,7 +239,7 @@ class TestSignedSums:
     def test_int64_count_rows(self, weight):
         # train_standard adds per-class bipolar sums, int64 counts beyond +-1
         dim = 1001
-        rows = _bipolar_rows(np.stack([rv(9, t, dim).bits for t in range(7)]), dim)
+        rows = _bipolar_rows(to_words([rv(9, t, dim).bits for t in range(7)]), dim)
         counts = np.stack([rows[:4].sum(axis=0, dtype=np.int64),
                            rows[3:].sum(axis=0, dtype=np.int64)])
         assert counts.dtype == np.int64 and np.abs(counts).max() > 1
@@ -260,7 +260,7 @@ class TestSignedSums:
         dim, count = 100, 3
         sums = _SignedSums(count, dim, self.SEED)
         values = sums.values
-        rows = _bipolar_rows(np.stack([rv(4, t, dim).bits for t in range(count)]), dim)
+        rows = _bipolar_rows(to_words([rv(4, t, dim).bits for t in range(count)]), dim)
         sums.add(range(count), rows, (1.0, -0.5, 0.25))
         assert sums.values is values
         assert np.array_equal(values, rows * np.array([[1.0], [-0.5], [0.25]]))
@@ -273,7 +273,7 @@ class TestSignedSums:
 
     def test_weight_sum_overflow_rejected_before_the_add(self):
         sums = _SignedSums(2, 64, 0)
-        rows = _bipolar_rows(np.stack([rv(1, 0, 64).bits, rv(2, 0, 64).bits]), 64)
+        rows = _bipolar_rows(to_words([rv(1, 0, 64).bits, rv(2, 0, 64).bits]), 64)
         sums.add((0, 1), rows, (1e308, 1.0))
         before = sums.values.copy()
         with pytest.raises(ValueError, match="alpha weights overflow float64"):
@@ -394,3 +394,4 @@ class TestBatchHelpers:
         assert raw[: v.bits.size].tobytes() == v.bits.tobytes()
         assert not raw[v.bits.size :].any()
         assert hamming_words(words, to_words(zero), dim) == 1.0
+        assert Hypervector.from_words(words, dim) == v

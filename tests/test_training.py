@@ -31,7 +31,7 @@ from oracles import class_probability, classify, complement
 
 def fit(trainer, samples, cfg, **kwargs):
     """Run a packed-matrix trainer on (Hypervector, label) pairs."""
-    rows = np.stack([v.bits for v, _ in samples])
+    rows = to_words([v.bits for v, _ in samples])
     labels = [y for _, y in samples]
     return trainer(rows, labels, cfg, dim=samples[0][0].dim, **kwargs)
 
@@ -253,7 +253,7 @@ class TestClassify:
             model = ClassModel.from_vectors(seizure=v, non_seizure=non_seizure)
             probes = [Hypervector.from_bools(rng.integers(0, 2, dim)) for _ in range(30)]
             probes += [v, complement(v), non_seizure, Hypervector.from_bools(half)]
-            raw, p = _classify_rows(np.stack([x.bits for x in probes]), model)
+            raw, p = _classify_rows(to_words([x.bits for x in probes]), model)
             for x, label, prob in zip(probes, raw, p):
                 expect, d_s, d_ns = classify(x, model)
                 assert label == expect
@@ -364,7 +364,7 @@ class TestClassModelWords:
         """A further add on one row, then signs(), which rewrites that row of
         its matrix in place, leave `model` as it was."""
         before = model.words.copy()
-        flip = -_bipolar_rows(model.seizure.bits, model.dim)
+        flip = -_bipolar_rows(to_words(model.seizure.bits), model.dim)
         sums.add((SEIZURE,), (flip,), (1e9,))
         assert not np.array_equal(sums.signs()[SEIZURE], before[SEIZURE])
         np.testing.assert_array_equal(model.words, before)
@@ -387,13 +387,20 @@ class TestPackedInputChecks:
         with pytest.raises(ValueError, match="matrix"):
             train_online(rows, [0, 1], TrainConfig(), dim=64)
 
+    @pytest.mark.parametrize("mode", ["online", "standard"])
+    def test_rejects_byte_rows(self, mode):
+        # Hypervector.bits rows of the right width are not the row layout
+        rows = np.stack([random_hypervector(0, t, 100).bits for t in range(2)])
+        with pytest.raises(ValueError, match=r"uint64 \(N, 2\) matrix for dim 100, got uint8 \(2, 13\)"):
+            train(rows, [0, 1], TrainConfig(mode=mode), dim=100)
+
     def test_rejects_label_count_mismatch(self):
-        rows = np.zeros((3, 8), np.uint8)
+        rows = to_words(np.zeros((3, 8), np.uint8))
         with pytest.raises(ValueError, match="labels"):
             train_standard(rows, [0, 1], TrainConfig(mode="standard"), dim=64)
 
     def test_rejects_non_binary_labels(self):
-        rows = np.zeros((3, 8), np.uint8)
+        rows = to_words(np.zeros((3, 8), np.uint8))
         with pytest.raises(ValueError, match="0 or 1"):
             train_online(rows, [0, 1, 2], TrainConfig(), dim=64)
 
