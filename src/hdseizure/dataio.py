@@ -28,7 +28,7 @@ from .encoding import Codebooks
 from .errors import CorruptModelError, IncompatibleModelsError, ParseError
 from .evaluation import EvalReport, _require_positive
 from .features import DEFAULT_CHANNELS, FeatureMatrix, SignalRecord
-from .hypervector import Hypervector, _philox, random_hypervector
+from .hypervector import Hypervector, _check_rows, _philox, random_hypervector
 from .training import NON_SEIZURE, SEIZURE, ClassModel
 
 MODEL_MAGIC = b"HDCM"
@@ -588,13 +588,8 @@ def load_model(path):
             f"expected {expected} bytes for {count} vectors, got {len(buf)}"
         )
     words = np.frombuffer(buf, np.uint64, count * row_words, offset=13 + meta_len).reshape(count, -1)
-    # every bit past dim, in the last packed byte or the word padding after
-    # it, lies in a vector's last 64-bit word and must be zero; the largest
-    # of those words has such a bit set if any of them does
-    if dim % 64 and (last_words := words.view("<u8")[:, -1]).max() >> dim % 64:
-        first = int(np.flatnonzero(last_words >> dim % 64)[0])
-        raise CorruptModelError(f"vector {first} has bits set past dim {dim}")
     try:
+        _check_rows(words, dim, count, "vector")
         model = ClassModel(
             words[:2].take(_FILE_ROWS, axis=0),
             dim,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidDimensionError
-from .hypervector import _bipolar_rows, _pack_words, random_hypervector, tie_break_vector, to_words
+from .hypervector import _bipolar_rows, _pack_words, random_hypervector, tie_break_vector
 
 DEFAULT_DIM = 10000
 DEFAULT_LEVELS = 20
@@ -29,7 +29,7 @@ class Codebooks:
     `fit_ranges` has seen training data, the per-feature ranges.
 
     The key fixes every vector. `words` is one read-only uint64
-    (L + F, ceil(dim/64)) matrix of `to_words` rows in model-file order,
+    (L + F, ceil(dim/64)) matrix of word rows in model-file order,
     the level vectors then the ID vectors, shared by every `Codebooks` of
     one key; `level_vectors` and `id_vectors` are views of it.
     `feature_min`/`feature_max` are None until fitted; encoding requires
@@ -97,7 +97,7 @@ def _level_chain(level0: np.ndarray, dim: int, num_levels: int) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _build(num_features: int, num_levels: int, dim: int, seed: int) -> tuple:
     """Read-only (words, (signed_base, threshold)) of one key."""
-    drawn = to_words([random_hypervector(seed, tag, dim).bits
+    drawn = np.stack([random_hypervector(seed, tag, dim).words
                       for tag in (LEVEL_CHAIN_TAG, *range(num_features))])
     words = np.vstack([_level_chain(drawn[0], dim, num_levels), drawn[1:]])
     # base = id ^ level 0 as +-1: signed_base = -base, threshold = -(sum + tie) / 2
@@ -184,7 +184,7 @@ def _quantize_rows(codebooks: Codebooks, values: np.ndarray) -> np.ndarray:
 
 def encode_windows(values, codebooks: Codebooks) -> np.ndarray:
     """Encode a (windows, features) matrix into uint64 (windows,
-    ceil(dim/64)) `to_words` rows, one hypervector per window.
+    ceil(dim/64)) word rows, one hypervector per window.
 
     Bit-exact equal to bundling bind(id[f], level[q(x[f])]) per row with
     the codebook seed as the tie-break seed.

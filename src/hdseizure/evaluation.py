@@ -168,7 +168,7 @@ def _metrics_block(truth, predictions: dict) -> dict:
 
 
 def _classify_rows(rows, model: ClassModel):
-    """Nearest-prototype labels and p(seizure) for encoded `to_words` rows."""
+    """Nearest-prototype labels and p(seizure) for encoded word rows."""
     d_s = hamming_words(rows, model.words[SEIZURE], model.dim)
     d_ns = hamming_words(rows, model.words[NON_SEIZURE], model.dim)
     raw = (d_s < d_ns).astype(np.uint8)

@@ -11,7 +11,7 @@ The computational kernel of the package:
     - _SignedSums:         the accumulator rows of the trainer and the merge,
                            added to with BLAS daxpy
     - bundle(vectors):     majority-vote superposition, by `Accumulator`
-    - to_words, hamming_words: distances over packed row matrices, the
+    - hamming_words:       distances over packed row matrices, the
                            kernel of classification, the trainer, the
                            merge, `pairwise_matrices` (each unordered row
                            pair once) and `separability`
@@ -22,10 +22,12 @@ partial sum is an integer of at most 64 * words, exact in float32 up to
 2**24, i.e. up to dim 16 777 216; wider rows sum in float64. So every
 distance is the integer count divided by `dim`, bit for bit.
 
-A `Hypervector` is bit-packed into uint8 bytes (little bit order). Every
-packed row matrix is uint64 `to_words` rows (..., ceil(dim/64)) of the
-same bits, zero-padded to whole 64-bit words; only this module converts
-between the two. Binding and distance run as XOR plus popcount.
+A hypervector is one uint64 word row of ceil(dim/64) words: bit i is bit
+i % 64 of word i // 64 (little bit order), and every bit past `dim` is
+zero. A `Hypervector` holds one row and every packed row matrix is rows
+(..., ceil(dim/64)) of it; `_check_rows` is the one check of that layout.
+`Hypervector.bits` is a read-only view of a row's first ceil(dim/8) bytes.
+Binding and distance run as XOR plus popcount.
 Accumulation maps bits to the bipolar domain (0 -> -1, 1 -> +1) so
 weighted subtraction is well defined, and binarizes back by sign. Ties
 (an exactly-zero accumulator entry) are resolved from a deterministic
@@ -57,10 +59,6 @@ MIN_DIM = 64
 TIE_BREAK_TAG_BASE = 1 << 32
 
 
-def _packed_size(dim: int) -> int:
-    return (dim + 7) // 8
-
-
 def _check_dim(dim: int) -> None:
     if dim < MIN_DIM:
         raise InvalidDimensionError(
@@ -68,24 +66,49 @@ def _check_dim(dim: int) -> None:
         )
 
 
-class Hypervector:
-    """A dense binary vector of `dim` bits, packed into uint8 bytes.
+def _check_rows(rows, dim: int, count, noun: str) -> None:
+    """Raise ValueError unless `rows` is one uint64 word row of `dim` bits
+    (count None) or a (count, ceil(dim/64)) matrix of them (count "N" for
+    any number of rows) with no bit set past `dim`. The messages call the
+    rows `noun` and name the first row with a bit set past `dim`."""
+    words = -(-dim // 64)
+    got = getattr(rows, "shape", ())
+    if count is None:
+        fits = got == (words,)
+    else:
+        fits = len(got) == 2 and got[1] == words and count in ("N", got[0])
+    if getattr(rows, "dtype", None) != np.uint64 or not fits:
+        want = f"({words},) row" if count is None else f"({count}, {words}) matrix"
+        raise ValueError(
+            f"{noun}{'' if count is None else 's'} must be a uint64 {want} for dim {dim}, "
+            f"got {getattr(rows, 'dtype', type(rows).__name__)} {np.shape(rows)}"
+        )
+    # the bits past dim all lie in a row's last word. Scanning those words
+    # as Python ints costs tens of ns a row, a numpy reduction about 2 us a
+    # call, and most calls check the one or two rows of a vector or a model.
+    last = [int(rows[-1])] if count is None else rows[:, -1].tolist()
+    if dim % 64 and max([0, *last]) >> dim % 64:
+        first = next(k for k, word in enumerate(last) if word >> dim % 64)
+        raise ValueError(f"{noun}{'' if count is None else f' {first}'} has bits set past dim {dim}")
 
-    Bit i of the vector is bit (i % 8) of byte (i // 8) (little bit
-    order). Padding bits beyond `dim` in the last byte are always zero,
-    so byte-wise popcounts and equality are exact.
+
+class Hypervector:
+    """A dense binary vector of `dim` bits: one read-only uint64 word row
+    `words`.
+
+    Bit i of the vector is bit (i % 64) of word (i // 64) (little bit
+    order). The bits past `dim` in the last word are always zero, so
+    word-wise popcounts, equality and the hash are exact.
     """
 
-    __slots__ = ("dim", "bits")
+    __slots__ = ("dim", "words")
 
-    def __init__(self, bits: np.ndarray, dim: int):
+    def __init__(self, words: np.ndarray, dim: int):
+        """A copy of the word row `words`; ValueError on any other layout."""
         _check_dim(dim)
-        bits = np.ascontiguousarray(bits, dtype=np.uint8)
-        if bits.shape != (_packed_size(dim),):
-            raise ValueError(
-                f"packed buffer has {bits.shape} bytes, expected ({_packed_size(dim)},)"
-            )
-        self.bits = bits
+        _check_rows(words, dim, None, "hypervector")
+        self.words = words.copy()
+        self.words.flags.writeable = False
         self.dim = dim
 
     @classmethod
@@ -94,32 +117,31 @@ class Hypervector:
         arr = np.asarray(values)
         if arr.ndim != 1:
             raise ValueError("expected a 1-D bit sequence")
-        return cls(np.packbits(arr.astype(bool), bitorder="little"), arr.shape[0])
+        dim = arr.shape[0]
+        bits = np.zeros(-(-dim // 64) * 64, dtype=bool)
+        bits[:dim] = arr
+        return cls(_pack_words(bits), dim)
 
-    @classmethod
-    def from_words(cls, row, dim: int) -> "Hypervector":
-        """A copy of one `to_words` row of `dim` bits as a vector."""
-        row = np.ascontiguousarray(row, dtype=np.uint64)
-        return cls(row.view(np.uint8)[: _packed_size(dim)].copy(), dim)
+    @property
+    def bits(self) -> np.ndarray:
+        """Read-only uint8 view of the row's first ceil(dim/8) bytes: bit i
+        is bit (i % 8) of byte (i // 8)."""
+        return self.words.view(np.uint8)[: (self.dim + 7) // 8]
 
     def to_bools(self) -> np.ndarray:
         """Unpack to a uint8 {0,1} array of length dim."""
-        return np.unpackbits(self.bits, count=self.dim, bitorder="little")
-
-    def to_bipolar(self) -> np.ndarray:
-        """Unpack to a float64 {-1,+1} array of length dim."""
-        return self.to_bools().astype(np.float64) * 2.0 - 1.0
+        return np.unpackbits(self.words.view(np.uint8), count=self.dim, bitorder="little")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypervector):
             return NotImplemented
-        return self.dim == other.dim and bool(np.array_equal(self.bits, other.bits))
+        return self.dim == other.dim and bool(np.array_equal(self.words, other.words))
 
     def __hash__(self):
-        return hash((self.dim, self.bits.tobytes()))
+        return hash((self.dim, self.words.tobytes()))
 
     def __repr__(self) -> str:
-        ones = int(np.bitwise_count(self.bits).sum())
+        ones = int(np.bitwise_count(self.words).sum())
         return f"Hypervector(dim={self.dim}, ones={ones})"
 
 
@@ -135,11 +157,12 @@ def random_hypervector(seed: int, tag: int, dim: int) -> Hypervector:
     distinct (seed, tag) pairs give nearly orthogonal vectors.
     """
     _check_dim(dim)
-    raw = _philox(seed, tag).integers(0, 256, size=_packed_size(dim), dtype=np.uint8)
-    tail = dim % 8
-    if tail:
-        raw[-1] &= (1 << tail) - 1
-    return Hypervector(raw, dim)
+    nbytes = (dim + 7) // 8
+    words = np.zeros(-(-dim // 64), dtype=np.uint64)
+    words.view(np.uint8)[:nbytes] = _philox(seed, tag).integers(0, 256, size=nbytes, dtype=np.uint8)
+    if dim % 64:
+        words[-1] &= (1 << dim % 64) - 1
+    return Hypervector(words, dim)
 
 
 def _require_same_dim(a: Hypervector, b: Hypervector) -> None:
@@ -150,13 +173,13 @@ def _require_same_dim(a: Hypervector, b: Hypervector) -> None:
 def bind(a: Hypervector, b: Hypervector) -> Hypervector:
     """Per-dimension XOR. Self-inverse: bind(bind(a, b), b) == a."""
     _require_same_dim(a, b)
-    return Hypervector(np.bitwise_xor(a.bits, b.bits), a.dim)
+    return Hypervector(np.bitwise_xor(a.words, b.words), a.dim)
 
 
 def hamming_distance(a: Hypervector, b: Hypervector) -> float:
     """Fraction of differing dimensions, in [0, 1]."""
     _require_same_dim(a, b)
-    diff = int(np.bitwise_count(np.bitwise_xor(a.bits, b.bits)).sum())
+    diff = int(np.bitwise_count(np.bitwise_xor(a.words, b.words)).sum())
     return diff / a.dim
 
 
@@ -171,8 +194,8 @@ def tie_break_vector(seed: int, dim: int) -> Hypervector:
 
 
 def _bipolar_rows(rows: np.ndarray, dim: int) -> np.ndarray:
-    """`to_words` rows (..., words) unpacked to int8 rows (..., dim), +1
-    where a bit is set and -1 where it is clear, as `to_bipolar` maps them."""
+    """Word rows (..., words) unpacked to int8 rows (..., dim), +1 where a
+    bit is set and -1 where it is clear."""
     out = np.unpackbits(rows.view(np.uint8), axis=-1, count=dim, bitorder="little").view(np.int8)
     out *= 2
     out -= 1
@@ -200,7 +223,7 @@ class _SignedSums:
     is built) into the row of `values`, in place: the rows are +-1, or
     `train_standard`'s integer counts at weight 1, so w * row is exact and
     the add rounds each entry once, fused or not. `signs`
-    binarizes by the `Accumulator.normalize` rule into `to_words` rows and
+    binarizes by the `Accumulator.normalize` rule into word rows and
     recomputes only the rows that changed since its last call. The sign
     threshold is built once per (tie_break_seed, dim).
 
@@ -242,7 +265,7 @@ class _SignedSums:
                 self._changed.add(t)
 
     def signs(self) -> np.ndarray:
-        """The binarized rows as `to_words` rows, (count, words); a later
+        """The binarized rows as word rows, (count, words); a later
         `add` and `signs` may overwrite the returned matrix in place."""
         dim = self.dim
         if len(self._changed) == len(self.values):
@@ -283,7 +306,7 @@ class Accumulator:
             raise ValueError(f"dimension mismatch: {v.dim} != {self.dim}")
         if not math.isfinite(weight):
             raise ValueError(f"weight must be finite, got {weight}")
-        self.values += weight * v.to_bipolar()
+        self.values += weight * _bipolar_rows(v.words, self.dim)
         self.total_weight += weight
         return self
 
@@ -309,18 +332,8 @@ def bundle(vectors, tie_break_seed: int = 0) -> Hypervector:
     return acc.normalize(tie_break_seed)
 
 
-def to_words(rows) -> np.ndarray:
-    """`Hypervector.bits` rows (..., bytes) zero-padded to whole 64-bit words
-    and viewed as uint64 (..., words): the packed row layout."""
-    rows = np.asarray(rows, dtype=np.uint8)
-    nbytes = rows.shape[-1]
-    out = np.zeros(rows.shape[:-1] + (-(-nbytes // 8) * 8,), dtype=np.uint8)
-    out[..., :nbytes] = rows
-    return out.view(np.uint64)
-
-
 def _pack_words(bits: np.ndarray) -> np.ndarray:
-    """Bool rows (..., 64 * words), zero past dim, as `to_words` rows."""
+    """Bool rows (..., 64 * words), zero past dim, as word rows."""
     return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
 
 
@@ -338,7 +351,7 @@ def _ones(words: int) -> np.ndarray:
 
 
 def hamming_words(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
-    """Normalized Hamming distance between rows of `to_words`, broadcast
+    """Normalized Hamming distance between word rows, broadcast
     over the leading axes: one row against a matrix, or pairs of rows.
     Each row's popcounts are summed by one matrix-vector product against
     `_ones`, exactly (see the module docstring)."""

@@ -37,7 +37,7 @@ class SimilarityMatrices:
 
 def _cohort_words(cohort):
     """(dim, rows): the cohort's S rows then its NS rows as one matrix of
-    2n `to_words` rows. Only personalized models form a cohort."""
+    2n word rows. Only personalized models form a cohort."""
     if not cohort:
         raise InsufficientDataError("empty cohort")
     dim = cohort[0].dim

@@ -18,9 +18,9 @@ from .hypervector import (
     Hypervector,
     _bipolar_rows,
     _check_dim,
+    _check_rows,
     _SignedSums,
     hamming_words,
-    to_words,
 )
 
 MODEL_KINDS = ("personalized", "generalized", "hybrid")
@@ -33,7 +33,7 @@ NON_SEIZURE = 0
 class ClassModel:
     """A trained seizure/non-seizure prototype pair plus provenance.
 
-    `words` holds the two class vectors as uint64 `to_words` rows indexed
+    `words` holds the two class vectors as uint64 word rows indexed
     by NON_SEIZURE and SEIZURE, the layout `_SignedSums.signs` returns.
     Models compare by identity; compare their `words` for content.
     """
@@ -49,9 +49,7 @@ class ClassModel:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"kind must be one of {MODEL_KINDS}, got {self.kind!r}")
         _check_dim(self.dim)
-        shape = (2, -(-self.dim // 64))
-        if getattr(self.words, "dtype", None) != np.uint64 or np.shape(self.words) != shape:
-            raise ValueError(f"class words must be a uint64 {shape} matrix for dim {self.dim}")
+        _check_rows(self.words, self.dim, 2, "class vector")
 
     @classmethod
     def from_vectors(cls, seizure: Hypervector, non_seizure: Hypervector, **meta) -> "ClassModel":
@@ -59,11 +57,11 @@ class ClassModel:
         if seizure.dim != non_seizure.dim:
             raise ValueError("class vectors must share a dimension")
         rows = [None, None]
-        rows[SEIZURE], rows[NON_SEIZURE] = seizure.bits, non_seizure.bits
-        return cls(to_words(rows), seizure.dim, **meta)
+        rows[SEIZURE], rows[NON_SEIZURE] = seizure.words, non_seizure.words
+        return cls(np.stack(rows), seizure.dim, **meta)
 
     def _vector(self, label: int) -> Hypervector:
-        return Hypervector.from_words(self.words[label], self.dim)
+        return Hypervector(self.words[label], self.dim)
 
     @property
     def seizure(self) -> Hypervector:
@@ -91,16 +89,11 @@ class TrainConfig:
 
 
 def _check_samples(samples, labels, dim: int, subject_id: str = ""):
-    """Validate a uint64 (N, ceil(dim/64)) `to_words` sample matrix and its
+    """Validate a uint64 (N, ceil(dim/64)) word-row sample matrix and its
     0/1 labels; a missing class names `subject_id`, when given."""
     samples = np.ascontiguousarray(samples)
     labels = np.asarray(labels)
-    words = -(-dim // 64)
-    if samples.dtype != np.uint64 or samples.ndim != 2 or samples.shape[1] != words:
-        raise ValueError(
-            f"samples must be a uint64 (N, {words}) matrix for dim {dim}, "
-            f"got {samples.dtype} {samples.shape}"
-        )
+    _check_rows(samples, dim, "N", "sample")
     if labels.shape != (samples.shape[0],):
         raise ValueError(f"expected {samples.shape[0]} labels, got shape {labels.shape}")
     if not ((labels == 0) | (labels == 1)).all():
@@ -114,7 +107,7 @@ def _check_samples(samples, labels, dim: int, subject_id: str = ""):
 
 
 def train(samples, labels, cfg: TrainConfig, *, dim: int, **kwargs) -> ClassModel:
-    """Train on `to_words` rows `samples` with 0/1 `labels`; `dim` is the bit count."""
+    """Train on word rows `samples` with 0/1 `labels`; `dim` is the bit count."""
     if cfg.mode == "standard":
         return train_standard(samples, labels, cfg, dim=dim, **kwargs)
     return train_online(samples, labels, cfg, dim=dim, **kwargs)
@@ -174,5 +167,4 @@ def train_online(samples, labels, cfg: TrainConfig, *, dim: int, stats: dict = N
                     sums.add((other,), (row,), (-cfg.alpha * s_other,))
     if stats is not None:
         stats["mispredictions"] = mispredictions
-        stats["subtractions"] = mispredictions
     return _class_model(sums, meta)

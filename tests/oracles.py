@@ -44,8 +44,8 @@ def encode_window(features, codebooks) -> Hypervector:
     for f, value in enumerate(features):
         lo, hi = codebooks.feature_min[f], codebooks.feature_max[f]
         q = quantize(value, lo, hi, codebooks.num_levels) if lo < hi else 0
-        bound.append(bind(Hypervector.from_words(codebooks.id_vectors[f], codebooks.dim),
-                          Hypervector.from_words(codebooks.level_vectors[q], codebooks.dim)))
+        bound.append(bind(Hypervector(codebooks.id_vectors[f], codebooks.dim),
+                          Hypervector(codebooks.level_vectors[q], codebooks.dim)))
     return bundle(bound, tie_break_seed=codebooks.seed)
 
 
@@ -75,7 +75,6 @@ def train_online(samples, cfg: TrainConfig, stats: dict = None, **meta) -> Class
     samples = _split_classes(samples)
     acc = {SEIZURE: None, NON_SEIZURE: None}
     mispredictions = 0
-    subtractions = 0
     for _ in range(cfg.epochs):
         for x, label in samples:
             if acc[label] is None:
@@ -93,11 +92,9 @@ def train_online(samples, cfg: TrainConfig, stats: dict = None, **meta) -> Class
                 predicted = SEIZURE if d_s < d_ns else NON_SEIZURE
                 if predicted != label:
                     mispredictions += 1
-                    subtractions += 1
                     acc[other].add(x, -cfg.alpha * s_other)
     if stats is not None:
         stats["mispredictions"] = mispredictions
-        stats["subtractions"] = subtractions
     return ClassModel.from_vectors(
         seizure=acc[SEIZURE].normalize(cfg.seed),
         non_seizure=acc[NON_SEIZURE].normalize(cfg.seed),
@@ -126,11 +123,7 @@ def class_probability(d_s: float, d_ns: float) -> float:
 
 def complement(v: Hypervector) -> Hypervector:
     """Flip every bit (padding stays zero)."""
-    out = np.bitwise_not(v.bits)
-    tail = v.dim % 8
-    if tail:
-        out[-1] &= (1 << tail) - 1
-    return Hypervector(out, v.dim)
+    return Hypervector.from_bools(1 - v.to_bools())
 
 
 def select_models(gen_scores, pers_scores, threshold: float):

@@ -22,7 +22,7 @@ TINY = [
     "--subjects", "3", "--records-per-subject", "3",
     "--fs", "64", "--channels", "2",
     "--seizure-sec", "8", "--non-seizure-sec", "8",
-    "--window-sec", "2", "--step-sec", "0.5",
+    "--window-sec", "4", "--step-sec", "0.5",
     "--dim", "256", "--levels", "8", "--seed", "7",
 ]
 

@@ -16,7 +16,7 @@ from hdseizure.encoding import (
     fit_ranges,
 )
 from hdseizure.errors import DegenerateInputError, InvalidDimensionError
-from hdseizure.hypervector import Hypervector, bind, bundle, hamming_distance, to_words
+from hdseizure.hypervector import Hypervector, bind, bundle, hamming_distance
 
 
 def fitted_codebooks(num_features, lo=0.0, hi=1.0, dim=256, levels=20, seed=3):
@@ -26,15 +26,15 @@ def fitted_codebooks(num_features, lo=0.0, hi=1.0, dim=256, levels=20, seed=3):
 
 
 def as_vectors(rows, cb):
-    return [Hypervector.from_words(row, cb.dim) for row in rows]
+    return [Hypervector(row, cb.dim) for row in rows]
 
 
 def level(cb, k):
-    return Hypervector.from_words(cb.level_vectors[k], cb.dim)
+    return Hypervector(cb.level_vectors[k], cb.dim)
 
 
 def ident(cb, f):
-    return Hypervector.from_words(cb.id_vectors[f], cb.dim)
+    return Hypervector(cb.id_vectors[f], cb.dim)
 
 
 def encode_window(features, cb):
@@ -320,7 +320,7 @@ class TestEncoderMatchesOracle:
             cb = fit_ranges(build_codebooks(nfeat, levels, dim=dim, seed=seed), fit)
         packed = encode_windows(rows, cb)
         for row, values in zip(packed, rows):
-            assert np.array_equal(row, to_words(reference_encoding(values, cb).bits))
+            assert np.array_equal(row, reference_encoding(values, cb).words)
 
     def test_default_size(self):
         # bits from (levels - 1) * block = 4997 on, mid-byte, take no level
@@ -334,7 +334,7 @@ class TestEncoderMatchesOracle:
         rows[0] = 0.0
         rows[1] = 1.0
         for row, values in zip(encode_windows(rows, cb), rows):
-            assert np.array_equal(row, to_words(reference_encoding(values, cb).bits))
+            assert np.array_equal(row, reference_encoding(values, cb).words)
 
     def test_more_features_than_a_byte_counts(self):
         # 18 channels x 22 features: counts and thresholds exceed 255
@@ -342,7 +342,7 @@ class TestEncoderMatchesOracle:
         cb = fitted_codebooks(396, dim=256, seed=2)
         rows = rng.uniform(-0.2, 1.2, size=(3, 396))
         for row, values in zip(encode_windows(rows, cb), rows):
-            assert np.array_equal(row, to_words(reference_encoding(values, cb).bits))
+            assert np.array_equal(row, reference_encoding(values, cb).words)
 
 
 class TestNonFiniteFeatures:

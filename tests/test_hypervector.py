@@ -20,7 +20,6 @@ from hdseizure.hypervector import (
     random_hypervector,
     similarity,
     tie_break_vector,
-    to_words,
 )
 from oracles import complement
 
@@ -191,14 +190,14 @@ class TestSignedSums:
             targets = pick(rng)
             vectors = [rv(step, int(t), dim) for t in targets]
             weights = draw(rng, len(targets))
-            sums.add(targets, _bipolar_rows(to_words([v.bits for v in vectors]), dim), weights)
+            sums.add(targets, _bipolar_rows(np.stack([v.words for v in vectors]), dim), weights)
             for t, v, w in zip(targets, vectors, weights):
                 refs[t].add(v, w)
             signs = sums.signs()
             for t, ref in enumerate(refs):
                 assert sums.values[t].tobytes() == ref.values.tobytes()
                 assert sums.total_weight[t] == ref.total_weight
-                assert np.array_equal(signs[t], to_words(ref.normalize(self.SEED).bits))
+                assert np.array_equal(signs[t], ref.normalize(self.SEED).words)
             ties += int((sums.values == 0).sum())
         return ties
 
@@ -239,7 +238,7 @@ class TestSignedSums:
     def test_int64_count_rows(self, weight):
         # train_standard adds per-class bipolar sums, int64 counts beyond +-1
         dim = 1001
-        rows = _bipolar_rows(to_words([rv(9, t, dim).bits for t in range(7)]), dim)
+        rows = _bipolar_rows(np.stack([rv(9, t, dim).words for t in range(7)]), dim)
         counts = np.stack([rows[:4].sum(axis=0, dtype=np.int64),
                            rows[3:].sum(axis=0, dtype=np.int64)])
         assert counts.dtype == np.int64 and np.abs(counts).max() > 1
@@ -252,7 +251,7 @@ class TestSignedSums:
         expect[1] += counts[0]
         assert sums.values.tobytes() == expect.tobytes()
         bits = [Hypervector.from_bools(row > sums._threshold) for row in expect]
-        assert all(np.array_equal(a, to_words(b.bits)) for a, b in zip(sums.signs(), bits))
+        assert all(np.array_equal(a, b.words) for a, b in zip(sums.signs(), bits))
 
     def test_add_updates_values_in_place(self):
         # the BLAS wrapper would update and return a copy of a `y` that is
@@ -260,7 +259,7 @@ class TestSignedSums:
         dim, count = 100, 3
         sums = _SignedSums(count, dim, self.SEED)
         values = sums.values
-        rows = _bipolar_rows(to_words([rv(4, t, dim).bits for t in range(count)]), dim)
+        rows = _bipolar_rows(np.stack([rv(4, t, dim).words for t in range(count)]), dim)
         sums.add(range(count), rows, (1.0, -0.5, 0.25))
         assert sums.values is values
         assert np.array_equal(values, rows * np.array([[1.0], [-0.5], [0.25]]))
@@ -273,7 +272,7 @@ class TestSignedSums:
 
     def test_weight_sum_overflow_rejected_before_the_add(self):
         sums = _SignedSums(2, 64, 0)
-        rows = _bipolar_rows(to_words([rv(1, 0, 64).bits, rv(2, 0, 64).bits]), 64)
+        rows = _bipolar_rows(np.stack([rv(1, 0, 64).words, rv(2, 0, 64).words]), 64)
         sums.add((0, 1), rows, (1e308, 1.0))
         before = sums.values.copy()
         with pytest.raises(ValueError, match="alpha weights overflow float64"):
@@ -286,7 +285,7 @@ class TestSignedSums:
 
     def test_untouched_rows_are_the_tie_vector(self):
         sums = _SignedSums(2, 128, 17)
-        expect = to_words(tie_break_vector(17, 128).bits)
+        expect = tie_break_vector(17, 128).words
         assert all(np.array_equal(row, expect) for row in sums.signs())
 
 
@@ -347,8 +346,8 @@ class TestBatchHelpers:
         for dim in (64, 72, 256, 1001, 10000):
             vs = [rv(s, dim=dim) for s in range(6)]
             probe = rv(99, dim=dim)
-            rows = to_words([v.bits for v in vs])
-            got = hamming_words(rows, to_words(probe.bits), dim)
+            rows = np.stack([v.words for v in vs])
+            got = hamming_words(rows, probe.words, dim)
             expect = [hamming_distance(v, probe) for v in vs]
             assert got.tolist() == expect
             pairs = hamming_words(rows, rows[::-1], dim)
@@ -384,14 +383,44 @@ class TestBatchHelpers:
             got = hamming_words(zero, b, dim)
             assert type(got) is np.float64 and got == popcount(b)[0] / dim
 
+
+class TestWordRow:
     @pytest.mark.parametrize("dim", [64, 72, 1001])
-    def test_to_words_pads_with_zero_bytes(self, dim):
-        zero = np.zeros(-(-dim // 8), dtype=np.uint8)
+    def test_bits_view_the_row_bytes(self, dim):
+        zero = np.zeros(-(-dim // 64), dtype=np.uint64)
         v = complement(Hypervector(zero, dim))
-        words = to_words(v.bits)
-        assert words.dtype == np.uint64 and words.shape == (-(-dim // 64),)
-        raw = words.view(np.uint8)
-        assert raw[: v.bits.size].tobytes() == v.bits.tobytes()
-        assert not raw[v.bits.size :].any()
-        assert hamming_words(words, to_words(zero), dim) == 1.0
-        assert Hypervector.from_words(words, dim) == v
+        nbytes = -(-dim // 8)
+        raw = v.words.view(np.uint8)
+        assert v.bits.shape == (nbytes,) and np.shares_memory(v.bits, v.words)
+        assert not v.bits.flags.writeable
+        assert v.bits.tobytes() == raw[:nbytes].tobytes() and not raw[nbytes:].any()
+        assert int(np.bitwise_count(v.bits).sum()) == dim
+        assert hamming_words(v.words, zero, dim) == 1.0
+
+    def test_holds_a_read_only_copy_of_the_row(self):
+        row = rv(1, dim=100).words.copy()
+        v = Hypervector(row, 100)
+        row[:] = 0
+        assert v == rv(1, dim=100)
+        with pytest.raises(ValueError, match="read-only"):
+            v.words[-1] = np.uint64(1) << np.uint64(40)  # a bit past dim
+
+    @pytest.mark.parametrize("row", [
+        np.zeros(2, np.float64),
+        np.zeros(13, np.float64),
+        np.full(13, 255, np.uint8),  # the bytes of .bits are no row
+        np.zeros(2, np.int64),
+        np.zeros(3, np.uint64),
+        np.zeros((1, 2), np.uint64),
+        [0, 0],
+    ])
+    def test_rejects_other_layouts(self, row):
+        with pytest.raises(ValueError, match=r"uint64 \(2,\) row for dim 100"):
+            Hypervector(row, 100)
+
+    @pytest.mark.parametrize("bit", [100, 103, 127])
+    def test_rejects_bits_past_dim(self, bit):
+        row = np.zeros(2, np.uint64)
+        row[bit // 64] = 1 << bit % 64
+        with pytest.raises(ValueError, match="hypervector has bits set past dim 100"):
+            Hypervector(row, 100)

@@ -7,8 +7,6 @@ from pathlib import Path
 
 import numpy as np
 
-from hdseizure.hypervector import to_words
-
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -25,4 +23,4 @@ def test_readme_python_blocks_run(capsys):
         for block in blocks:
             exec(compile(block, str(README), "exec"), namespace)
     assert 0.0 <= float(capsys.readouterr().out) <= 1.0
-    np.testing.assert_array_equal(to_words(namespace["first"].bits), namespace["rows"][0])
+    np.testing.assert_array_equal(namespace["first"].words, namespace["rows"][0])
