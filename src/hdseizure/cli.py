@@ -1,8 +1,9 @@
 """Command-line surface: one subcommand per pipeline stage.
 
-Settings resolve in three layers: built-in defaults, then a `key = value`
-config file (--config), then command-line flags. Every settings key has a
-flag of the same name with underscores as dashes.
+Settings resolve in three layers: the defaults of the config fields they
+set, then a `key = value` config file (--config), then command-line flags.
+A subcommand has a flag, the setting's name with dashes for underscores,
+for each setting it reads and for no other; a config file may hold any.
 
 Exit codes: 0 success, 1 INTERNAL, 2 usage, 3 CONFIG, 4 PARSE, 5 DATA.
 """
@@ -13,7 +14,7 @@ import argparse
 import hashlib
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -65,40 +66,68 @@ EXIT_CONFIG = 3
 EXIT_PARSE = 4
 EXIT_DATA = 5
 
-#: key -> (type, default); every key doubles as a --flag
-SETTINGS = {
-    "dim": (int, 10000),
-    "levels": (int, 20),
-    "seed": (int, 0),
-    "fs": (float, 256.0),
-    "window_sec": (float, 4.0),
-    "step_sec": (float, 0.5),
-    "train_mode": (str, "online"),
-    "alpha": (float, 1.0),
-    "epochs": (int, 1),
-    "method": (str, "waddsub"),
-    "alpha_corr": (float, 1.0),
-    "alpha_wrong": (float, 1.0),
-    "iterations": (int, 1),
-    "wrong_weight_convention": (str, "distance"),
-    "bayes_window_sec": (float, 5.0),
-    "bayes_threshold": (float, 1.5),
-    "movavg_window_sec": (float, 5.0),
-    "subjects": (int, 20),
-    "records_per_subject": (int, 3),
-    "channels": (int, 18),
-    "seizure_sec": (float, 60.0),
-    "non_seizure_sec": (float, 60.0),
-    "shared_background_weight": (float, 0.7),
-    "seizure_freq_min": (float, 3.0),
-    "seizure_freq_max": (float, 8.0),
-    "seizure_amp_gain": (float, 3.0),
-    "repetitions": (int, 10),
-    "sweep_thresholds": (str, "0.0:1.0:21"),
+#: setting -> the config fields it sets, as (class, field), or as (class,
+#: field, index) for an item of a tuple field, which the command assembles.
+#: The first gives the setting's default, and the default's type is its type.
+FIELDS = {
+    "subjects": [(CohortSpec, "num_subjects")],
+    "records_per_subject": [(CohortSpec, "records_per_subject")],
+    "fs": [(CohortSpec, "fs")],
+    "channels": [(CohortSpec, "num_channels")],
+    "seizure_sec": [(CohortSpec, "seizure_sec")],
+    "non_seizure_sec": [(CohortSpec, "non_seizure_sec")],
+    "shared_background_weight": [(CohortSpec, "shared_background_weight")],
+    "seizure_freq_min": [(CohortSpec, "seizure_freq_range", 0)],
+    "seizure_freq_max": [(CohortSpec, "seizure_freq_range", 1)],
+    "seizure_amp_gain": [(CohortSpec, "seizure_amp_gain")],
+    "seed": [(CohortSpec, "seed"), (TrainConfig, "seed"), (EvalConfig, "seed")],
+    "window_sec": [(FeatureConfig, "window_sec")],
+    "step_sec": [(FeatureConfig, "step_sec"), (EvalConfig, "step_sec")],
+    "dim": [(EvalConfig, "dim")],
+    "levels": [(EvalConfig, "num_levels")],
+    "train_mode": [(TrainConfig, "mode")],
+    "alpha": [(TrainConfig, "alpha")],
+    "epochs": [(TrainConfig, "epochs")],
+    "method": [(MergeConfig, "method")],
+    "alpha_corr": [(MergeConfig, "alpha_corr")],
+    "alpha_wrong": [(MergeConfig, "alpha_wrong")],
+    "iterations": [(MergeConfig, "iterations")],
+    "wrong_weight_convention": [(MergeConfig, "wrong_weight_convention")],
+    "bayes_window_sec": [(EvalConfig, "bayes_window_sec")],
+    "bayes_threshold": [(EvalConfig, "bayes_threshold")],
+    "movavg_window_sec": [(EvalConfig, "movavg_window_sec")],
 }
 
 
+def _field_default(cls, name, *index):
+    default = next(f.default for f in fields(cls) if f.name == name)
+    return default[index[0]] if index else default
+
+
+#: setting -> default; the two that set no config field are the CLI's own
+DEFAULTS = {
+    **{key: _field_default(*targets[0]) for key, targets in FIELDS.items()},
+    "repetitions": 10,
+    "sweep_thresholds": "0.0:1.0:21",
+}
+
+
+def _settings_of(*classes) -> list:
+    """The settings that set a field of any of `classes`."""
+    return [key for key, targets in FIELDS.items() if any(t[0] in classes for t in targets)]
+
+
+def _build(cls, s: dict, **given):
+    """A `cls` whose fields take the values in `s` of the settings that set
+    them, and `given`; every other field keeps its default."""
+    kwargs = {name: value for key, value in s.items()
+              for owner, name, *index in FIELDS.get(key, ()) if owner is cls and not index}
+    return cls(**kwargs, **given)
+
+
 def read_config(path) -> dict:
+    """Every setting in a `key = value` file, typed; the file may hold
+    settings for any command."""
     out = {}
     try:
         with open(path) as fh:
@@ -113,9 +142,9 @@ def read_config(path) -> dict:
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        if key not in SETTINGS:
+        if key not in DEFAULTS:
             raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
-        typ = SETTINGS[key][0]
+        typ = type(DEFAULTS[key])
         try:
             out[key] = typ(value)
         except ValueError:
@@ -126,31 +155,18 @@ def read_config(path) -> dict:
 
 
 def resolve_settings(args) -> dict:
-    settings = {k: default for k, (_, default) in SETTINGS.items()}
-    if getattr(args, "config", None):
-        settings.update(read_config(args.config))
-    for key in SETTINGS:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
-    return settings
+    """Each setting the command reads: its flag, else the config file's
+    value, else its default."""
+    given = read_config(args.config) if args.config else {}
+    out = {}
+    for key in args.reads:
+        flag = getattr(args, key)
+        out[key] = given.get(key, DEFAULTS[key]) if flag is None else flag
+    return out
 
 
 def eval_config(s: dict) -> EvalConfig:
-    return EvalConfig(
-        dim=s["dim"],
-        num_levels=s["levels"],
-        seed=s["seed"],
-        train=TrainConfig(mode=s["train_mode"], alpha=s["alpha"],
-                          epochs=s["epochs"], seed=s["seed"]),
-        merge=MergeConfig(method=s["method"], alpha_corr=s["alpha_corr"],
-                          alpha_wrong=s["alpha_wrong"], iterations=s["iterations"],
-                          wrong_weight_convention=s["wrong_weight_convention"]),
-        step_sec=s["step_sec"],
-        bayes_window_sec=s["bayes_window_sec"],
-        bayes_threshold=s["bayes_threshold"],
-        movavg_window_sec=s["movavg_window_sec"],
-    )
+    return _build(EvalConfig, s, train=_build(TrainConfig, s), merge=_build(MergeConfig, s))
 
 
 def _parse_thresholds(text: str) -> np.ndarray:
@@ -241,19 +257,8 @@ def _f1_line(reports) -> str:
 # ---- subcommands ----
 
 def cmd_synth(args, s):
-    spec = CohortSpec(
-        num_subjects=s["subjects"],
-        records_per_subject=s["records_per_subject"],
-        fs=s["fs"],
-        num_channels=s["channels"],
-        seizure_sec=s["seizure_sec"],
-        non_seizure_sec=s["non_seizure_sec"],
-        shared_background_weight=s["shared_background_weight"],
-        seizure_freq_range=(s["seizure_freq_min"], s["seizure_freq_max"]),
-        seizure_amp_gain=s["seizure_amp_gain"],
-        seed=s["seed"],
-    )
-    cohort = generate_synthetic_cohort(spec)
+    freqs = (s["seizure_freq_min"], s["seizure_freq_max"])
+    cohort = generate_synthetic_cohort(_build(CohortSpec, s, seizure_freq_range=freqs))
     write_cohort(cohort, args.out, writer=write_record)
     total = sum(len(records) for records in cohort)
     print(f"synth: {len(cohort)} subjects, {total} records -> {args.out}")
@@ -262,7 +267,7 @@ def cmd_synth(args, s):
 
 def cmd_features(args, s):
     cohort = read_cohort(args.cohort)
-    fcfg = FeatureConfig(window_sec=s["window_sec"], step_sec=s["step_sec"])
+    fcfg = _build(FeatureConfig, s)
     feats = [[extract_features(rec, fcfg) for rec in records] for records in cohort]
     write_cohort(feats, args.out, writer=write_features)
     nwin = sum(fm.num_windows for recs in feats for fm in recs)
@@ -285,17 +290,16 @@ def cmd_train(args, s):
 
 def cmd_generalize(args, s):
     models, books = _load_model_dir(args.models)
-    cfg = eval_config(s)
-    merged = generalize(models, cfg.merge, tie_break_seed=s["seed"])
+    merge = _build(MergeConfig, s)
+    merged = generalize(models, merge, tie_break_seed=s["seed"])
     save_model(merged, books, args.out)
-    print(f"generalize: merged {len(models)} models ({cfg.merge.method}) -> {args.out}")
+    print(f"generalize: merged {len(models)} models ({merge.method}) -> {args.out}")
     return 0
 
 
 def cmd_evolution(args, s):
     models, _ = _load_model_dir(args.models)
-    cfg = eval_config(s)
-    _, mean = evolution_curve(models, cfg.merge,
+    _, mean = evolution_curve(models, _build(MergeConfig, s),
                               repetitions=s["repetitions"], seed=s["seed"])
     write_evolution_csv(mean, args.out)
     print(
@@ -387,6 +391,23 @@ def cmd_transfer(args, s):
     return 0
 
 
+def _add_command(sub, name, func, help, reads=(), **paths):
+    """A subcommand with --config, a flag for each setting it reads, and a
+    required flag for each of `paths`, given as metavars."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--config", metavar="FILE",
+                   help="settings file of 'key = value' lines, for any command")
+    for key in reads:
+        default = DEFAULTS[key]
+        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=type(default),
+                       metavar=type(default).__name__.upper(),
+                       help=f"{key} (default {default})")
+    for flag, metavar in paths.items():
+        p.add_argument(f"--{flag.replace('_', '-')}", required=True, metavar=metavar)
+    p.set_defaults(func=func, reads=tuple(reads))
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hdseizure",
@@ -394,77 +415,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="FILE",
-                        help="settings file of 'key = value' lines")
-    for key, (typ, default) in SETTINGS.items():
-        common.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ,
-                            default=None, metavar=typ.__name__.upper(),
-                            help=f"{key} (default {default})")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    merge = _settings_of(MergeConfig)
+    protocol = _settings_of(EvalConfig, TrainConfig, MergeConfig)
+    _add_command(sub, "synth", cmd_synth, "generate a synthetic signal cohort",
+                 _settings_of(CohortSpec), out="DIR")
+    _add_command(sub, "features", cmd_features, "extract windowed features from a cohort",
+                 _settings_of(FeatureConfig), cohort="DIR", out="DIR")
+    _add_command(sub, "train", cmd_train, "train per-subject models",
+                 ["dim", "levels", *_settings_of(TrainConfig)], features="DIR", out="DIR")
+    _add_command(sub, "generalize", cmd_generalize, "merge personalized models into one",
+                 [*merge, "seed"], models="DIR", out="FILE")
+    _add_command(sub, "evolution", cmd_evolution,
+                 "similarity evolution while merging subjects",
+                 [*merge, "seed", "repetitions"], models="DIR", out="FILE")
+    _add_command(sub, "similarity", cmd_similarity,
+                 "pairwise inter-model similarity matrices", models="DIR", out="FILE")
 
-    p = sub.add_parser("synth", parents=[common],
-                       help="generate a synthetic signal cohort")
-    p.add_argument("--out", required=True, metavar="DIR")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("features", parents=[common],
-                       help="extract windowed features from a cohort")
-    p.add_argument("--cohort", required=True, metavar="DIR")
-    p.add_argument("--out", required=True, metavar="DIR")
-    p.set_defaults(func=cmd_features)
-
-    p = sub.add_parser("train", parents=[common],
-                       help="train per-subject models")
-    p.add_argument("--features", required=True, metavar="DIR")
-    p.add_argument("--out", required=True, metavar="DIR")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("generalize", parents=[common],
-                       help="merge personalized models into one")
-    p.add_argument("--models", required=True, metavar="DIR")
-    p.add_argument("--out", required=True, metavar="FILE")
-    p.set_defaults(func=cmd_generalize)
-
-    p = sub.add_parser("evolution", parents=[common],
-                       help="similarity evolution while merging subjects")
-    p.add_argument("--models", required=True, metavar="DIR")
-    p.add_argument("--out", required=True, metavar="FILE")
-    p.set_defaults(func=cmd_evolution)
-
-    p = sub.add_parser("similarity", parents=[common],
-                       help="pairwise inter-model similarity matrices")
-    p.add_argument("--models", required=True, metavar="DIR")
-    p.add_argument("--out", required=True, metavar="FILE")
-    p.set_defaults(func=cmd_similarity)
-
-    p = sub.add_parser("hybrid", parents=[common],
-                       help="compose a hybrid model from two parents")
-    p.add_argument("--pers", required=True, metavar="FILE")
-    p.add_argument("--gen", required=True, metavar="FILE")
+    p = _add_command(sub, "hybrid", cmd_hybrid, "compose a hybrid model from two parents",
+                     pers="FILE", gen="FILE")
     p.add_argument("--mode", choices=list(HYBRID_MODES), required=True)
     p.add_argument("--out", required=True, metavar="FILE")
-    p.set_defaults(func=cmd_hybrid)
 
-    p = sub.add_parser("eval", parents=[common],
-                       help="cross-validated evaluation with reports")
-    p.add_argument("--features", required=True, metavar="DIR")
-    p.add_argument("--out", required=True, metavar="DIR")
+    p = _add_command(sub, "eval", cmd_eval, "cross-validated evaluation with reports",
+                     [*protocol, "repetitions", "sweep_thresholds"], features="DIR", out="DIR")
     p.add_argument("--mode", choices=["personalized", "generalized", "both"],
                    default="both")
     p.add_argument("--emit-curves", action="store_true",
                    help="also write evolution and selection-sweep CSVs")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("transfer", parents=[common],
-                       help="apply source-cohort models to a target cohort")
+    p = _add_command(sub, "transfer", cmd_transfer,
+                     "apply source-cohort models to a target cohort", protocol)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--source-features", metavar="DIR")
     src.add_argument("--source-models", metavar="DIR")
     p.add_argument("--target-features", required=True, metavar="DIR")
     p.add_argument("--mode", choices=TRANSFER_MODES, default="generalized")
     p.add_argument("--out", required=True, metavar="DIR")
-    p.set_defaults(func=cmd_transfer)
     return parser
 
 

@@ -212,9 +212,20 @@ def _stack_labels(records):
 
 
 def _feature_count(records) -> int:
+    """The feature count of `records`, which must share it and the first
+    record's feature names, column by column."""
     counts = {fm.num_features for fm in records}
     if len(counts) != 1:
         raise IncompatibleModelsError(f"records disagree on feature count: {sorted(counts)}")
+    first = records[0]
+    for fm in records:
+        pairs = enumerate(zip(fm.feature_names, first.feature_names))
+        k = next((k for k, (name, expected) in pairs if name != expected), None)
+        if k is not None:
+            raise IncompatibleModelsError(
+                f"subject {fm.subject_id!r} record {fm.record_id!r} has feature "
+                f"{fm.feature_names[k]!r} in column {k}, where subject {first.subject_id!r} "
+                f"record {first.record_id!r} has {first.feature_names[k]!r}")
     return counts.pop()
 
 
@@ -348,6 +359,8 @@ def transfer_eval(source, target_cohort, mode: str = "generalized", cfg: EvalCon
             f"source encoder expects {books.num_features} features, "
             f"target provides {target_nfeat}"
         )
+    if raw_source:  # model files carry no feature names to compare
+        _feature_count([fm for recs in source + target_cohort for fm in recs])
 
     source_ids = [_subject_id_of(recs) for recs in source] if raw_source else [m.subject_id for m in source]
     merges = {}  # eligible source indices -> (fitted codebooks, merged model)

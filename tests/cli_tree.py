@@ -23,8 +23,10 @@ from hdseizure import cli  # noqa: E402
 
 COHORT = ["--subjects", "4", "--records-per-subject", "3", "--channels", "3", "--fs", "64",
           "--seizure-sec", "16", "--non-seizure-sec", "16"]
-ENCODER = ["--window-sec", "4", "--step-sec", "0.5", "--dim", "512", "--levels", "8",
-           "--alpha-wrong", "0.75"]
+WINDOWS = ["--window-sec", "4", "--step-sec", "0.5"]
+ENCODER = ["--dim", "512", "--levels", "8"]
+MERGE = ["--alpha-wrong", "0.75"]
+PROTOCOL = ["--step-sec", "0.5", *ENCODER, *MERGE]
 SIMILARITY = ["--wrong-weight-convention", "similarity"]
 
 
@@ -33,28 +35,28 @@ def commands():
     out = [
         ["synth", *COHORT, "--seed", "3", "--out", "cohort_a"],
         ["synth", *COHORT, "--seed", "4", "--out", "cohort_b"],
-        ["features", *ENCODER, "--cohort", "cohort_a", "--out", "feats_a"],
-        ["features", *ENCODER, "--cohort", "cohort_b", "--out", "feats_b"],
+        ["features", *WINDOWS, "--cohort", "cohort_a", "--out", "feats_a"],
+        ["features", *WINDOWS, "--cohort", "cohort_b", "--out", "feats_b"],
     ]
     for mode in ("online", "standard"):
         out.append(["train", *ENCODER, "--train-mode", mode, "--features", "feats_a",
                     "--out", f"models_{mode}"])
-        out.append(["eval", *ENCODER, "--train-mode", mode, "--repetitions", "3",
+        out.append(["eval", *PROTOCOL, "--train-mode", mode, "--repetitions", "3",
                     "--features", "feats_a", "--mode", "both", "--emit-curves",
                     "--out", f"eval_{mode}"])
     for method in ("avrg", "wsub", "waddsub"):
         for convention, tag in (([], "distance"), (SIMILARITY, "similarity")):
-            out.append(["generalize", *ENCODER, *convention, "--method", method,
+            out.append(["generalize", *MERGE, *convention, "--method", method,
                         "--iterations", "2", "--models", "models_online",
                         "--out", f"gen_{method}_{tag}.hdcm"])
     out += [
-        ["generalize", *ENCODER, "--method", "wsub", "--models", "models_standard",
+        ["generalize", *MERGE, "--method", "wsub", "--models", "models_standard",
          "--out", "gen_wsub_standard.hdcm"],
-        ["evolution", *ENCODER, "--repetitions", "3", "--models", "models_online",
+        ["evolution", *MERGE, "--repetitions", "3", "--models", "models_online",
          "--out", "evolution.csv"],
-        ["evolution", *ENCODER, *SIMILARITY, "--method", "wsub", "--repetitions", "2",
+        ["evolution", *MERGE, *SIMILARITY, "--method", "wsub", "--repetitions", "2",
          "--seed", "5", "--models", "models_online", "--out", "evolution_wsub.csv"],
-        ["similarity", *ENCODER, "--models", "models_online", "--out", "similarity.csv"],
+        ["similarity", "--models", "models_online", "--out", "similarity.csv"],
     ]
     for mode in ("NSgen-Spers", "NSpers-Sgen"):
         out.append(["hybrid", "--pers", "models_online/s001.hdcm",
@@ -64,12 +66,12 @@ def commands():
                         ("own", ["--source-features", "feats_a"]),
                         ("models", ["--source-models", "models_online"])):
         for mode in ("generalized", "NSgen-Spers", "NSpers-Sgen"):
-            out.append(["transfer", *ENCODER, *source, "--target-features", "feats_a",
+            out.append(["transfer", *PROTOCOL, *source, "--target-features", "feats_a",
                         "--mode", mode, "--out", f"transfer_{tag}"])
     out += [
-        ["eval", *ENCODER, "--method", "avrg", "--features", "feats_b",
+        ["eval", *PROTOCOL, "--method", "avrg", "--features", "feats_b",
          "--mode", "generalized", "--out", "eval_avrg"],
-        ["eval", *ENCODER, *SIMILARITY, "--method", "wsub", "--features", "feats_b",
+        ["eval", *PROTOCOL, *SIMILARITY, "--method", "wsub", "--features", "feats_b",
          "--mode", "generalized", "--out", "eval_wsub_similarity"],
     ]
     return out

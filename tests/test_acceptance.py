@@ -549,7 +549,7 @@ def test_10_cli_determinism(capsys, tmp_path):
         "subjects = 3\nrecords_per_subject = 3\n"
         "fs = 64\nchannels = 2\n"
         "seizure_sec = 8\nnon_seizure_sec = 8\n"
-        "window_sec = 2\nstep_sec = 0.5\n"
+        "window_sec = 4\nstep_sec = 0.5\n"
         "dim = 256\nlevels = 8\nseed = 7\nrepetitions = 3\n"
     )
 

@@ -18,13 +18,41 @@ from hdseizure.dataio import load_model, read_record, save_model, synthetic_mode
 from hdseizure.encoding import build_codebooks
 from hdseizure.errors import CorruptModelError, ParseError
 
-TINY = [
-    "--subjects", "3", "--records-per-subject", "3",
-    "--fs", "64", "--channels", "2",
-    "--seizure-sec", "8", "--non-seizure-sec", "8",
-    "--window-sec", "4", "--step-sec", "0.5",
-    "--dim", "256", "--levels", "8", "--seed", "7",
-]
+COHORT_SETTINGS = ["subjects", "records_per_subject", "fs", "channels", "seizure_sec",
+                   "non_seizure_sec", "shared_background_weight", "seizure_freq_min",
+                   "seizure_freq_max", "seizure_amp_gain", "seed"]
+ENCODER_SETTINGS = ["dim", "levels", "seed", "train_mode", "alpha", "epochs"]
+MERGE_SETTINGS = ["method", "alpha_corr", "alpha_wrong", "iterations", "wrong_weight_convention"]
+PROTOCOL_SETTINGS = [*ENCODER_SETTINGS, *MERGE_SETTINGS,
+                     "step_sec", "bayes_window_sec", "bayes_threshold", "movavg_window_sec"]
+#: the settings each command reads, as the config objects it builds and
+#: its own code read them; it takes a flag for these and for no other
+READS = {
+    "synth": COHORT_SETTINGS,
+    "features": ["window_sec", "step_sec"],
+    "train": ENCODER_SETTINGS,
+    "generalize": [*MERGE_SETTINGS, "seed"],
+    "evolution": [*MERGE_SETTINGS, "seed", "repetitions"],
+    "similarity": [],
+    "hybrid": [],
+    "eval": [*PROTOCOL_SETTINGS, "repetitions", "sweep_thresholds"],
+    "transfer": PROTOCOL_SETTINGS,
+}
+#: all 28 settings
+SETTINGS = list(dict.fromkeys(name for reads in READS.values() for name in reads))
+
+
+def flags(settings, command):
+    """A --flag=value for each of `settings` ({name: value}) that `command` reads."""
+    return [f"--{name.replace('_', '-')}={value}" for name, value in settings.items()
+            if name in READS[command]]
+
+
+#: a tiny pipeline: 3 subjects of 3 records, 2 channels at 64 Hz, dim 256
+TINY_SETTINGS = {"subjects": "3", "records_per_subject": "3", "fs": "64", "channels": "2",
+                 "seizure_sec": "8", "non_seizure_sec": "8", "window_sec": "4",
+                 "step_sec": "0.5", "dim": "256", "levels": "8", "seed": "7"}
+TINY = {command: flags(TINY_SETTINGS, command) for command in READS}
 
 
 def run(argv):
@@ -34,14 +62,14 @@ def run(argv):
         return exc.code
 
 
-def build_pipeline(root, extra=()):
+def build_pipeline(root):
     """synth -> features -> train, returning the three directories."""
     cohort = str(root / "cohort")
     feats = str(root / "feats")
     models = str(root / "models")
-    assert run(["synth", *TINY, *extra, "--out", cohort]) == 0
-    assert run(["features", *TINY, *extra, "--cohort", cohort, "--out", feats]) == 0
-    assert run(["train", *TINY, *extra, "--features", feats, "--out", models]) == 0
+    assert run(["synth", *TINY["synth"], "--out", cohort]) == 0
+    assert run(["features", *TINY["features"], "--cohort", cohort, "--out", feats]) == 0
+    assert run(["train", *TINY["train"], "--features", feats, "--out", models]) == 0
     return cohort, feats, models
 
 
@@ -61,6 +89,57 @@ class TestUsage:
 
     def test_missing_required_flag(self):
         assert run(["synth"]) == 2
+
+
+#: the required flags of each command, so that its command line parses
+REQUIRED = {
+    "synth": ["--out", "o"],
+    "features": ["--cohort", "c", "--out", "o"],
+    "train": ["--features", "f", "--out", "o"],
+    **dict.fromkeys(["generalize", "evolution", "similarity"], ["--models", "m", "--out", "o"]),
+    "hybrid": ["--pers", "p", "--gen", "g", "--mode", "NSgen-Spers", "--out", "o"],
+    "eval": ["--features", "f", "--out", "o"],
+    "transfer": ["--source-features", "f", "--target-features", "f", "--out", "o"],
+}
+
+
+class TestSettingFlags:
+    """A command takes a flag for each setting it reads, and no other."""
+
+    @pytest.mark.parametrize("command", READS)
+    @pytest.mark.parametrize("name", SETTINGS)
+    def test_flag_parses_only_where_read(self, capsys, command, name):
+        flag = f"--{name.replace('_', '-')}"
+        argv = [command, *REQUIRED[command], flag, "2"]
+        if name in READS[command]:
+            args = cli.build_parser().parse_args(argv)
+            assert getattr(args, name) == type(cli.DEFAULTS[name])("2")
+        else:
+            with pytest.raises(SystemExit) as exc:
+                cli.build_parser().parse_args(argv)
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["similarity", "--alpha", "nan"], ["features", "--dim", "7"],
+                                      ["generalize", "--dim", "4096", "--levels", "3"]])
+    def test_unread_flag_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run([argv[0], *REQUIRED[argv[0]][:-1], str(out), *argv[1:]]) == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_each_field_of_a_setting_has_its_default(self):
+        for name, targets in cli.FIELDS.items():
+            for cls, field, *index in targets:
+                default = getattr(cls(), field)
+                assert (default[index[0]] if index else default) == cli.DEFAULTS[name], name
+
+    @pytest.mark.parametrize("command", READS)
+    def test_help_shows_each_default(self, capsys, command):
+        assert run([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for name in READS[command]:
+            assert f"{name} (default {cli.DEFAULTS[name]})" in text
 
 
 class TestConfigHandling:
@@ -90,6 +169,13 @@ class TestConfigHandling:
         rec_a = read_record(next(iter(sorted(a.glob("*.csv")))))
         rec_b = read_record(next(iter(sorted(b.glob("*.csv")))))
         assert not np.allclose(rec_a.samples, rec_b.samples)
+
+    def test_config_may_hold_settings_another_command_reads(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("subjects = 2\nfs = 64\nchannels = 2\nseizure_sec = 4\n"
+                       "non_seizure_sec = 4\ndim = 7\nmethod = bogus\n")
+        assert run(["synth", "--config", str(cfg), "--out", str(tmp_path / "cohort")]) == 0
+        assert "2 subjects, 6 records" in capsys.readouterr().out
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -126,16 +212,16 @@ class TestPipeline:
         assert sorted(os.listdir(models)) == ["s000.hdcm", "s001.hdcm", "s002.hdcm"]
 
         gen = str(tmp_path / "gen.hdcm")
-        assert run(["generalize", *TINY, "--models", models, "--out", gen]) == 0
+        assert run(["generalize", *TINY["generalize"], "--models", models, "--out", gen]) == 0
         merged, _ = load_model(gen)
         assert merged.kind == "generalized"
 
         mats = str(tmp_path / "mats.csv")
-        assert run(["similarity", *TINY, "--models", models, "--out", mats]) == 0
+        assert run(["similarity", *TINY["similarity"], "--models", models, "--out", mats]) == 0
         assert os.path.exists(mats)
 
         evo = str(tmp_path / "evo.csv")
-        assert run(["evolution", *TINY, "--repetitions", "3",
+        assert run(["evolution", *TINY["evolution"], "--repetitions", "3",
                     "--models", models, "--out", evo]) == 0
         assert "plateau at" in capsys.readouterr().out
 
@@ -151,7 +237,7 @@ class TestPipeline:
     def test_eval_writes_reports_and_curves(self, tmp_path, capsys):
         _, feats, _ = build_pipeline(tmp_path)
         out = str(tmp_path / "eval")
-        assert run(["eval", *TINY, "--repetitions", "3", "--features", feats,
+        assert run(["eval", *TINY["eval"], "--repetitions", "3", "--features", feats,
                     "--out", out, "--mode", "both", "--emit-curves"]) == 0
         names = set(os.listdir(out))
         assert {"personalized.csv", "generalized.csv", "evolution.csv",
@@ -168,7 +254,7 @@ class TestPipeline:
 
     def test_emit_curves_needs_both_modes(self, tmp_path, capsys):
         _, feats, _ = build_pipeline(tmp_path)
-        rc = run(["eval", *TINY, "--features", feats,
+        rc = run(["eval", *TINY["eval"], "--features", feats,
                   "--out", str(tmp_path / "e"), "--mode", "personalized",
                   "--emit-curves"])
         assert rc == 3
@@ -177,10 +263,10 @@ class TestPipeline:
     def test_transfer_matches_loso_on_same_cohort(self, tmp_path):
         _, feats, _ = build_pipeline(tmp_path)
         gen_out = str(tmp_path / "eval")
-        assert run(["eval", *TINY, "--features", feats, "--out", gen_out,
+        assert run(["eval", *TINY["eval"], "--features", feats, "--out", gen_out,
                     "--mode", "generalized"]) == 0
         tr_out = str(tmp_path / "transfer")
-        assert run(["transfer", *TINY, "--source-features", feats,
+        assert run(["transfer", *TINY["transfer"], "--source-features", feats,
                     "--target-features", feats, "--mode", "generalized",
                     "--out", tr_out]) == 0
         loso = open(os.path.join(gen_out, "generalized.csv")).read()
@@ -190,7 +276,7 @@ class TestPipeline:
     def test_transfer_from_pretrained_models(self, tmp_path, capsys):
         _, feats, models = build_pipeline(tmp_path)
         out = str(tmp_path / "transfer")
-        assert run(["transfer", *TINY, "--source-models", models,
+        assert run(["transfer", *TINY["transfer"], "--source-models", models,
                     "--target-features", feats, "--mode", "NSgen-Spers",
                     "--out", out]) == 0
         assert "transfer: NSgen-Spers onto 3 subjects" in capsys.readouterr().out
@@ -204,7 +290,7 @@ class TestPipeline:
             (tmp_path / "models" / "s000.hdcm").read_bytes()
         )
         out = str(tmp_path / "solo.hdcm")
-        assert run(["generalize", *TINY, "--method", "avrg",
+        assert run(["generalize", *TINY["generalize"], "--method", "avrg",
                     "--models", str(solo), "--out", out]) == 0
         merged, _ = load_model(out)
         original, _ = load_model(str(solo / "s000.hdcm"))
@@ -215,7 +301,7 @@ class TestPipeline:
 
 class TestErrorPaths:
     def test_missing_cohort_dir_is_data_error(self, tmp_path, capsys):
-        rc = run(["features", *TINY, "--cohort", str(tmp_path / "nope"),
+        rc = run(["features", *TINY["features"], "--cohort", str(tmp_path / "nope"),
                   "--out", str(tmp_path / "f")])
         assert rc == 5
         assert capsys.readouterr().err.startswith("DATA:")
@@ -224,7 +310,7 @@ class TestErrorPaths:
         d = tmp_path / "cohort"
         d.mkdir()
         (d / "s000__r00.csv").write_text("time_s,c1,label\n0.0,1.0,0\n0.5,x,1\n")
-        rc = run(["features", *TINY, "--cohort", str(d), "--out", str(tmp_path / "f")])
+        rc = run(["features", *TINY["features"], "--cohort", str(d), "--out", str(tmp_path / "f")])
         assert rc == 4
         err = capsys.readouterr().err
         assert err.startswith("PARSE:")
@@ -232,21 +318,22 @@ class TestErrorPaths:
 
     def test_subject_without_seizures_is_named(self, tmp_path, capsys):
         cohort, feats = str(tmp_path / "cohort"), str(tmp_path / "feats")
-        assert run(["synth", *TINY, "--out", cohort]) == 0
+        assert run(["synth", *TINY["synth"], "--out", cohort]) == 0
         for path in Path(cohort).glob("s001__*.csv"):
             lines = path.read_text().splitlines()
             path.write_text("\n".join([lines[0], *(l.rsplit(",", 1)[0] + ",0" for l in lines[1:])]) + "\n")
-        assert run(["features", *TINY, "--cohort", cohort, "--out", feats]) == 0
+        assert run(["features", *TINY["features"], "--cohort", cohort, "--out", feats]) == 0
         for command in (["train"], ["eval", "--mode", "both"]):
             capsys.readouterr()
-            assert run([*command, *TINY, "--features", feats, "--out", str(tmp_path / "o")]) == 5
+            assert run([command[0], *TINY[command[0]], *command[1:], "--features", feats,
+                        "--out", str(tmp_path / "o")]) == 5
             assert capsys.readouterr().err.startswith("DATA: no seizure samples for subject 's001'")
 
     def test_corrupt_model_is_data_error(self, tmp_path, capsys):
         d = tmp_path / "models"
         d.mkdir()
         (d / "bad.hdcm").write_bytes(b"JUNKJUNKJUNKJUNK")
-        rc = run(["generalize", *TINY, "--models", str(d),
+        rc = run(["generalize", *TINY["generalize"], "--models", str(d),
                   "--out", str(tmp_path / "g.hdcm")])
         assert rc == 5
         assert capsys.readouterr().err.startswith("DATA:")
@@ -254,7 +341,7 @@ class TestErrorPaths:
     def test_empty_model_dir_is_data_error(self, tmp_path, capsys):
         d = tmp_path / "models"
         d.mkdir()
-        rc = run(["generalize", *TINY, "--models", str(d),
+        rc = run(["generalize", *TINY["generalize"], "--models", str(d),
                   "--out", str(tmp_path / "g.hdcm")])
         assert rc == 5
 
@@ -328,13 +415,13 @@ class TestErrorPaths:
     def test_mixed_encoders_rejected(self, tmp_path, capsys):
         _, feats, models = build_pipeline(tmp_path)
         other = tmp_path / "other_models"
-        assert run(["train", *TINY, "--levels", "6", "--features", feats,
+        assert run(["train", *TINY["train"], "--levels", "6", "--features", feats,
                     "--out", str(other)]) == 0
         mixed = tmp_path / "mixed"
         mixed.mkdir()
         (mixed / "a.hdcm").write_bytes((tmp_path / "models" / "s000.hdcm").read_bytes())
         (mixed / "b.hdcm").write_bytes((other / "s001.hdcm").read_bytes())
-        rc = run(["generalize", *TINY, "--models", str(mixed),
+        rc = run(["generalize", *TINY["generalize"], "--models", str(mixed),
                   "--out", str(tmp_path / "g.hdcm")])
         assert rc == 5
         assert "different encoder" in capsys.readouterr().err
@@ -345,7 +432,8 @@ class TestErrorPaths:
         path.write_bytes(with_encoder_fault(path.read_bytes(), "ID bit"))
         with pytest.raises(CorruptModelError, match="ID 0 vector"):
             load_model(path)
-        rc = run(["generalize", *TINY, "--models", models, "--out", str(tmp_path / "g.hdcm")])
+        rc = run(["generalize", *TINY["generalize"], "--models", models,
+                  "--out", str(tmp_path / "g.hdcm")])
         assert rc == 5
         assert "ID 0 vector is not the one encoder seed 7 draws" in capsys.readouterr().err
         assert not (tmp_path / "g.hdcm").exists()
@@ -357,7 +445,7 @@ class TestErrorPaths:
         for name in sorted(os.listdir(models)):
             data = Path(models, name).read_bytes()
             (bad / name).write_bytes(with_encoder_fault(data, "reversed chain"))
-        rc = run(["transfer", *TINY, "--source-models", str(bad),
+        rc = run(["transfer", *TINY["transfer"], "--source-models", str(bad),
                   "--target-features", feats, "--out", str(tmp_path / "t")])
         assert rc == 5
         err = capsys.readouterr().err
@@ -366,7 +454,7 @@ class TestErrorPaths:
     def test_only_personalized_models_form_a_cohort(self, tmp_path, capsys):
         _, feats, models = build_pipeline(tmp_path)
         gen = os.path.join(models, "gen.hdcm")
-        assert run(["generalize", *TINY, "--models", models, "--out", gen]) == 0
+        assert run(["generalize", *TINY["generalize"], "--models", models, "--out", gen]) == 0
         out = str(tmp_path / "out")
         for argv in (["generalize", "--models", models, "--out", out],
                      ["evolution", "--repetitions", "2", "--models", models, "--out", out],
@@ -374,7 +462,7 @@ class TestErrorPaths:
                      ["transfer", "--source-models", models, "--target-features", feats,
                       "--out", out]):
             capsys.readouterr()
-            assert run([*argv[:1], *TINY, *argv[1:]]) == 5
+            assert run([*argv[:1], *TINY[argv[0]], *argv[1:]]) == 5
             err = capsys.readouterr().err
             assert err.startswith("DATA:") and "subject '' is a generalized model" in err
             assert not os.path.exists(out)
@@ -382,16 +470,17 @@ class TestErrorPaths:
         solo = tmp_path / "solo"
         solo.mkdir()
         os.replace(gen, solo / "gen.hdcm")
-        assert run(["transfer", *TINY, "--source-models", str(solo),
+        assert run(["transfer", *TINY["transfer"], "--source-models", str(solo),
                     "--target-features", feats, "--out", out]) == 0
 
     def test_irregular_time_column_is_parse_error(self, tmp_path, capsys):
         cohort = tmp_path / "cohort"
-        assert run(["synth", *TINY, "--out", str(cohort)]) == 0
+        assert run(["synth", *TINY["synth"], "--out", str(cohort)]) == 0
         path = cohort / "s001__r02.csv"
         lines = path.read_text().splitlines(True)
         path.write_text("".join(lines[:100] + lines[104:]))  # a 4-sample gap
-        rc = run(["features", *TINY, "--cohort", str(cohort), "--out", str(tmp_path / "f")])
+        rc = run(["features", *TINY["features"], "--cohort", str(cohort),
+                  "--out", str(tmp_path / "f")])
         assert rc == 4
         err = capsys.readouterr().err
         assert err.startswith("PARSE:") and "line 101" in err and "time column" in err
@@ -399,8 +488,8 @@ class TestErrorPaths:
 
     def test_rate_too_low_for_features_is_data_error(self, tmp_path, capsys):
         cohort = str(tmp_path / "cohort")
-        assert run(["synth", *TINY, "--fs", "32", "--out", cohort]) == 0
-        rc = run(["features", *TINY, "--fs", "32", "--cohort", cohort,
+        assert run(["synth", *TINY["synth"], "--fs", "32", "--out", cohort]) == 0
+        rc = run(["features", *TINY["features"], "--cohort", cohort,
                   "--out", str(tmp_path / "f")])
         assert rc == 5
         err = capsys.readouterr().err
@@ -413,7 +502,7 @@ class TestErrorPaths:
         assert run(["synth", *spans, "--seizure-amp-gain", gain, "--out", cohort]) == 0
         capsys.readouterr()
         out = tmp_path / "f"
-        assert run(["features", "--fs", "64", "--window-sec", "4", "--cohort", cohort,
+        assert run(["features", "--window-sec", "4", "--cohort", cohort,
                     "--out", str(out)]) == rc
         err = capsys.readouterr().err
         if rc:
@@ -428,9 +517,10 @@ class TestErrorPaths:
     ])
     def test_window_or_step_below_one_sample_is_config_error(self, tmp_path, capsys, flag, value):
         cohort = str(tmp_path / "cohort")
-        assert run(["synth", *TINY, "--subjects", "1", "--out", cohort]) == 0
+        assert run(["synth", *TINY["synth"], "--subjects", "1", "--out", cohort]) == 0
         out = tmp_path / "f"
-        rc = run(["features", *TINY, flag, value, "--cohort", cohort, "--out", str(out)])
+        rc = run(["features", *TINY["features"], flag, value, "--cohort", cohort,
+                  "--out", str(out)])
         assert rc == 3
         err = capsys.readouterr().err
         name = flag[2:].replace("-", "_")
@@ -443,7 +533,7 @@ class TestErrorPaths:
     ])
     def test_non_finite_cohort_setting_is_config_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "cohort"
-        rc = run(["synth", *TINY, flag, value, "--out", str(out)])
+        rc = run(["synth", *TINY["synth"], flag, value, "--out", str(out)])
         assert rc == 3
         name = flag[2:].replace("-", "_")
         assert capsys.readouterr().err.startswith(f"CONFIG: {name} must be finite and > 0")
@@ -456,7 +546,7 @@ class TestErrorPaths:
     def test_cohort_span_not_a_sample_count_is_config_error(self, tmp_path, capsys,
                                                             flag, value, name):
         out = tmp_path / "cohort"
-        rc = run(["synth", *TINY, flag, value, "--out", str(out)])
+        rc = run(["synth", *TINY["synth"], flag, value, "--out", str(out)])
         assert rc == 3
         assert capsys.readouterr().err.startswith(
             f"CONFIG: {name} must be finite and at least one sample")
@@ -465,12 +555,82 @@ class TestErrorPaths:
     def test_hybrid_parents_swapped_is_data_error(self, tmp_path, capsys):
         _, _, models = build_pipeline(tmp_path)
         gen = str(tmp_path / "gen.hdcm")
-        assert run(["generalize", *TINY, "--models", models, "--out", gen]) == 0
-        rc = run(["hybrid", *TINY, "--pers", gen, "--gen", os.path.join(models, "s000.hdcm"),
+        assert run(["generalize", *TINY["generalize"], "--models", models, "--out", gen]) == 0
+        rc = run(["hybrid", *TINY["hybrid"], "--pers", gen,
+                  "--gen", os.path.join(models, "s000.hdcm"),
                   "--mode", "NSgen-Spers", "--out", str(tmp_path / "h.hdcm")])
         assert rc == 5
         err = capsys.readouterr().err
         assert err.startswith("DATA:") and "must be a personalized model" in err
+
+
+def swap_channels(cells):
+    return [cells[0], cells[2], cells[1], *cells[3:]]
+
+
+def rename_channels(cells):
+    return ["time_s", "Fz", "Cz", "label"] if cells[0] == "time_s" else cells
+
+
+class TestFeatureNames:
+    """Records are pooled by feature name: every record of a cohort, and a
+    raw transfer source and its target, must carry the same names."""
+
+    @pytest.fixture(scope="class")
+    def cohort(self, tmp_path_factory):
+        """The tiny cohort and its features."""
+        root = tmp_path_factory.mktemp("names")
+        cohort, feats = root / "cohort", str(root / "feats")
+        assert run(["synth", *TINY["synth"], "--out", str(cohort)]) == 0
+        assert run(["features", *TINY["features"], "--cohort", str(cohort), "--out", feats]) == 0
+        return cohort, feats
+
+    @staticmethod
+    def features(cohort, root, edit, names=("s001__r01.csv",)):
+        """Features of a copy of `cohort` whose records `names` have each
+        row's cells passed through `edit`."""
+        records, feats = root / "records", root / "feats"
+        records.mkdir()
+        for path in sorted(cohort.iterdir()):
+            lines = path.read_text().splitlines()
+            if path.name in names:
+                lines = [",".join(edit(line.split(","))) for line in lines]
+            (records / path.name).write_text("\n".join(lines) + "\n")
+        assert run(["features", *TINY["features"], "--cohort", str(records),
+                    "--out", str(feats)]) == 0
+        return str(feats)
+
+    @pytest.mark.parametrize("edit, first", [(swap_channels, "'ch02:mean_amplitude' in column 0"),
+                                             (rename_channels, "'Fz:mean_amplitude' in column 0")])
+    def test_one_record_named_apart_is_data_error(self, cohort, tmp_path, capsys, edit, first):
+        cohort, clean = cohort
+        bad = self.features(cohort, tmp_path, edit)
+        out = tmp_path / "out"
+        for argv in (["train", "--features", bad],
+                     ["eval", "--mode", "both", "--features", bad],
+                     ["transfer", "--source-features", bad, "--target-features", clean],
+                     ["transfer", "--source-features", clean, "--target-features", bad]):
+            capsys.readouterr()
+            assert run([argv[0], *TINY[argv[0]], *argv[1:], "--out", str(out)]) == 5, argv
+            err = capsys.readouterr().err
+            assert err.startswith("DATA: subject 's001' record 'r01' has feature " + first), err
+            # eval's leave-one-record-out pools one subject's records only
+            assert "record 'r00' has 'ch01:mean_amplitude'" in err
+            assert not out.exists()
+
+    def test_transfer_source_named_apart_is_data_error(self, cohort, tmp_path, capsys):
+        cohort, clean = cohort
+        every = [path.name for path in cohort.iterdir()]
+        renamed = self.features(cohort, tmp_path, rename_channels, names=every)
+        out = tmp_path / "out"
+        assert run(["train", *TINY["train"], "--features", renamed, "--out", str(out)]) == 0
+        assert run(["transfer", *TINY["transfer"], "--source-features", renamed,
+                    "--target-features", clean, "--out", str(tmp_path / "t")]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("DATA: subject 's000' record 'r00' has feature "
+                              "'ch01:mean_amplitude' in column 0, where subject 's000' "
+                              "record 'r00' has 'Fz:mean_amplitude'"), err
+        assert not (tmp_path / "t").exists()
 
 
 class TestEncoderRowsAtLoad:
@@ -482,7 +642,7 @@ class TestEncoderRowsAtLoad:
         root = tmp_path_factory.mktemp("encoder_rows")
         _, feats, models = build_pipeline(root)
         gen = str(root / "gen.hdcm")
-        assert run(["generalize", *TINY, "--models", models, "--out", gen]) == 0
+        assert run(["generalize", *TINY["generalize"], "--models", models, "--out", gen]) == 0
         return feats, models, gen
 
     @pytest.mark.parametrize("command", ["generalize", "evolution", "similarity", "hybrid",
@@ -504,7 +664,7 @@ class TestEncoderRowsAtLoad:
             "similarity": ["similarity", "--models", str(bad), "--out", str(out)],
             "hybrid": ["hybrid", "--pers", str(bad / "s000.hdcm"), "--gen", str(bad_gen),
                        "--mode", "NSgen-Spers", "--out", str(out)],
-            "transfer": ["transfer", *TINY, "--source-models", str(bad),
+            "transfer": ["transfer", *TINY["transfer"], "--source-models", str(bad),
                          "--target-features", feats, "--out", str(out)],
         }[command])
         assert rc == 5
@@ -519,8 +679,8 @@ class TestBadInputExitCodes:
     def feats(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("bad_inputs")
         cohort, feats = str(root / "cohort"), str(root / "feats")
-        assert run(["synth", *TINY, "--out", cohort]) == 0
-        assert run(["features", *TINY, "--cohort", cohort, "--out", feats]) == 0
+        assert run(["synth", *TINY["synth"], "--out", cohort]) == 0
+        assert run(["features", *TINY["features"], "--cohort", cohort, "--out", feats]) == 0
         return feats
 
     @staticmethod
@@ -535,7 +695,7 @@ class TestBadInputExitCodes:
         return str(dest)
 
     def test_non_finite_alpha_is_config_error(self, feats, tmp_path, capsys):
-        rc = run(["train", *TINY, "--alpha", "inf", "--features", feats,
+        rc = run(["train", *TINY["train"], "--alpha", "inf", "--features", feats,
                   "--out", str(tmp_path / "m")])
         assert rc == 3
         assert "alpha must be finite" in capsys.readouterr().err
@@ -549,7 +709,7 @@ class TestBadInputExitCodes:
             return ",".join(cells)
 
         bad = self.edited_copy(feats, tmp_path / "nan_feats", nan_cell)
-        rc = run(["eval", *TINY, "--features", bad, "--out", str(tmp_path / "e")])
+        rc = run(["eval", *TINY["eval"], "--features", bad, "--out", str(tmp_path / "e")])
         assert rc == 5
         err = capsys.readouterr().err
         assert err.startswith("DATA:") and "non-finite" in err
@@ -561,7 +721,7 @@ class TestBadInputExitCodes:
         bad = self.edited_copy(feats, tmp_path / "short_feats", drop_last_column)
         for command in (["eval", "--features", bad, "--out", str(tmp_path / "e")],
                         ["train", "--features", bad, "--out", str(tmp_path / "m")]):
-            rc = run([command[0], *TINY, *command[1:]])
+            rc = run([command[0], *TINY[command[0]], *command[1:]])
             assert rc == 5, command[0]
             err = capsys.readouterr().err
             assert err.startswith("DATA:") and "disagree on feature count" in err
@@ -578,14 +738,14 @@ class TestBadInputExitCodes:
         bad = self.edited_copy(feats, tmp_path / "bad_labels", bad_label)
         for command in (["eval", "--features", bad, "--out", str(tmp_path / "e")],
                         ["train", "--features", bad, "--out", str(tmp_path / "m")]):
-            rc = run([command[0], *TINY, *command[1:]])
+            rc = run([command[0], *TINY[command[0]], *command[1:]])
             assert rc == 4, command[0]
             err = capsys.readouterr().err
             assert err.startswith("PARSE:") and "line 4: label must be 0 or 1" in err
 
     def test_header_only_features_is_parse_error(self, feats, tmp_path, capsys):
         bad = self.edited_copy(feats, tmp_path / "no_rows", lambda i, line: line if i == 0 else "")
-        rc = run(["eval", *TINY, "--features", bad, "--out", str(tmp_path / "e")])
+        rc = run(["eval", *TINY["eval"], "--features", bad, "--out", str(tmp_path / "e")])
         assert rc == 4
         err = capsys.readouterr().err
         assert err.startswith("PARSE:") and "no window rows" in err
@@ -593,25 +753,27 @@ class TestBadInputExitCodes:
     def test_step_mismatch_is_data_error(self, feats, tmp_path, capsys):
         # features extracted at a 1 s step, evaluated at TINY's 0.5 s
         cohort, wide, models = (str(tmp_path / n) for n in ("cohort", "wide", "models"))
-        assert run(["synth", *TINY, "--out", cohort]) == 0
-        assert run(["features", *TINY, "--step-sec", "1", "--cohort", cohort, "--out", wide]) == 0
-        assert run(["train", *TINY, "--features", feats, "--out", models]) == 0
+        assert run(["synth", *TINY["synth"], "--out", cohort]) == 0
+        assert run(["features", *TINY["features"], "--step-sec", "1", "--cohort", cohort,
+                    "--out", wide]) == 0
+        assert run(["train", *TINY["train"], "--features", feats, "--out", models]) == 0
         out = tmp_path / "out"
         for command in (["eval", "--features", wide],
                         ["transfer", "--source-features", wide, "--target-features", feats],
                         ["transfer", "--source-models", models, "--target-features", wide]):
-            rc = run([command[0], *TINY, *command[1:], "--out", str(out)])
+            rc = run([command[0], *TINY[command[0]], *command[1:], "--out", str(out)])
             assert rc == 5, command
             err = capsys.readouterr().err
             assert err.startswith("DATA: " + os.path.join(wide, "s000__r00.csv"))
             assert "windows start 1 s apart, but step_sec is 0.5 s" in err
             assert not out.exists()
-        assert run(["eval", *TINY, "--step-sec", "1", "--mode", "personalized",
+        assert run(["eval", *TINY["eval"], "--step-sec", "1", "--mode", "personalized",
                     "--features", wide, "--out", str(out)]) == 0
         # 0.3 s rounds to 19 samples at 64 Hz, a step 1.04 % short, which passes
         odd = str(tmp_path / "odd")
-        assert run(["features", *TINY, "--step-sec", "0.3", "--cohort", cohort, "--out", odd]) == 0
-        assert run(["transfer", *TINY, "--step-sec", "0.3", "--source-models", models,
+        assert run(["features", *TINY["features"], "--step-sec", "0.3", "--cohort", cohort,
+                    "--out", odd]) == 0
+        assert run(["transfer", *TINY["transfer"], "--step-sec", "0.3", "--source-models", models,
                     "--target-features", odd, "--out", str(tmp_path / "t")]) == 0
 
     @pytest.mark.parametrize("thresholds", ["0:1:0", "0:1:-2", "0.5,x", "0.5,nan", "0:inf:3"])
@@ -622,7 +784,7 @@ class TestBadInputExitCodes:
 
         monkeypatch.setattr(cli, "cv_personalized", not_reached)
         out = tmp_path / "e"
-        rc = run(["eval", *TINY, "--sweep-thresholds", thresholds, "--emit-curves",
+        rc = run(["eval", *TINY["eval"], "--sweep-thresholds", thresholds, "--emit-curves",
                   "--features", feats, "--out", str(out)])
         assert rc == 3
         assert capsys.readouterr().err.startswith("CONFIG: sweep_thresholds expects")
@@ -645,7 +807,7 @@ class TestBadInputExitCodes:
         out = tmp_path / "out"
         for command in (["eval", "--features", feats],
                         ["transfer", "--source-features", feats, "--target-features", feats]):
-            rc = run([command[0], *TINY, flag, value, *command[1:], "--out", str(out)])
+            rc = run([command[0], *TINY[command[0]], flag, value, *command[1:], "--out", str(out)])
             assert rc == 3, command[0]
             assert capsys.readouterr().err.startswith(f"CONFIG: {name} must be finite and > 0")
             assert not out.exists()
@@ -653,7 +815,8 @@ class TestBadInputExitCodes:
     @pytest.mark.parametrize("flag", ["--bayes-window-sec", "--movavg-window-sec"])
     def test_huge_postprocessing_window_runs(self, feats, tmp_path, flag):
         # the window spans every series whole; its ratio to the step overflows
-        rc = run(["eval", *TINY, flag, "1e308", "--features", feats, "--out", str(tmp_path / "e")])
+        rc = run(["eval", *TINY["eval"], flag, "1e308", "--features", feats,
+                  "--out", str(tmp_path / "e")])
         assert rc == 0
 
     def test_overflowing_alpha_is_config_error(self, feats, tmp_path):
@@ -663,7 +826,7 @@ class TestBadInputExitCodes:
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = tmp_path / "e"
         proc = subprocess.run(
-            [sys.executable, "-m", "hdseizure.cli", "eval", *TINY, "--alpha", "1e308",
+            [sys.executable, "-m", "hdseizure.cli", "eval", *TINY["eval"], "--alpha", "1e308",
              "--features", feats, "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=300,
         )
@@ -677,7 +840,7 @@ class TestBadInputExitCodes:
         for name in os.listdir(feats):
             if name.startswith("s000__"):
                 (one / name).write_bytes(open(os.path.join(feats, name), "rb").read())
-        rc = run(["eval", *TINY, "--features", str(one), "--out", str(tmp_path / "e")])
+        rc = run(["eval", *TINY["eval"], "--features", str(one), "--out", str(tmp_path / "e")])
         assert rc == 5
         assert "needs >= 2 subjects" in capsys.readouterr().err
 
@@ -688,7 +851,8 @@ class TestBadInputExitCodes:
             if name.startswith("s000__"):
                 (one / name).write_bytes(open(os.path.join(feats, name), "rb").read())
         out = tmp_path / "e"
-        rc = run(["eval", *TINY, "--features", str(one), "--out", str(out), "--mode", "both"])
+        rc = run(["eval", *TINY["eval"], "--features", str(one), "--out", str(out),
+                  "--mode", "both"])
         assert rc == 5
         assert not out.exists() or not os.listdir(out)
 
@@ -700,9 +864,9 @@ class TestDeterminism:
         for root in (out_a, out_b):
             root.mkdir()
             _, feats, models = build_pipeline(root)
-            assert run(["generalize", *TINY, "--models", models,
+            assert run(["generalize", *TINY["generalize"], "--models", models,
                         "--out", str(root / "gen.hdcm")]) == 0
-            assert run(["eval", *TINY, "--features", feats,
+            assert run(["eval", *TINY["eval"], "--features", feats,
                         "--out", str(root / "eval"), "--mode", "both"]) == 0
         for rel in ("cohort/s000__r00.csv", "feats/s002__r01.csv",
                     "models/s001.hdcm", "gen.hdcm",
@@ -736,24 +900,9 @@ CHAIN = [
      "--out {out}/tf", None),
 ]
 #: the chain step that first reads each setting
-FIRST_READER = {
-    **dict.fromkeys(["subjects", "records_per_subject", "fs", "channels", "seizure_sec",
-                     "non_seizure_sec", "shared_background_weight", "seizure_freq_min",
-                     "seizure_freq_max", "seizure_amp_gain", "seed"], 0),
-    **dict.fromkeys(["window_sec", "step_sec"], 1),
-    **dict.fromkeys(["dim", "levels", "train_mode", "alpha", "epochs"], 2),
-    **dict.fromkeys(["method", "alpha_corr", "alpha_wrong", "iterations",
-                     "wrong_weight_convention"], 3),
-    "repetitions": 4,
-    **dict.fromkeys(["bayes_window_sec", "bayes_threshold", "movavg_window_sec",
-                     "sweep_thresholds"], 7),
-}
-HOSTILE_BASE = [
-    "--subjects", "3", "--records-per-subject", "3", "--fs", "64", "--channels", "2",
-    "--seizure-sec", "8", "--non-seizure-sec", "8", "--window-sec", "4", "--step-sec", "0.5",
-    "--dim", "256", "--levels", "8", "--seed", "7", "--repetitions", "2",
-    "--sweep-thresholds", "0:1:3",
-]
+FIRST_READER = {name: min(i for i, (template, _) in enumerate(CHAIN)
+                          if name in READS[template.split()[0]]) for name in SETTINGS}
+HOSTILE_BASE = {**TINY_SETTINGS, "repetitions": "2", "sweep_thresholds": "0:1:3"}
 #: Untested: 2**31 for these settings, which would ask for that many
 #: dimensions, subjects, records, channels, epochs, merge passes or shuffles,
 #: and a sweep_thresholds count of 2**31. They get small values instead.
@@ -762,7 +911,7 @@ LONG_RUN = {"dim", "subjects", "records_per_subject", "channels", "epochs", "ite
 
 
 def hostile_values(name):
-    typ = cli.SETTINGS[name][0]
+    typ = type(cli.DEFAULTS[name])
     if typ is float:
         return ["nan", "inf", "-inf", "0", "-1", "1e308", "5e-324"]
     if typ is int:
@@ -807,22 +956,25 @@ def non_finite_numbers(root):
     return bad
 
 
-def run_chain(root, inputs, start, stop, extra=()):
-    """Run CHAIN[start:stop] in root; returns the exit code that ended it."""
+def run_chain(root, inputs, start, stop, extra=None):
+    """Run CHAIN[start:stop] in root, each command with the settings of
+    HOSTILE_BASE and `extra` ({name: value}) that it reads; returns the
+    exit code that ended it."""
     inputs = dict(inputs)
     for template, key in CHAIN[start:stop]:
         if key:
             inputs[key] = os.path.join(root, key)
         argv = [token.format(out=root, **inputs) for token in template.split()]
-        rc = run([argv[0], *HOSTILE_BASE, *argv[1:], *extra])
+        rc = run([argv[0], *flags(HOSTILE_BASE, argv[0]), *argv[1:],
+                  *flags(extra or {}, argv[0])])
         if rc:
             return rc
     return 0
 
 
 class TestHostileSettings:
-    """One of the 28 settings at a hostile value, from the first command that
-    reads it to the end of the pipeline: the run fails with a usage, config,
+    """One of the 28 settings at a hostile value, given to each command that
+    reads it from the first to the end of the pipeline: the run fails with a usage, config,
     parse or data error, never an internal one (pytest also turns any
     RuntimeWarning into one), or it succeeds and writes only finite numbers."""
 
@@ -833,13 +985,12 @@ class TestHostileSettings:
         return {key: os.path.join(root, key) for _, key in CHAIN[:4]}
 
     def test_every_setting_has_a_reader(self):
-        assert set(FIRST_READER) == set(cli.SETTINGS) and len(cli.SETTINGS) == 28
+        assert set(FIRST_READER) == set(cli.DEFAULTS) and len(cli.DEFAULTS) == 28
 
     @pytest.mark.parametrize("name, value", [
-        (name, value) for name in cli.SETTINGS for value in hostile_values(name)
+        (name, value) for name in SETTINGS for value in hostile_values(name)
     ])
     def test_failure_is_typed_and_success_finite(self, tmp_path, inputs, name, value):
-        flag = f"--{name.replace('_', '-')}={value}"
-        rc = run_chain(str(tmp_path), inputs, FIRST_READER[name], len(CHAIN), [flag])
+        rc = run_chain(str(tmp_path), inputs, FIRST_READER[name], len(CHAIN), {name: value})
         assert rc in (0, 2, 3, 4, 5)
         assert not non_finite_numbers(tmp_path)
