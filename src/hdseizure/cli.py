@@ -156,12 +156,16 @@ def read_config(path) -> dict:
 
 def resolve_settings(args) -> dict:
     """Each setting the command reads: its flag, else the config file's
-    value, else its default."""
-    given = read_config(args.config) if args.config else {}
+    value, else its default. Sets `args.given` to the settings that a flag
+    or the file gave."""
+    config = read_config(args.config) if args.config else {}
     out = {}
+    args.given = set()
     for key in args.reads:
         flag = getattr(args, key)
-        out[key] = given.get(key, DEFAULTS[key]) if flag is None else flag
+        if flag is not None or key in config:
+            args.given.add(key)
+        out[key] = config.get(key, DEFAULTS[key]) if flag is None else flag
     return out
 
 
@@ -381,6 +385,10 @@ def cmd_transfer(args, s):
     cfg = eval_config(s)
     if args.source_models:
         models, books = _load_model_dir(args.source_models)
+        for key, value in (("dim", books.dim), ("levels", books.num_levels)):
+            if key in args.given and s[key] != value:
+                raise ValueError(f"{key} is {s[key]}, but the model files in "
+                                 f"{args.source_models} have {key} {value}")
         reports = transfer_eval(models, target, args.mode, cfg, source_codebooks=books)
     else:
         source = _read_features_at_step(args.source_features, s["step_sec"])

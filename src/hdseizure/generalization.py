@@ -87,29 +87,41 @@ def weight_wrong(hamm_dist: float, alpha: float) -> float:
     return alpha * hamm_dist
 
 
-def _merge_step(sums: _SignedSums, rows, corr, wrong, cfg: MergeConfig, first: bool) -> None:
-    """One merge step for every row k of `sums`: add the correct-class row
-    corr[k] of the cohort matrix `rows` (from `_cohort_words`) and subtract
-    the opposite-class row wrong[k], each weighted by cfg against the
-    current signs. The first step of a merge adds the correct rows alone."""
+def _merge_step(sums: _SignedSums, rows, corr, cfg: MergeConfig, first: bool) -> None:
+    """One merge step for every row t of `sums`, whose two halves of h rows
+    merge opposite classes: target t adds the correct-class row corr[t] of
+    the cohort matrix `rows` (from `_cohort_words`), then subtracts the row
+    that its counterpart t +- h adds, each weighted by cfg against the
+    current signs. The first step of a merge adds the correct rows alone.
+
+    Each row pair (corr[k], corr[k + h]) is converted to float64 once and
+    feeds all four adds that use it; within a target the adds keep their
+    order, which is what each sum's rounding depends on."""
+    h = len(corr) // 2
+    cohort = rows[corr]
     if first or cfg.method == "avrg":
-        w_corr = weight_correct(0.0, cfg.alpha_corr) if first and cfg.method == "waddsub" else 1.0
-        terms = [(corr, w_corr)]
+        w = weight_correct(0.0, cfg.alpha_corr) if first and cfg.method == "waddsub" else 1.0
+        w_corr, w_wrong = [w] * 2 * h, [0.0] * 2 * h
     else:
         current = sums.signs()
-        d_wrong = hamming_words(rows[wrong], current, sums.dim)
+        # d[b, a, j]: cohort row corr[b * h + j] against the signs of target a * h + j
+        d = hamming_words(cohort.reshape(2, 1, h, -1), current.reshape(1, 2, h, -1), sums.dim)
+        d_corr = np.concatenate([d[0, 0], d[1, 1]])
+        d_wrong = np.concatenate([d[1, 0], d[0, 1]])
         if cfg.wrong_weight_convention == "distance":
-            w_wrong = weight_wrong(d_wrong, cfg.alpha_wrong)
+            w_wrong = weight_wrong(d_wrong, cfg.alpha_wrong).tolist()
         else:
-            w_wrong = weight_correct(d_wrong, cfg.alpha_wrong)
+            w_wrong = weight_correct(d_wrong, cfg.alpha_wrong).tolist()
         if cfg.method == "wsub":
-            w_corr = 1.0
+            w_corr = [1.0] * 2 * h
         else:
-            w_corr = weight_correct(hamming_words(rows[corr], current, sums.dim), cfg.alpha_corr)
-        terms = [(corr, w_corr), (wrong, -w_wrong)]
-    for idx, weight in terms:
-        sums.add(range(len(idx)), _bipolar_rows(rows[idx], sums.dim),
-                 np.broadcast_to(weight, len(idx)).tolist())
+            w_corr = weight_correct(d_corr, cfg.alpha_corr).tolist()
+    signed = _bipolar_rows(cohort, sums.dim)
+    pair = np.empty((2, sums.dim))
+    for k in range(h):
+        np.copyto(pair, signed[k::h])
+        sums.add((k, k, k + h, k + h), (pair[0], pair[1], pair[1], pair[0]),
+                 (w_corr[k], -w_wrong[k], w_corr[k + h], -w_wrong[k + h]))
 
 
 def _check_total_weight(total: float, class_name: str, where: str = "") -> None:
@@ -131,7 +143,7 @@ def generalize(cohort, cfg: MergeConfig, tie_break_seed: int = 0) -> ClassModel:
     # row NON_SEIZURE merges the cohort's NS rows (n + i), row SEIZURE its S rows (i)
     for it in range(cfg.iterations):
         for i in range(n):
-            _merge_step(sums, rows, [n + i, i], [i, n + i], cfg, first=not (it or i))
+            _merge_step(sums, rows, [n + i, i], cfg, first=not (it or i))
     _check_total_weight(sums.total_weight[SEIZURE], "seizure")
     _check_total_weight(sums.total_weight[NON_SEIZURE], "non-seizure")
     refs = {m.codebook_ref for m in cohort}
@@ -150,8 +162,7 @@ def _evolve(rows, dim: int, orders: np.ndarray, first: int, cfg: MergeConfig, se
     dist = np.empty((2 * r, 2 * n))
     for step in range(n):
         idx = orders[:, step]
-        _merge_step(sums, rows, np.concatenate([idx, n + idx]),
-                    np.concatenate([n + idx, idx]), cfg, first=step == 0)
+        _merge_step(sums, rows, np.concatenate([idx, n + idx]), cfg, first=step == 0)
         # one generalized row at a time: the XOR temporary is one cohort matrix
         for b, gen in enumerate(sums.signs()):
             dist[b] = hamming_words(rows, gen, dim)

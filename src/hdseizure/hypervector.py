@@ -9,7 +9,8 @@ The computational kernel of the package:
     - Accumulator:         signed bipolar sum of one vector at a time, the
                            test oracles' reference for `_SignedSums`
     - _SignedSums:         the accumulator rows of the trainer and the merge,
-                           added to with BLAS daxpy
+                           added to with BLAS daxpy; the merge's float64
+                           rows reach BLAS without a copy
     - bundle(vectors):     majority-vote superposition, by `Accumulator`
     - hamming_words:       distances over packed row matrices, the
                            kernel of classification, the trainer, the
@@ -112,15 +113,29 @@ class Hypervector:
         self.dim = dim
 
     @classmethod
+    def _of(cls, words: np.ndarray, dim: int) -> "Hypervector":
+        """A vector that takes `words`, a valid row of `dim` bits this
+        module has just made and holds nowhere else, without the check and
+        the copy of `__init__`."""
+        v = cls.__new__(cls)
+        words.flags.writeable = False
+        v.words, v.dim = words, dim
+        return v
+
+    @classmethod
     def from_bools(cls, values) -> "Hypervector":
-        """Build from a {0,1} (or boolean) sequence of length dim."""
+        """Build from a {0,1} (or boolean) sequence of length dim; any
+        nonzero value is a set bit."""
         arr = np.asarray(values)
         if arr.ndim != 1:
             raise ValueError("expected a 1-D bit sequence")
+        if arr.dtype.kind not in "biu":  # np.packbits takes integers and bools only
+            arr = arr.astype(bool)
         dim = arr.shape[0]
-        bits = np.zeros(-(-dim // 64) * 64, dtype=bool)
-        bits[:dim] = arr
-        return cls(_pack_words(bits), dim)
+        _check_dim(dim)
+        words = np.zeros(-(-dim // 64), dtype=np.uint64)
+        words.view(np.uint8)[: (dim + 7) // 8] = np.packbits(arr, bitorder="little")
+        return cls._of(words, dim)
 
     @property
     def bits(self) -> np.ndarray:
@@ -162,7 +177,7 @@ def random_hypervector(seed: int, tag: int, dim: int) -> Hypervector:
     words.view(np.uint8)[:nbytes] = _philox(seed, tag).integers(0, 256, size=nbytes, dtype=np.uint8)
     if dim % 64:
         words[-1] &= (1 << dim % 64) - 1
-    return Hypervector(words, dim)
+    return Hypervector._of(words, dim)
 
 
 def _require_same_dim(a: Hypervector, b: Hypervector) -> None:
@@ -173,7 +188,7 @@ def _require_same_dim(a: Hypervector, b: Hypervector) -> None:
 def bind(a: Hypervector, b: Hypervector) -> Hypervector:
     """Per-dimension XOR. Self-inverse: bind(bind(a, b), b) == a."""
     _require_same_dim(a, b)
-    return Hypervector(np.bitwise_xor(a.words, b.words), a.dim)
+    return Hypervector._of(np.bitwise_xor(a.words, b.words), a.dim)
 
 
 def hamming_distance(a: Hypervector, b: Hypervector) -> float:
@@ -247,10 +262,13 @@ class _SignedSums:
         self._signs = None
 
     def add(self, targets, rows, weights) -> None:
-        """Add weights[k] * rows[k] to row targets[k], for integer rows
-        (k, dim), one row at a time so the float copy BLAS takes is one row. A
-        zero weight changes nothing. Raises ValueError, before touching the
-        row, when its sum of |w| would overflow float64."""
+        """Add weights[k] * rows[k] to row targets[k], for rows of `dim`
+        entries, one row at a time and in order. A float64 row reaches BLAS
+        without a copy; BLAS first copies a row of any other dtype (the
+        trainer's int8 and int64 rows) to float64, so the merge, which adds
+        each row twice, hands it float64 rows. A zero weight changes
+        nothing. Raises ValueError, before touching the row, when its sum of
+        |w| would overflow float64."""
         for t, row, w in zip(targets, rows, weights):
             if w:
                 bound = self._abs_weight[t] + math.fabs(w)

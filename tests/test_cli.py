@@ -282,6 +282,26 @@ class TestPipeline:
         assert "transfer: NSgen-Spers onto 3 subjects" in capsys.readouterr().out
         assert os.path.exists(os.path.join(out, "transfer_NSgen-Spers.csv"))
 
+    def test_transfer_models_reject_other_encoder_settings(self, tmp_path, capsys):
+        _, feats, models = build_pipeline(tmp_path)
+        out = str(tmp_path / "transfer")
+        others = {k: v for k, v in TINY_SETTINGS.items() if k not in ("dim", "levels")}
+        argv = ["transfer", *flags(others, "transfer"), "--source-models", models,
+                "--target-features", feats, "--out", out]
+        config = tmp_path / "levels.cfg"
+        config.write_text("levels = 16\n")
+        # the models were trained at dim 256 with 8 levels
+        for given, named in ((["--dim", "512"], "dim is 512, but the model files in"),
+                             (["--config", str(config)], "levels is 16, but the model files in")):
+            capsys.readouterr()
+            assert run([*argv, *given]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("CONFIG:") and named in err
+            assert err.rstrip().endswith("have dim 256" if "--dim" in given else "have levels 8")
+            assert not os.path.exists(out)
+        assert run([*argv, "--dim", "256", "--levels", "8"]) == 0
+        assert run(argv) == 0
+
     def test_generalize_avrg_single_subject_identity(self, tmp_path):
         _, _, models = build_pipeline(tmp_path)
         solo = tmp_path / "solo"

@@ -9,13 +9,15 @@ from hdseizure.generalization import (
     _SHUFFLE_BATCH,
     EvolutionCurve,
     MergeConfig,
+    _merge_step,
     evolution_curve,
     generalize,
     plateau_onset,
     weight_correct,
     weight_wrong,
 )
-from hdseizure.hypervector import Hypervector, random_hypervector
+from hdseizure.hypervector import Hypervector, _SignedSums, random_hypervector
+from hdseizure.similarity import _cohort_words
 from hdseizure.training import ClassModel
 from oracles import binarize_oracle, complement, evolution_oracle, merge_oracle
 
@@ -212,6 +214,57 @@ def test_generalize_matches_oracle(case):
     gen = generalize(cohort, cfg, tie_break_seed=seed)
     np.testing.assert_array_equal(gen.seizure.to_bools(), ref_s)
     np.testing.assert_array_equal(gen.non_seizure.to_bools(), ref_ns)
+
+
+def merge_steps_reference(bits, steps, cfg, seed, dim):
+    """Straight-line float64 sums and total weights after the merge steps
+    `steps` (the `corr` of each `_merge_step`) over the cohort bit rows
+    `bits`: each target adds its correct-class row, then subtracts the
+    wrong-class row, the one the other half's target adds."""
+    values = np.zeros((len(steps[0]), dim))
+    totals = [0.0] * len(values)
+    for step, corr in enumerate(steps):
+        h = len(corr) // 2
+        signs = [binarize_oracle(v, seed, dim) for v in values]
+        for t, c in enumerate(corr):
+            if step == 0:
+                w_corr = cfg.alpha_corr if cfg.method == "waddsub" else 1.0
+                values[t] += w_corr * (bits[c] * 2.0 - 1.0)
+                totals[t] += w_corr
+                continue
+            wrong = corr[(t + h) % (2 * h)]
+            w_corr = 1.0 if cfg.method == "wsub" else cfg.alpha_corr * (1.0 - np.mean(bits[c] != signs[t]))
+            w_wrong = cfg.alpha_wrong * np.mean(bits[wrong] != signs[t])
+            values[t] += w_corr * (bits[c] * 2.0 - 1.0)
+            values[t] -= w_wrong * (bits[wrong] * 2.0 - 1.0)
+            totals[t] += w_corr
+            totals[t] -= w_wrong
+    return values, totals
+
+
+class TestMergeStep:
+    """The float64 sums themselves, not only their signs: the order of the
+    two adds into one target changes how the sums round."""
+
+    @pytest.mark.parametrize("method", ["wsub", "waddsub"])
+    @pytest.mark.parametrize("shape", ["generalize", "evolve"])
+    def test_sums_match_straight_line_reference(self, shape, method):
+        dim, n, seed = 1001, 6, 3
+        cohort = flip_cohort(n, dim=dim, seed=29)
+        bits = [m.seizure.to_bools() for m in cohort] + [m.non_seizure.to_bools() for m in cohort]
+        if shape == "generalize":  # targets NS, S, merging the cohort twice in list order
+            steps = [[n + i, i] for i in (*range(n), *range(n))]
+        else:  # targets the S of each of 3 shuffles, then their NS
+            orders = np.stack([np.random.default_rng(r).permutation(n) for r in range(3)])
+            steps = [np.concatenate([idx, n + idx]) for idx in orders.T]
+        cfg = MergeConfig(method=method, alpha_wrong=0.75)
+        sums = _SignedSums(len(steps[0]), dim, seed)
+        _, rows = _cohort_words(cohort)
+        for step, corr in enumerate(steps):
+            _merge_step(sums, rows, corr, cfg, first=step == 0)
+        values, totals = merge_steps_reference(bits, steps, cfg, seed, dim)
+        assert sums.values.tobytes() == values.tobytes()
+        assert sums.total_weight == totals
 
 
 class TestEvolutionCurve:

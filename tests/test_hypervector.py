@@ -405,6 +405,22 @@ class TestWordRow:
         with pytest.raises(ValueError, match="read-only"):
             v.words[-1] = np.uint64(1) << np.uint64(40)  # a bit past dim
 
+    @pytest.mark.parametrize("dim", [64, 72, 1001])
+    def test_made_rows_are_read_only_valid_rows(self, dim):
+        # from_bools, random_hypervector and bind take the row they make
+        # without the constructor's check and copy
+        bits = np.random.default_rng(dim).integers(0, 2, dim)
+        made = [Hypervector.from_bools(bits.astype(t)) for t in (bool, np.uint8, np.int64, np.float64)]
+        made += [Hypervector.from_bools(bits * 3), random_hypervector(2, 0, dim)]
+        made.append(bind(made[0], made[-1]))
+        for v in made:
+            assert not v.words.flags.writeable
+            assert Hypervector(v.words, dim) == v  # the constructor's check passes
+        assert all(v == made[0] for v in made[1:5])  # any nonzero value is a set bit
+        assert made[0].to_bools().tolist() == bits.tolist()
+        with pytest.raises(InvalidDimensionError):
+            Hypervector.from_bools(bits[:63])
+
     @pytest.mark.parametrize("row", [
         np.zeros(2, np.float64),
         np.zeros(13, np.float64),
