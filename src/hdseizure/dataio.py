@@ -464,10 +464,25 @@ def _read_cohort_dir(dirpath, one):
 
 
 def read_cohort(dirpath):
-    return _read_cohort_dir(
+    """The record cohort of `dirpath`. Every record must carry the first
+    record's channels in its order; IncompatibleModelsError names the
+    first record that does not, the first position where it differs and
+    the channel expected there."""
+    cohort = _read_cohort_dir(
         dirpath,
         lambda path, rid, sid: replace(read_record(path), record_id=rid, subject_id=sid),
     )
+    first = cohort[0][0]
+    for rec in (rec for recs in cohort for rec in recs):
+        got, want = [*rec.channels, None], [*first.channels, None]
+        k = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), None)
+        if k is not None:
+            raise IncompatibleModelsError(
+                f"subject {rec.subject_id!r} record {rec.record_id!r} has "
+                f"{'no channel' if got[k] is None else f'channel {got[k]!r}'} at position {k}, "
+                f"where subject {first.subject_id!r} record {first.record_id!r} has "
+                f"{'none' if want[k] is None else repr(want[k])}")
+    return cohort
 
 
 def read_feature_cohort(dirpath):

@@ -188,6 +188,12 @@ def encode_windows(values, codebooks: Codebooks) -> np.ndarray:
 
     Bit-exact equal to bundling bind(id[f], level[q(x[f])]) per row with
     the codebook seed as the tie-break seed.
+
+    The bits at and past (L-1) * floor(dim / (2(L-1))), about half of
+    them, lie beyond every flip block and so are one constant in every
+    window. The online trainer therefore accumulates only the words its
+    samples vary in, and takes the shared words of a class from the sign
+    of its total weight (see `training.train_online`).
     """
     if not codebooks.is_fitted:
         raise ValueError("codebooks have no fitted feature ranges; call fit_ranges")

@@ -264,7 +264,8 @@ def extract_features(record: SignalRecord, config: FeatureConfig = None) -> Feat
             f"{int(bad.sum())} non-finite sample(s), first in channel "
             f"{record.channels[ch]!r} at sample {t}: {record.samples[ch, t]}"
         )
-    peak = np.maximum(record.samples.max(axis=1), -record.samples.min(axis=1))
+    high, low = record.samples.max(axis=1), record.samples.min(axis=1)
+    peak = np.maximum(high, -low)
     limit = _sample_limit(wlen)
     if (peak > limit).any():
         ch = int(np.argmax(peak > limit))
@@ -277,6 +278,11 @@ def extract_features(record: SignalRecord, config: FeatureConfig = None) -> Feat
             f"sampling rate {fs:g} Hz is too low for the {AZC_BAND[0]:g}-{AZC_BAND[1]:g} Hz "
             f"zero-crossing band, which needs fs > {2 * AZC_BAND[1]:g} Hz"
         )
+    flat = [repr(name) for name, lo, hi in zip(record.channels, low, high) if lo == hi]
+    if flat:
+        warnings.warn(f"subject {record.subject_id!r} record {record.record_id!r}: channel(s) "
+                      f"{', '.join(flat)} are flat, every sample equal; their features describe "
+                      "no signal")
     nwin = window_count(total, wlen, step)
     nfeat = len(FEATURE_NAMES)
     values = np.empty((nwin, len(record.channels) * nfeat))

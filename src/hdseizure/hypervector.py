@@ -10,12 +10,19 @@ The computational kernel of the package:
                            test oracles' reference for `_SignedSums`
     - _SignedSums:         the accumulator rows of the trainer and the merge,
                            added to with BLAS daxpy; the merge's float64
-                           rows reach BLAS without a copy
+                           rows reach BLAS without a copy. The online
+                           trainer's hold only the word columns its
+                           samples vary in: every encoded window shares
+                           the bits past the level chain's flip blocks,
+                           and a class's sign bits on a shared word follow
+                           from the sign of its total weight
     - bundle(vectors):     majority-vote superposition, by `Accumulator`
     - hamming_words:       distances over packed row matrices, the
-                           kernel of classification, the trainer, the
-                           merge, `pairwise_matrices` (each unordered row
-                           pair once) and `separability`
+                           kernel of classification, the merge,
+                           `pairwise_matrices` (each unordered row pair
+                           once) and `separability`; the trainer adds its
+                           `_hamming_counts` over the varying words to a
+                           closed-form count over the shared ones
 
 `hamming_words` converts the XORed rows' popcounts to float32 and sums
 each row with one matrix-vector product against a ones vector. Every
@@ -248,15 +255,25 @@ class _SignedSums:
     while it is finite no value overflows.
     """
 
-    def __init__(self, count: int, dim: int, tie_break_seed: int):
+    def __init__(self, count: int, dim: int, tie_break_seed: int, words=None):
+        """`count` rows of `dim` sums. Given `words`, sorted indices of
+        word columns of `dim`-bit rows, the rows hold only the real bits
+        of those columns: `self.dim` is their count, the sign threshold is
+        taken at those bits and `signs` returns those columns."""
+        threshold = _sign_threshold(tie_break_seed, dim)
+        if words is not None and len(words) < -(-dim // 64):
+            bit = (64 * words[:, None] + np.arange(64)).ravel()
+            threshold = threshold[bit[bit < dim]]
+            dim = threshold.shape[0]
         self.dim = dim
         self.values = np.zeros((count, dim))
         self.total_weight = [0.0] * count
         self._abs_weight = [0.0] * count
-        self._threshold = _sign_threshold(tie_break_seed, dim)
+        self._threshold = threshold
         from scipy.linalg.blas import daxpy
 
-        self._daxpy = daxpy
+        # BLAS rejects empty rows, and there is nothing to add to them
+        self._daxpy = daxpy if dim else (lambda x, y, a: y)
         self._bits = np.zeros((count, -(-dim // 64) * 64), dtype=bool)
         self._changed = set(range(count))
         self._signs = None
@@ -368,12 +385,17 @@ def _ones(words: int) -> np.ndarray:
     return ones
 
 
+def _hamming_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamming counts between word rows, broadcast over the leading axes:
+    each row's popcounts summed by one matrix-vector product against
+    `_ones`, exact integers in float32 (float64 for wider rows)."""
+    diff = np.bitwise_xor(a, b)
+    ones = _ones(diff.shape[-1])
+    return np.dot(np.bitwise_count(diff).astype(ones.dtype), ones)
+
+
 def hamming_words(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
     """Normalized Hamming distance between word rows, broadcast
     over the leading axes: one row against a matrix, or pairs of rows.
-    Each row's popcounts are summed by one matrix-vector product against
-    `_ones`, exactly (see the module docstring)."""
-    diff = np.bitwise_xor(a, b)
-    ones = _ones(diff.shape[-1])
-    counts = np.bitwise_count(diff).astype(ones.dtype)
-    return np.divide(np.dot(counts, ones), dim, dtype=np.float64)
+    The `_hamming_counts` over `dim`, exactly (see the module docstring)."""
+    return np.divide(_hamming_counts(a, b), dim, dtype=np.float64)

@@ -4,6 +4,11 @@ Two trainers build a seizure / non-seizure prototype pair from encoded
 windows: single-pass majority bundling, and an online scheme that weights
 each sample by how unfamiliar it is to its own class and pushes it out of
 a wrongly-predicting class.
+
+Encoded windows share every bit past the level chain's flip blocks, so
+the online trainer accumulates only the words its samples vary in. On a
+word they all share, a class's sign bits follow from the sign of its
+total weight: the shared value, its complement, or the tie-break bits.
 """
 
 from __future__ import annotations
@@ -19,8 +24,9 @@ from .hypervector import (
     _bipolar_rows,
     _check_dim,
     _check_rows,
+    _hamming_counts,
     _SignedSums,
-    hamming_words,
+    tie_break_vector,
 )
 
 MODEL_KINDS = ("personalized", "generalized", "hybrid")
@@ -130,6 +136,22 @@ def train_standard(samples, labels, cfg: TrainConfig, *, dim: int, **meta) -> Cl
     return _class_model(sums, meta)
 
 
+def _shared_rows(common: np.ndarray, shared: np.ndarray, dim: int, seed: int) -> np.ndarray:
+    """The `shared` words of a class row whose total weight is > 0, < 0
+    and == 0, as (3, words) rows zero elsewhere: `common`, its complement
+    and the tie-break bits, on the real bits of those words."""
+    real = np.where(shared, ~np.uint64(0), np.uint64(0))
+    if dim % 64 and shared[-1]:
+        real[-1] = (1 << dim % 64) - 1
+    common = common & real
+    return np.stack([common, ~common & real, tie_break_vector(seed, dim).words & real])
+
+
+def _side(total_weight: float) -> int:
+    """The `_shared_rows` row of a class with this total weight."""
+    return 0 if total_weight > 0 else 1 if total_weight < 0 else 2
+
+
 def train_online(samples, labels, cfg: TrainConfig, *, dim: int, stats: dict = None, **meta) -> ClassModel:
     """OnlineHD-style single-pass training, repeated for cfg.epochs.
 
@@ -141,11 +163,30 @@ def train_online(samples, labels, cfg: TrainConfig, *, dim: int, stats: dict = N
     before either accumulator is touched.
 
     The two accumulators are the rows of one `_SignedSums`, indexed by
-    class, so every +-w lands exactly as in `Accumulator.add`.
+    class, so every +-w lands exactly as in `Accumulator.add`. They hold
+    only the words the samples vary in. Encoded windows share every bit
+    past the level chain's flip blocks, about half their words. On a word
+    all samples share, with value c, each add is +-w on every bit, so a
+    class's value there is exactly +-its total weight (each entry rounds
+    once, as the Python sum of the weights does, and rounding is
+    symmetric): its sign bits are c while the total weight is > 0, ~c
+    while it is < 0 and the tie-break bits while it is 0. A distance is
+    the Hamming count over the varying words plus that closed-form count
+    over the shared ones, over `dim`, bit-identical to `hamming_words` on
+    full rows; the full class rows are assembled once, at the end.
     """
     samples, labels = _check_samples(samples, labels, dim, meta.get("subject_id", ""))
-    bipolar = _bipolar_rows(samples, dim)
-    sums = _SignedSums(2, dim, cfg.seed)
+    common = np.bitwise_and.reduce(samples)
+    shared = common == np.bitwise_or.reduce(samples)
+    varying = np.flatnonzero(~shared)
+    sums = _SignedSums(2, dim, cfg.seed, varying)
+    if shared.any():
+        samples = samples.take(varying, axis=1)
+    fill = _shared_rows(common, shared, dim, cfg.seed)
+    # every sample's count over the shared words, by `_side`: 0, all of
+    # their bits, or where they differ from the tie-break bits
+    flipped = _hamming_counts(fill[0], fill).tolist()
+    bipolar = _bipolar_rows(samples, sums.dim)
     seen = [False, False]
     mispredictions = 0
     for _ in range(cfg.epochs):
@@ -155,7 +196,8 @@ def train_online(samples, labels, cfg: TrainConfig, *, dim: int, stats: dict = N
                 sums.add((label,), (row,), (1.0,))
                 continue
             other = 1 - label
-            dist = hamming_words(x, sums.signs(), dim).tolist()
+            counts = _hamming_counts(x, sums.signs()).tolist()
+            dist = [(n + flipped[_side(w)]) / dim for n, w in zip(counts, sums.total_weight)]
             s_own, s_other = 1.0 - dist[label], 1.0 - dist[other]
             sums.add((label,), (row,), (cfg.alpha * (1.0 - s_own),))
             if seen[other]:
@@ -167,4 +209,6 @@ def train_online(samples, labels, cfg: TrainConfig, *, dim: int, stats: dict = N
                     sums.add((other,), (row,), (-cfg.alpha * s_other,))
     if stats is not None:
         stats["mispredictions"] = mispredictions
-    return _class_model(sums, meta)
+    words = fill[[_side(w) for w in sums.total_weight]]
+    words[:, varying] = sums.signs()
+    return ClassModel(words, dim, **meta)

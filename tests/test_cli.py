@@ -592,6 +592,11 @@ def rename_channels(cells):
     return ["time_s", "Fz", "Cz", "label"] if cells[0] == "time_s" else cells
 
 
+#: the channel names each record edit above gives, as a map from the originals
+CHANNEL_MAPS = {swap_channels: {"ch01": "ch02", "ch02": "ch01"},
+                rename_channels: {"ch01": "Fz", "ch02": "Cz"}}
+
+
 class TestFeatureNames:
     """Records are pooled by feature name: every record of a cohort, and a
     raw transfer source and its target, must carry the same names."""
@@ -606,25 +611,61 @@ class TestFeatureNames:
         return cohort, feats
 
     @staticmethod
-    def features(cohort, root, edit, names=("s001__r01.csv",)):
-        """Features of a copy of `cohort` whose records `names` have each
-        row's cells passed through `edit`."""
-        records, feats = root / "records", root / "feats"
+    def records(cohort, root, edit, names=("s001__r01.csv",)):
+        """A copy of `cohort` whose records `names` have each row's cells
+        passed through `edit`."""
+        records = root / "records"
         records.mkdir()
         for path in sorted(cohort.iterdir()):
             lines = path.read_text().splitlines()
             if path.name in names:
                 lines = [",".join(edit(line.split(","))) for line in lines]
             (records / path.name).write_text("\n".join(lines) + "\n")
+        return records
+
+    @staticmethod
+    def relabelled(feats, root, channels, name="s001__r01.csv"):
+        """A copy of the feature directory `feats` whose file `name` has its
+        header's channel names mapped through `channels`."""
+        out = root / "feats"
+        out.mkdir()
+        for path in sorted(Path(feats).iterdir()):
+            header, body = path.read_text().split("\n", 1)
+            if path.name == name:
+                cells = [cell.partition(":") for cell in header.split(",")]
+                header = ",".join(channels.get(ch, ch) + sep + feature for ch, sep, feature in cells)
+            (out / path.name).write_text(header + "\n" + body)
+        return str(out)
+
+    @pytest.mark.parametrize("edit, first", [(swap_channels, "channel 'ch02'"),
+                                             (rename_channels, "channel 'Fz'")])
+    def test_features_rejects_one_record_named_apart(self, cohort, tmp_path, capsys, edit, first):
+        records = self.records(cohort[0], tmp_path, edit)
+        out = tmp_path / "out"
+        capsys.readouterr()
         assert run(["features", *TINY["features"], "--cohort", str(records),
-                    "--out", str(feats)]) == 0
-        return str(feats)
+                    "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err == (f"DATA: subject 's001' record 'r01' has {first} at position 0, "
+                       "where subject 's000' record 'r00' has 'ch01'\n"), err
+        assert not out.exists()
+
+    def test_features_rejects_a_missing_channel(self, cohort, tmp_path, capsys):
+        records = self.records(cohort[0], tmp_path, lambda cells: [*cells[:2], cells[-1]])
+        capsys.readouterr()
+        assert run(["features", *TINY["features"], "--cohort", str(records),
+                    "--out", str(tmp_path / "out")]) == 5
+        assert capsys.readouterr().err == (
+            "DATA: subject 's001' record 'r01' has no channel at position 1, "
+            "where subject 's000' record 'r00' has 'ch02'\n")
 
     @pytest.mark.parametrize("edit, first", [(swap_channels, "'ch02:mean_amplitude' in column 0"),
                                              (rename_channels, "'Fz:mean_amplitude' in column 0")])
     def test_one_record_named_apart_is_data_error(self, cohort, tmp_path, capsys, edit, first):
+        # `features` rejects such a cohort, so the header of one record's
+        # feature file is edited instead
         cohort, clean = cohort
-        bad = self.features(cohort, tmp_path, edit)
+        bad = self.relabelled(clean, tmp_path, CHANNEL_MAPS[edit])
         out = tmp_path / "out"
         for argv in (["train", "--features", bad],
                      ["eval", "--mode", "both", "--features", bad],
@@ -641,7 +682,11 @@ class TestFeatureNames:
     def test_transfer_source_named_apart_is_data_error(self, cohort, tmp_path, capsys):
         cohort, clean = cohort
         every = [path.name for path in cohort.iterdir()]
-        renamed = self.features(cohort, tmp_path, rename_channels, names=every)
+        records = self.records(cohort, tmp_path, rename_channels, names=every)
+        renamed = str(tmp_path / "renamed")
+        # a cohort whose records all carry the same other names is consistent
+        assert run(["features", *TINY["features"], "--cohort", str(records),
+                    "--out", renamed]) == 0
         out = tmp_path / "out"
         assert run(["train", *TINY["train"], "--features", renamed, "--out", str(out)]) == 0
         assert run(["transfer", *TINY["transfer"], "--source-features", renamed,
@@ -651,6 +696,23 @@ class TestFeatureNames:
                               "'ch01:mean_amplitude' in column 0, where subject 's000' "
                               "record 'r00' has 'Fz:mean_amplitude'"), err
         assert not (tmp_path / "t").exists()
+
+
+class TestFlatChannel:
+    def test_features_warns_and_extracts(self, tmp_path):
+        cohort = tmp_path / "cohort"
+        assert run(["synth", *TINY["synth"], "--out", str(cohort)]) == 0
+        # channel ch02 of one record is all zeros
+        records = TestFeatureNames.records(
+            cohort, tmp_path, lambda cells: cells if cells[0] == "time_s" else [*cells[:2], "0", cells[3]])
+        feats = tmp_path / "feats"
+        with pytest.warns(UserWarning) as caught:
+            assert run(["features", *TINY["features"], "--cohort", str(records),
+                        "--out", str(feats)]) == 0
+        assert [str(w.message) for w in caught] == [
+            "subject 's001' record 'r01': channel(s) 'ch02' are flat, every sample equal; "
+            "their features describe no signal"]
+        assert sorted(os.listdir(feats)) == sorted(os.listdir(cohort))
 
 
 class TestEncoderRowsAtLoad:

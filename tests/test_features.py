@@ -351,7 +351,8 @@ class TestExtractFeatures:
             samples=np.zeros((2, 2560)),
             labels=np.zeros(2560, dtype=np.uint8),
         )
-        fm = extract_features(record)
+        with pytest.warns(UserWarning, match="channel\\(s\\) 'A', 'B' are flat"):
+            fm = extract_features(record)
         names = np.array(fm.feature_names)
         for col in np.flatnonzero(np.char.find(names, "mean_amplitude") >= 0):
             np.testing.assert_array_equal(fm.values[:, col], 0.0)
@@ -451,6 +452,43 @@ class TestEmptyBandWarning:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             extract_features(record, FeatureConfig(window_sec=4.0))
+
+
+class TestFlatChannelWarning:
+    @pytest.mark.parametrize("level", [0.0, -12.5])
+    def test_flat_channel_warns_with_its_name(self, level):
+        record = make_record(fs=64, seconds=20.0, channels=3, seed=5)
+        clean = extract_features(record)
+        record.samples[1] = level
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fm = extract_features(record)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (UserWarning, "subject 's0' record 'r0': channel(s) 'C1' are flat, every sample "
+                          "equal; their features describe no signal")]
+        flat = fm.values[:, 22:44]
+        assert np.isfinite(flat).all()
+        if level == 0.0:
+            assert (flat == flat[0]).all()
+        # the other channels' features are those of the unedited record
+        np.testing.assert_array_equal(fm.values[:, :22], clean.values[:, :22])
+        np.testing.assert_array_equal(fm.values[:, 44:], clean.values[:, 44:])
+
+    def test_every_flat_channel_named_once(self):
+        record = make_record(fs=64, seconds=20.0, channels=3, seed=5)
+        record.samples[0] = 0.0
+        record.samples[2] = 3.0
+        with pytest.warns(UserWarning, match="channel\\(s\\) 'C0', 'C2' are flat") as caught:
+            extract_features(record)
+        assert len(caught) == 1
+
+    def test_one_differing_sample_is_not_flat(self):
+        record = make_record(fs=64, seconds=20.0, seed=5)
+        record.samples[0] = 0.0
+        record.samples[0, -1] = 1e-300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            extract_features(record)
 
 
 class TestWindowAndStepLength:

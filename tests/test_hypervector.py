@@ -12,6 +12,7 @@ from hdseizure.hypervector import (
     Accumulator,
     Hypervector,
     _bipolar_rows,
+    _hamming_counts,
     _SignedSums,
     bind,
     bundle,
@@ -287,6 +288,74 @@ class TestSignedSums:
         sums = _SignedSums(2, 128, 17)
         expect = tie_break_vector(17, 128).words
         assert all(np.array_equal(row, expect) for row in sums.signs())
+
+
+class TestSharedWords:
+    """`_SignedSums` over some word columns holds the full-width
+    `Accumulator` values at those columns' bits. On a column that every
+    added row shares, with value c, each full value is exactly +-total
+    weight, so the sign bits there are c, ~c or the tie bits as the total
+    weight is > 0, < 0 or == 0: the online trainer's closed form."""
+
+    SEED = 11
+
+    @pytest.mark.parametrize("dim, shared", [
+        (200, [0, 3]),          # the last word holds 8 real bits
+        (1001, [1, 15]),        # the last word holds 41 real bits
+        (1001, [0, 2, 5]),      # the last word varies
+        (1001, list(range(16))),  # every word is shared: no varying bit
+        (1001, []),             # no word is shared: the full-width kernel
+    ])
+    @pytest.mark.parametrize("weights, side", [
+        ((1.0, 0.5, -0.25), 0),
+        ((0.1, 0.2, -0.3), 0),   # rounds to 5.55e-17
+        ((1.0, -0.75, -0.5), 1),
+        ((0.3, -0.1, -0.2), 1),  # rounds to -2.78e-17
+        ((1.0, -0.5, -0.5), 2),
+        ((1.0, 0.0, -1.0), 2),
+    ])
+    def test_varying_words_and_closed_form(self, dim, shared, weights, side):
+        words = -(-dim // 64)
+        rows = np.stack([rv(40 + k, 0, dim).words for k in range(len(weights))])
+        rows[:, shared] = rows[0, shared]
+        is_shared = np.isin(np.arange(words), shared)
+        varying = np.flatnonzero(~is_shared)
+        assert np.array_equal(np.bitwise_and.reduce(rows) == np.bitwise_or.reduce(rows), is_shared)
+        sums = _SignedSums(1, dim, self.SEED, varying)
+        ref = Accumulator(dim)
+        for row, w in zip(rows, weights):
+            sums.add((0,), _bipolar_rows(row[varying], sums.dim)[None], (w,))
+            ref.add(Hypervector(row, dim), w)
+        bit = np.arange(dim)
+        held = ~is_shared[bit // 64]
+        assert sums.dim == int(held.sum())
+        assert sums.values[0].tobytes() == ref.values[held].tobytes()
+        assert sums.total_weight == [ref.total_weight]
+        full = ref.normalize(self.SEED).words
+        np.testing.assert_array_equal(sums.signs()[0], full[varying])
+        # every shared bit holds +-total weight, the sign of its bit in c
+        # (up to the sign of a zero, which the sign rule does not read)
+        c = Hypervector(rows[0], dim).to_bools().astype(bool)
+        total = ref.total_weight
+        assert np.array_equal(ref.values[~held], np.where(c, total, -total)[~held])
+        assert side == (0 if total > 0 else 1 if total < 0 else 2)
+        c_row = Hypervector(rows[0], dim)
+        expect = (c_row, complement(c_row), tie_break_vector(self.SEED, dim))[side].words
+        np.testing.assert_array_equal(full[is_shared], expect[is_shared])
+
+    def test_hamming_counts_split_over_words(self):
+        # the trainer's distance: the counts over two sets of word columns
+        # add up to the full-row count, which hamming_words divides by dim
+        dim = 1001
+        a = np.stack([rv(50 + k, 0, dim).words for k in range(3)])
+        b = rv(60, 0, dim).words
+        some = np.array([0, 4, 15])
+        rest = np.setdiff1d(np.arange(16), some)
+        full = _hamming_counts(a, b)
+        np.testing.assert_array_equal(_hamming_counts(a[:, some], b[some])
+                                      + _hamming_counts(a[:, rest], b[rest]), full)
+        np.testing.assert_array_equal(full / np.float64(dim), hamming_words(a, b, dim))
+        assert _hamming_counts(a[:, :0], b[:0]).tolist() == [0.0] * 3
 
 
 class TestBundle:

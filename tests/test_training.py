@@ -433,6 +433,21 @@ def training_sets(draw):
     return [(flip_fraction(base[y], noise, rng), int(y)) for y in labels]
 
 
+@st.composite
+def shared_word_sets(draw):
+    """`training_sets` samples with none, some or all of their word columns
+    made equal across every row; at dim 1001 the last word holds 41 bits."""
+    samples = draw(training_sets())
+    dim = samples[0][0].dim
+    words = -(-dim // 64)
+    kind = draw(st.sampled_from(["none", "some", "all"]))
+    shared = np.array(draw(st.lists(st.booleans(), min_size=words, max_size=words))
+                      if kind == "some" else [kind == "all"] * words)
+    rows = np.stack([v.words for v, _ in samples])
+    rows[:, shared] = rows[0, shared]
+    return [(Hypervector(row, dim), y) for row, (_, y) in zip(rows, samples)]
+
+
 def assert_same_model(got, want):
     assert got.seizure == want.seizure
     assert got.non_seizure == want.non_seizure
@@ -453,6 +468,41 @@ class TestTrainersMatchOracles:
         want = oracles.train_online(samples, cfg, stats=want_stats)
         assert_same_model(got, want)
         assert got_stats == want_stats
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shared_word_sets(),
+        st.sampled_from([0.0, 1.0, 1e300]),
+        st.integers(1, 2),
+        st.integers(0, 2**31),
+    )
+    def test_online_with_shared_words(self, samples, alpha, epochs, seed):
+        cfg = TrainConfig(alpha=alpha, epochs=epochs, seed=seed)
+        got_stats, want_stats = {}, {}
+        got = fit(train_online, samples, cfg, stats=got_stats)
+        want = oracles.train_online(samples, cfg, stats=want_stats)
+        assert got.words.tobytes() == want.words.tobytes()
+        assert got_stats == want_stats
+
+    @pytest.mark.parametrize("dim, shared", [(128, [1]), (1001, [0, 15]), (1001, [3])])
+    @pytest.mark.parametrize("alpha, side", [(0.5, 0), (2.0, 1), (1.0, 2)])
+    def test_online_shared_words_by_total_weight(self, dim, shared, alpha, side):
+        # the seizure sample x comes back as a non-seizure sample at
+        # similarity 1 to the seizure class, which it mispredicts: the
+        # seizure class's total weight ends 1 - alpha, and on the shared
+        # words its row is x, ~x or the tie bits
+        rows = np.stack([random_hypervector(8, k, dim).words for k in range(2)])
+        rows[1, shared] = rows[0, shared]
+        x, y = Hypervector(rows[0], dim), Hypervector(rows[1], dim)
+        samples = [(x, SEIZURE), (y, NON_SEIZURE), (x, NON_SEIZURE)]
+        cfg = TrainConfig(alpha=alpha, seed=9)
+        got_stats, want_stats = {}, {}
+        got = fit(train_online, samples, cfg, stats=got_stats)
+        want = oracles.train_online(samples, cfg, stats=want_stats)
+        assert got.words.tobytes() == want.words.tobytes()
+        assert got_stats == want_stats == {"mispredictions": 1}
+        expect = (x, complement(x), tie_break_vector(9, dim))[side].words
+        np.testing.assert_array_equal(got.words[SEIZURE, shared], expect[shared])
 
     @settings(max_examples=40, deadline=None)
     @given(training_sets(), st.integers(0, 2**31))
