@@ -247,17 +247,9 @@ def cv_personalized(records, cfg: EvalConfig = None) -> EvalReport:
         raise InsufficientDataError(
             f"leave-one-seizure-out needs >= 3 records, got {len(records)}"
         )
-    base = _base_codebooks(records, cfg)
-    fold_raw, fold_p = [], []
-    for k in range(len(records)):
-        books, (model,) = _train_cohort([records[:k] + records[k + 1:]], cfg, base)
-        raw, p = _classify_rows(encode_windows(records[k].values, books), model)
-        fold_raw.append(raw)
-        fold_p.append(p)
-    return _report(
-        _subject_id_of(records), "personalized", _stack_labels(records),
-        np.concatenate(fold_raw), np.concatenate(fold_p), cfg,
-    )
+    folds = [([records[:k] + records[k + 1:]], [(0, [fm])]) for k, fm in enumerate(records)]
+    return _run_folds(folds, _base_codebooks(records, cfg), "personalized",
+                      [_subject_id_of(records)], cfg)[0]
 
 
 def train_personalized(records, books: Codebooks, cfg: EvalConfig, subject_id: str = "") -> ClassModel:
@@ -283,18 +275,31 @@ def _train_cohort(cohort, cfg: EvalConfig, base: Codebooks = None):
     return books, [train_personalized(recs, books, cfg) for recs in cohort]
 
 
-def _evaluate_target(target_recs, subject_id, merged: ClassModel, books: Codebooks, mode: str, cfg: EvalConfig) -> EvalReport:
-    """Classify the target's windows with `merged`, or, when `mode` is a
-    hybrid, with `merged` holding one of the target's own class vectors,
-    and report them under `subject_id`. The windows are encoded once: the
-    same rows train the personal class and are classified."""
-    rows = encode_windows(_stack_values(target_recs), books)
-    truth = _stack_labels(target_recs)
-    if mode != "generalized":
-        pers = train(rows, truth, cfg.train, dim=books.dim, subject_id=subject_id)
-        merged = compose_hybrid(pers, merged, mode)
-    raw, p = _classify_rows(rows, merged)
-    return _report(subject_id, mode, truth, raw, p, cfg)
+def _run_folds(folds, books: Codebooks, kind: str, subject_ids, cfg: EvalConfig):
+    """Run the folds in order and return one `kind` report per subject id.
+
+    A fold is (source, targets): record groups that `_train_cohort` fits on
+    `books` and trains, or pre-trained models that `books` encodes, and the
+    (report index, records) its model scores, joined per report in fold
+    order. A hybrid also trains each target's own class on its rows.
+    """
+    parts = [[] for _ in subject_ids]
+    for source, targets in folds:
+        fitted, models = ((books, source) if isinstance(source[0], ClassModel)
+                          else _train_cohort(source, cfg, books))
+        if kind == "personalized" or (len(models) == 1 and models[0].kind == "generalized"):
+            model = models[0]  # the fold's one model, or a lone generalized one as is
+        else:
+            model = generalize(models, cfg.merge, tie_break_seed=cfg.seed)
+        for i, recs in targets:
+            rows, truth = encode_windows(_stack_values(recs), fitted), _stack_labels(recs)
+            applied = model
+            if kind in HYBRID_MODES:
+                own = train(rows, truth, cfg.train, dim=fitted.dim, subject_id=subject_ids[i])
+                applied = compose_hybrid(own, model, kind)
+            parts[i].append((truth, *_classify_rows(rows, applied)))
+    return [_report(sid, kind, *map(np.concatenate, zip(*part)), cfg)
+            for sid, part in zip(subject_ids, parts)]
 
 
 def cv_generalized(cohort, cfg: EvalConfig = None):
@@ -319,6 +324,18 @@ def cv_generalized(cohort, cfg: EvalConfig = None):
 TRANSFER_MODES = ("generalized",) + HYBRID_MODES
 
 
+def _subjects(cohort, role: str):
+    """`cohort` as lists of records; InsufficientDataError names an empty
+    cohort or the first subject without records."""
+    cohort = [list(recs) for recs in cohort]
+    if not cohort:
+        raise InsufficientDataError(f"empty {role} cohort")
+    for i, recs in enumerate(cohort):
+        if not recs:
+            raise InsufficientDataError(f"{role} subject {i} has no records")
+    return cohort
+
+
 def transfer_eval(source, target_cohort, mode: str = "generalized", cfg: EvalConfig = None, source_codebooks: Codebooks = None):
     """Apply source-cohort knowledge to every target subject.
 
@@ -329,23 +346,21 @@ def transfer_eval(source, target_cohort, mode: str = "generalized", cfg: EvalCon
     leave-one-subject-out. Hybrid modes swap in a class vector trained on
     the target subject's own data, encoded with the transfer codebooks.
 
-    Ranges are fitted, source models trained and merged once per distinct
-    set of eligible source subjects: a source that shares no id with the
-    targets is merged once for all of them, while leave-one-subject-out,
-    where every set differs, does that work once per subject.
+    Each distinct set of eligible source subjects is one fold, fitted,
+    trained and merged once for every target it scores: a source that
+    shares no id with the targets is one fold, while leave-one-subject-out,
+    where every set differs, has one fold per subject.
     """
     cfg = cfg or EvalConfig()
     if mode not in TRANSFER_MODES:
         raise ValueError(f"mode must be one of {TRANSFER_MODES}, got {mode!r}")
-    target_cohort = [list(recs) for recs in target_cohort]
-    if not target_cohort:
-        raise InsufficientDataError("empty target cohort")
+    target_cohort = _subjects(target_cohort, "target")
     target_nfeat = _feature_count([fm for recs in target_cohort for fm in recs])
 
     source = list(source)
     raw_source = not (source and isinstance(source[0], ClassModel))
     if raw_source:
-        source = [list(recs) for recs in source]
+        source = _subjects(source, "source")
         books = _base_codebooks([fm for recs in source for fm in recs], cfg)
     elif source_codebooks is None:
         raise IncompatibleModelsError("pre-trained source models need their codebooks")
@@ -363,23 +378,15 @@ def transfer_eval(source, target_cohort, mode: str = "generalized", cfg: EvalCon
         _feature_count([fm for recs in source + target_cohort for fm in recs])
 
     source_ids = [_subject_id_of(recs) for recs in source] if raw_source else [m.subject_id for m in source]
-    merges = {}  # eligible source indices -> (fitted codebooks, merged model)
-    reports = []
-    for target_recs in target_cohort:
-        target_id = _subject_id_of(target_recs)
+    target_ids = [_subject_id_of(recs) for recs in target_cohort]
+    scored = {}  # eligible source indices -> the targets they score
+    for i, (target_id, target_recs) in enumerate(zip(target_ids, target_cohort)):
         eligible = tuple(k for k, sid in enumerate(source_ids) if sid != target_id or not target_id)
         if not eligible:
             raise InsufficientDataError("no source subjects left after exclusion")
-        if eligible not in merges:
-            picked = [source[k] for k in eligible]
-            fitted, models = _train_cohort(picked, cfg, books) if raw_source else (books, picked)
-            if len(models) == 1 and models[0].kind == "generalized":
-                merges[eligible] = fitted, models[0]  # a lone generalized model is used as is
-            else:
-                merges[eligible] = fitted, generalize(models, cfg.merge, tie_break_seed=cfg.seed)
-        fitted, merged = merges[eligible]
-        reports.append(_evaluate_target(target_recs, target_id or "target", merged, fitted, mode, cfg))
-    return reports
+        scored.setdefault(eligible, []).append((i, target_recs))
+    folds = [([source[k] for k in eligible], targets) for eligible, targets in scored.items()]
+    return _run_folds(folds, books, mode, [sid or "target" for sid in target_ids], cfg)
 
 
 def summarize(reports) -> dict:

@@ -305,8 +305,11 @@ def extract_features(record: SignalRecord, config: FeatureConfig = None) -> Feat
     for c in range(len(record.channels)):
         x = record.samples[c]
         wins = sliding_window_view(x, wlen)[::step][:nwin]
-        block = np.empty((nwin, nfeat))
+        block = values[:, c * nfeat : (c + 1) * nfeat]
         block[:, 0] = np.abs(wins).mean(axis=1)
+        if low[c] == high[c]:  # flat: no spectrum, length or crossing, as on an all-zero channel
+            block[:, 1:] = 0.0
+            continue
         tapered = (wins - wins.mean(axis=1, keepdims=True)) * taper
         spectrum = np.abs(np.fft.rfft(tapered, axis=1)) ** 2
         for k, mask in enumerate(band_masks):
@@ -320,7 +323,6 @@ def extract_features(record: SignalRecord, config: FeatureConfig = None) -> Feat
         block[:, 2 + 2 * nb :] = _azc_windows(
             filtered, np.arange(nwin) * step, wlen, DEFAULT_AZC_EPSILONS, fs
         )
-        values[:, c * nfeat : (c + 1) * nfeat] = block
 
     names = [f"{ch}:{f}" for ch in record.channels for f in FEATURE_NAMES]
     return FeatureMatrix(

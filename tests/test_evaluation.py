@@ -527,6 +527,24 @@ class TestProtocolWork:
         # target a merges [b, c], x and y share [a, b, c]; then each target's own class
         assert calls == {"build_codebooks": 1, "fit_ranges": 2, "train": 2 + 3 + 3}
 
+    @pytest.mark.parametrize("mode", evaluation.TRANSFER_MODES)
+    def test_interleaved_eligible_sets_train_once(self, calls, mode):
+        rng = np.random.default_rng(34)
+        source = [make_subject(rng, sid) for sid in ("a", "b", "c")]
+        target = [make_subject(rng, sid) for sid in ("x", "a", "y")]
+        transfer_eval(source, target, mode, small_cfg())
+        # x and y share [a, b, c] with a between them, a merges [b, c]
+        own = len(target) if mode in evaluation.HYBRID_MODES else 0
+        assert calls == {"build_codebooks": 1, "fit_ranges": 2, "train": 2 + 3 + own}
+
+    def test_no_eligible_source_rejected_before_any_fold(self, calls):
+        rng = np.random.default_rng(35)
+        source = [make_subject(rng, "a")]
+        target = [make_subject(rng, sid) for sid in ("x", "a")]
+        with pytest.raises(InsufficientDataError, match="no source subjects left after exclusion"):
+            transfer_eval(source, target, "generalized", small_cfg())
+        assert calls == {"build_codebooks": 1, "fit_ranges": 0, "train": 0}
+
 
 def assert_same_reports(got, want):
     """Byte-identical reports: ids, kinds, metrics, p(seizure) and every
@@ -565,6 +583,17 @@ class TestTransferMatchesPerTargetLoop:
         cfg = small_cfg()
         reports = transfer_eval(source, target, mode, cfg)
         assert [r.subject_id for r in reports] == ["a", "x"]
+        assert_same_reports(reports, transfer_oracle(source, target, mode, cfg))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_interleaved_eligible_sets(self, mode):
+        # the fold for [a, b, c] scores x and y, with a's fold between them
+        rng = np.random.default_rng(43)
+        source = [make_subject(rng, sid) for sid in ("a", "b", "c")]
+        target = [make_subject(rng, sid) for sid in ("x", "a", "y")]
+        cfg = small_cfg()
+        reports = transfer_eval(source, target, mode, cfg)
+        assert [r.subject_id for r in reports] == ["x", "a", "y"]
         assert_same_reports(reports, transfer_oracle(source, target, mode, cfg))
 
     @pytest.mark.parametrize("mode", MODES)
@@ -679,6 +708,33 @@ class TestTransferEval:
         cohort = make_cohort(rng, 2)
         with pytest.raises(ValueError):
             transfer_eval(cohort, cohort, "Sgen-NSgen", small_cfg())
+
+
+class TestEmptyInputs:
+    """An empty cohort or a subject without records is named before any fold runs."""
+
+    CASES = {  # case -> (edit of a valid (source, target) pair, message)
+        "no source subjects": (lambda s, t: ([], t), "empty source cohort"),
+        "one empty source subject": (lambda s, t: ([[]], t), "source subject 0 has no records"),
+        "one empty target subject": (lambda s, t: (s, [[]]), "target subject 0 has no records"),
+        "an empty source subject among others": (lambda s, t: (s + [[]], t),
+                                                 "source subject 2 has no records"),
+        "an empty target subject among others": (lambda s, t: (s, t + [[]]),
+                                                 "target subject 2 has no records"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_transfer(self, case):
+        edit, message = self.CASES[case]
+        rng = np.random.default_rng(50)
+        source, target = edit(make_cohort(rng, 2, prefix="src"), make_cohort(rng, 2, prefix="tgt"))
+        with pytest.raises(InsufficientDataError, match=message):
+            transfer_eval(source, target, "generalized", small_cfg())
+
+    def test_cv_generalized_empty_subject(self):
+        rec = make_subject(np.random.default_rng(51), "s0")[0]
+        with pytest.raises(InsufficientDataError, match="subject 1 has no records"):
+            cv_generalized([[rec], []], small_cfg())
 
 
 class TestSummaries:

@@ -455,7 +455,7 @@ class TestEmptyBandWarning:
 
 
 class TestFlatChannelWarning:
-    @pytest.mark.parametrize("level", [0.0, -12.5])
+    @pytest.mark.parametrize("level", [0.0, 0.1, -12.5])
     def test_flat_channel_warns_with_its_name(self, level):
         record = make_record(fs=64, seconds=20.0, channels=3, seed=5)
         clean = extract_features(record)
@@ -466,10 +466,11 @@ class TestFlatChannelWarning:
         assert [(w.category, str(w.message)) for w in caught] == [
             (UserWarning, "subject 's0' record 'r0': channel(s) 'C1' are flat, every sample "
                           "equal; their features describe no signal")]
+        # as on an all-zero channel, every feature but the mean amplitude is 0:
+        # no round-off band power, relative power or zero crossing
         flat = fm.values[:, 22:44]
-        assert np.isfinite(flat).all()
-        if level == 0.0:
-            assert (flat == flat[0]).all()
+        np.testing.assert_allclose(flat[:, 0], abs(level), rtol=1e-12)
+        assert (flat[:, 1:] == 0).all()
         # the other channels' features are those of the unedited record
         np.testing.assert_array_equal(fm.values[:, :22], clean.values[:, :22])
         np.testing.assert_array_equal(fm.values[:, 44:], clean.values[:, 44:])

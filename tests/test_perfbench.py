@@ -27,6 +27,16 @@ EXPECTED = {
     "merge": {"generalization.merge_steps": 144},
 }
 
+#: layers each workload must reach: the tracer reports 0 for a name that is
+#: gone, so a protocol that stopped calling through `evaluation`'s globals
+#: would otherwise go unseen
+REACHED = {
+    "crossval": ("encoding.encode_s", "encoding.fit_ranges_s", "encoding.codebooks_s",
+                 "training.train_s", "generalization.generalize_s", "hybrid.compose_s",
+                 "evaluation.postprocess_s", "evaluation.metrics_s"),
+    "merge": (),
+}
+
 
 @pytest.mark.parametrize("workload", sorted(EXPECTED))
 def test_traced_counts_at_seed_zero(workload):
@@ -40,3 +50,5 @@ def test_traced_counts_at_seed_zero(workload):
     assert result["correct"] is True
     counts = {name: result["metrics"][name]["value"] for name in EXPECTED[workload]}
     assert counts == EXPECTED[workload]
+    unreached = [name for name in REACHED[workload] if not result["metrics"][name]["value"] > 0]
+    assert unreached == []
