@@ -13,6 +13,7 @@ at each tolerance before counting crossings.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -110,6 +111,17 @@ class FeatureConfig:
     step_sec: float = 0.5
 
 
+@functools.lru_cache(maxsize=8)
+def _bandpass_design(fs: float, low: float, high: float):
+    """Read-only (b, a) of the Butterworth bandpass, designed once per key."""
+    from scipy.signal import butter
+
+    design = butter(AZC_FILTER_ORDER // 2, [low, high], btype="bandpass", fs=fs)
+    for coefficients in design:
+        coefficients.setflags(write=False)
+    return design
+
+
 def bandpass_filter(x, fs: float, low: float, high: float):
     """Zero-phase Butterworth bandpass (forward-backward filtering).
 
@@ -127,66 +139,100 @@ def bandpass_filter(x, fs: float, low: float, high: float):
         raise DegenerateInputError(
             f"input of {x.shape[-1]} samples is too short for an order-{AZC_FILTER_ORDER} filter"
         )
-    from scipy.signal import butter, filtfilt  # only feature extraction filters
+    from scipy.signal import filtfilt  # only feature extraction filters
 
-    b, a = butter(AZC_FILTER_ORDER // 2, [low, high], btype="bandpass", fs=fs)
+    b, a = _bandpass_design(fs, low, high)
     # ~20 cycles of the low corner covers the impulse ring-down; capping the
     # least-squares horizon there keeps Gustafsson's method O(n) cheap.
     return filtfilt(b, a, x, method="gust", irlen=int(20 * fs / low))
 
 
 def _rdp_significance(y: np.ndarray, starts: np.ndarray, wlen: int, stop_eps: float) -> np.ndarray:
-    """Ramer-Douglas-Peucker significance of every point of every window.
+    """Ramer-Douglas-Peucker significance of the points of every window,
+    exact wherever it can change a run's maximum.
 
     Window w is y[starts[w] : starts[w] + wlen]. sig[w, i] is the
     ancestor-clamped perpendicular distance at which point i of window w
-    becomes a split vertex, so thresholding sig[w] > eps gives the vertices
-    that RDP keeps at tolerance eps, for any eps >= stop_eps. Endpoints get
-    +inf. Refinement stops once a segment's max distance falls to stop_eps
-    or below, so those interior points keep sig = 0.
+    becomes a split vertex, so sig[w] > eps marks vertices that RDP keeps
+    at tolerance eps, for any eps >= stop_eps. Endpoints get +inf.
+    Refinement stops once a segment's max distance falls to stop_eps or
+    below, so those interior points keep sig = 0.
+
+    A segment whose ends are nonzero and whose nonzero points change sign
+    at most once is not refined either: each of its nonzero points lies in
+    one of the two runs of equal sign that hold its ends, and its interior
+    is at most the split that made it while each end is at least that. Its
+    interior keeps sig = 0, so the maximum of sig over every run of equal
+    nonzero sign is exact, and so is every point the kernel evaluates.
+
+    Each segment's max distance is its max unscaled distance
+    |dy * (t - a) - (b - a) * (y[t] - y[a])| divided once by
+    hypot(b - a, dy): correctly rounded division by a positive number is
+    monotone, so this equals the max of the quotients bit for bit. The
+    split is the first point whose quotient equals that max, found among
+    the points within a relative 2**-48 of the unscaled max. That margin
+    covers every point whose quotient ties while the max is a normal
+    float, which each refined segment's is, as stop_eps must be at least
+    the smallest normal float.
 
     Segments are held as absolute sample indices (a, b) into y; `base`
     maps sample t of a segment's window to its flat index base + t in sig.
     """
+    if not stop_eps >= np.finfo(np.float64).tiny:
+        raise ValueError(f"stop_eps must be at least the smallest normal float, got {stop_eps}")
     nwin = starts.size
     sig = np.zeros((nwin, wlen))
     sig[:, 0] = sig[:, -1] = np.inf
     flat = sig.reshape(-1)
+    nonzero = y != 0
+    # changes[t]: sign changes between consecutive nonzero samples of y[: t + 1]
+    signs = np.sign(y[nonzero])
+    flips = np.zeros(y.size, dtype=np.intp)
+    flips[np.flatnonzero(nonzero)[1:]] = signs[1:] != signs[:-1]
+    changes = np.cumsum(flips)
+    steps = np.arange(nwin * max(wlen - 2, 0))
+    ramp = steps.astype(np.float64)
     a = starts.astype(np.intp)
     b = a + (wlen - 1)
     base = np.arange(nwin, dtype=np.intp) * wlen - a
     parent = np.full(nwin, np.inf)
     while True:
-        live = b - a >= 2
+        live = (b - a >= 2) & ~(nonzero[a] & nonzero[b] & (changes[b] - changes[a] <= 1))
         if not live.any():
             return sig
         a, b, base, parent = a[live], b[live], base[live], parent[live]
         counts = b - a - 1
         offsets = np.cumsum(counts) - counts
         # t runs over the interior points of every segment, segment-major
-        t = np.repeat(a + 1 - offsets, counts)
-        t += np.arange(t.size)
+        first = 1 - offsets
+        t = np.repeat(a + first, counts)
+        t += steps[: t.size]
         fa = y[a]
         dy = y[b] - fa
         length = (b - a).astype(np.float64)
-        # |dy * (t - a) - (b - a) * (y[t] - y[a])| / hypot(b - a, dy), in place
-        dist = (t - np.repeat(a, counts)).astype(np.float64)
+        # |dy * (t - a) - (b - a) * (y[t] - y[a])|, in place from t - a
+        dist = np.repeat(first.astype(np.float64), counts)
+        dist += ramp[: t.size]
         dist *= np.repeat(dy, counts)
         lever = y[t]
         lever -= np.repeat(fa, counts)
         lever *= np.repeat(length, counts)
         dist -= lever
         np.abs(dist, out=dist)
-        dist /= np.repeat(np.hypot(length, dy), counts)
-        dmax = np.maximum.reduceat(dist, offsets)
-        # the first point achieving each segment's max, as argmax picks it
-        hits = np.flatnonzero(dist == np.repeat(dmax, counts))
-        if hits.size != a.size:
-            hits = hits[np.searchsorted(hits, offsets)]
-        split = t[hits]
-        value = np.minimum(dmax, parent)
+        top = np.maximum.reduceat(dist, offsets)
+        chord = np.hypot(length, dy)
+        dmax = top / chord
         grow = dmax > stop_eps
-        a, b, base, split, value = a[grow], b[grow], base[grow], split[grow], value[grow]
+        # the first point whose quotient equals each grown segment's max, as argmax picks it
+        near = np.where(grow, top * (1 - 2.0**-48), np.inf)
+        cand = np.flatnonzero(dist >= np.repeat(near, counts))
+        seg = np.searchsorted(offsets, cand, side="right") - 1
+        hits = cand[dist[cand] / chord[seg] == dmax[seg]]
+        if hits.size != np.count_nonzero(grow):
+            hits = hits[np.searchsorted(hits, offsets[grow])]
+        split = t[hits]
+        a, b, base = a[grow], b[grow], base[grow]
+        value = np.minimum(dmax[grow], parent[grow])
         flat[base + split] = value
         a = np.concatenate((a, split))
         b = np.concatenate((split, b))
@@ -242,6 +288,12 @@ def _sample_limit(wlen: int) -> float:
     return math.sqrt(np.finfo(np.float64).max / (4 * wlen**2 * (wlen // 2 + 1))) / 2
 
 
+#: The smallest range (max - min) of a channel that is not flat. Below it
+#: the squared deviations that make up the band powers fall under the
+#: smallest normal float, so the powers lose precision and then vanish.
+_RANGE_FLOOR = math.sqrt(np.finfo(np.float64).tiny)
+
+
 def extract_features(record: SignalRecord, config: FeatureConfig = None) -> FeatureMatrix:
     """Windowed feature matrix for one record; channel-major feature order."""
     config = config or FeatureConfig()
@@ -272,6 +324,15 @@ def extract_features(record: SignalRecord, config: FeatureConfig = None) -> Feat
         raise DegenerateInputError(
             f"channel {record.channels[ch]!r} has a sample of magnitude {peak[ch]:g}; "
             f"the features of a {wlen}-sample window overflow above {limit:g}"
+        )
+    span = high - low
+    thin = (span > 0) & (span < _RANGE_FLOOR)
+    if thin.any():
+        ch = int(np.argmax(thin))
+        raise DegenerateInputError(
+            f"subject {record.subject_id!r} record {record.record_id!r}: channel "
+            f"{record.channels[ch]!r} spans only {span[ch]:g} from min to max; its band powers "
+            f"underflow below a range of {_RANGE_FLOOR:g}"
         )
     if not AZC_BAND[1] < fs / 2:
         raise DegenerateInputError(

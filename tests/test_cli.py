@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from test_dataio import ENCODER_FAULTS, model_file_bytes, mutated_model_files, with_encoder_fault
 
 from hdseizure import cli
-from hdseizure.dataio import load_model, read_record, save_model, synthetic_model_cohort
+from hdseizure.dataio import load_model, read_features, read_record, save_model, synthetic_model_cohort
 from hdseizure.encoding import build_codebooks
 from hdseizure.errors import CorruptModelError, ParseError
 
@@ -531,6 +531,34 @@ class TestErrorPaths:
             assert not out.exists()
         else:
             assert err == ""
+
+    @pytest.mark.parametrize("scale, rc", [(1e-200, 5), (1e-120, 0)])
+    def test_tiny_samples_are_data_error(self, tmp_path, capsys, scale, rc):
+        cohort = tmp_path / "cohort"
+        assert run(["synth", *TINY["synth"], "--out", str(cohort)]) == 0
+
+        def scaled(cells):
+            if cells[0] == "time_s":
+                return cells
+            return [cells[0], *(repr(float(c) * scale) for c in cells[1:-1]), cells[-1]]
+
+        # one record's samples scaled by `scale`; below a range of ~1.5e-154
+        # its band powers would underflow towards 0
+        records = TestFeatureNames.records(cohort, tmp_path, scaled)
+        capsys.readouterr()
+        out = tmp_path / "f"
+        assert run(["features", *TINY["features"], "--cohort", str(records),
+                    "--out", str(out)]) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert err.startswith("DATA: subject 's001' record 'r01': channel 'ch01' spans only "), err
+            assert "band powers underflow below a range of 1.49167e-154" in err
+            assert not out.exists()
+        else:
+            assert err == ""
+            fm = read_features(out / "s001__r01.csv")
+            powers = [i for i, name in enumerate(fm.feature_names) if ":pow_" in name]
+            assert len(powers) == 14 and (fm.values[:, powers].max(axis=0) > 0).all()
 
     @pytest.mark.parametrize("flag, value", [
         ("--step-sec", "0"), ("--step-sec", "0.001"), ("--window-sec", "0"), ("--step-sec", "-0.5"),

@@ -8,12 +8,14 @@ from oracles import azc_features, band_powers, line_length, mean_amplitude, poly
 
 from hdseizure.errors import DegenerateInputError
 from hdseizure.features import (
+    AZC_FILTER_ORDER,
     DEFAULT_AZC_EPSILONS,
     DEFAULT_BANDS,
     FEATURE_NAMES,
     FeatureConfig,
     SignalRecord,
     _azc_windows,
+    _bandpass_design,
     _rdp_significance,
     _sample_limit,
     bandpass_filter,
@@ -52,6 +54,22 @@ def rdp_recursive(x, epsilon):
 def one_window_azc(x, epsilons, fs):
     """The AZC kernel on `x` as a single window."""
     return _azc_windows(x, np.array([0]), len(x), epsilons, fs)[0]
+
+
+def assert_exact_run_maxima(window, sig, eps):
+    """The significance kernel's contract on one window at tolerance eps:
+    a run of equal nonzero sign survives (its max sig > eps) exactly when it
+    holds a vertex of plain RDP, and every point it keeps is such a vertex."""
+    vertices = polygonal_approximation(window, eps)
+    kept = np.flatnonzero(sig > eps)
+    assert np.isin(kept, vertices).all(), f"eps {eps}: kept {kept}, RDP vertices {vertices}"
+    nonzero = np.flatnonzero(window)
+    if nonzero.size:
+        sign = np.sign(window[nonzero])
+        first = np.flatnonzero(np.r_[True, sign[1:] != sign[:-1]])
+        survives = np.maximum.reduceat(sig[nonzero], first) > eps
+        holds = np.logical_or.reduceat(np.isin(nonzero, vertices), first)
+        np.testing.assert_array_equal(survives, holds, err_msg=f"eps {eps}")
 
 
 def crossings_of(values):
@@ -98,6 +116,16 @@ class TestBandpassFilter:
     def test_short_input(self):
         with pytest.raises(DegenerateInputError):
             bandpass_filter(np.zeros(11), 256, 1.0, 20.0)
+
+    def test_design_is_built_once_per_key(self):
+        from scipy.signal import butter
+
+        b, a = _bandpass_design(256.0, 1.0, 20.0)
+        assert _bandpass_design(256.0, 1.0, 20.0)[0] is b
+        expected = butter(AZC_FILTER_ORDER // 2, [1.0, 20.0], btype="bandpass", fs=256.0)
+        np.testing.assert_array_equal(b, expected[0])
+        np.testing.assert_array_equal(a, expected[1])
+        assert not b.flags.writeable and not a.flags.writeable
 
 
 class TestBandPowers:
@@ -196,25 +224,42 @@ class TestPolygonalApproximation:
 
 
 class TestSplitSignificance:
-    """The batched significance kernel must reproduce plain RDP exactly."""
+    """The batched significance kernel keeps plain RDP's run maxima exactly."""
 
-    def test_thresholding_equals_plain_rdp(self):
+    def test_thresholding_keeps_plain_rdp_runs(self):
         rng = np.random.default_rng(31)
         epsilons = [0.25, 0.5, 1.0, 2.0, 4.0]
         windows = rng.standard_normal((6, 120)) * 3
+        windows[0] = np.abs(windows[0])  # one sign throughout
+        windows[1] = np.abs(windows[1]) * np.sign(np.arange(120) - 49.5)  # one sign change
+        windows[2, [0, 60, 119]] = 0.0  # exact zeros at segment ends
         sig = _rdp_significance(windows.reshape(-1), np.arange(6) * 120, 120, min(epsilons))
         for r in range(windows.shape[0]):
             for eps in epsilons:
-                np.testing.assert_array_equal(
-                    np.flatnonzero(sig[r] > eps),
-                    polygonal_approximation(windows[r], eps),
-                    err_msg=f"row {r}, eps {eps}",
-                )
+                assert_exact_run_maxima(windows[r], sig[r], eps)
+
+    def test_segments_within_two_runs_are_skipped(self):
+        rng = np.random.default_rng(37)
+        positive = np.abs(rng.standard_normal(64)) * 5 + 0.1
+        one_change = positive * np.sign(np.arange(64) - 20.5)
+        sig = _rdp_significance(np.concatenate((positive, one_change)), np.array([0, 64]), 64, 0.5)
+        assert (sig[:, 1:-1] == 0).all() and np.isinf(sig[:, [0, -1]]).all()
+        # a zero end is refined: it belongs to no run
+        zero_end = positive.copy()
+        zero_end[-1] = 0.0
+        sig = _rdp_significance(zero_end, np.array([0]), 64, 0.5)
+        assert (sig[0, 1:-1] > 0.5).any()
+        assert_exact_run_maxima(zero_end, sig[0], 0.5)
 
     def test_handles_flat_rows(self):
         sig = _rdp_significance(np.zeros(150), np.arange(3) * 50, 50, 0.5)
         assert np.isinf(sig[:, 0]).all() and np.isinf(sig[:, -1]).all()
         assert (sig[:, 1:-1] == 0).all()
+
+    @pytest.mark.parametrize("stop_eps", [0.0, 1e-310, np.nan])
+    def test_stop_below_the_smallest_normal_rejected(self, stop_eps):
+        with pytest.raises(ValueError, match="smallest normal float"):
+            _rdp_significance(np.arange(10.0) - 4.5, np.array([0]), 10, stop_eps)
 
 
 class TestAzcFeatures:
@@ -274,17 +319,24 @@ def azc_cases(draw):
     nwin = draw(st.integers(1, 6))
     step = draw(st.integers(1, wlen + 4))
     n = (nwin - 1) * step + wlen + draw(st.integers(0, 3))
-    kind = draw(st.sampled_from(["levels", "noise"]))
+    kind = draw(st.sampled_from(["levels", "noise", "runs"]))
     if kind == "levels":
         # few distinct dyadic values: many argmax ties and exactly collinear runs
         x = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), float)
         x *= draw(st.sampled_from([0.5, 1.0, 4.0]))
-    else:
+    elif kind == "noise":
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         x = rng.standard_normal(n) * 2
         x[rng.random(n) < draw(st.sampled_from([0.0, 0.2]))] = 0.0
         flat = rng.integers(0, n)
         x[flat : flat + draw(st.integers(0, 6))] = x[flat]
+    else:
+        # long runs of one sign, some exact zeros: many segments span at most
+        # one sign change, and some end on a zero
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        run = np.cumsum(rng.random(n) < draw(st.sampled_from([0.05, 0.15, 0.4])))
+        x = rng.uniform(0.1, 3.0, n) * np.where(run % 2, -1.0, 1.0)
+        x[rng.random(n) < draw(st.sampled_from([0.0, 0.1]))] = 0.0
     epsilons = draw(
         st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 6.0]), min_size=1, max_size=6)
     )
@@ -293,13 +345,17 @@ def azc_cases(draw):
 
 
 class TestAzcWindowsProperty:
-    """The one-pass kernel against the per-window scalar oracle, exactly."""
+    """The one-pass kernel against the per-window scalar oracle: the AZC
+    counts exactly, and the run maxima of the significance kernel."""
 
     @settings(max_examples=300, deadline=None)
     @given(azc_cases())
     @example((np.array([1.0, 0.0, 0.0, -1.0, 1.0, 1.0, -2.0]), np.array([0]), 7, [0.0]))
     @example((np.array([2.0, 0.0, 2.0, -1.0, 3.0, 0.0, -3.0, 1.0]), np.arange(4), 5, [1.0, 0.25]))
     @example((np.array([1.0, -1.0, 1.0, -1.0, 1.0]), np.array([0, 3]), 2, [0.5, 0.0, 0.5]))
+    # points 1 and 2 lie 24.685 and 24.685000000000002 (unscaled) off the
+    # first chord; their quotients tie, and RDP splits at the earlier point 1
+    @example((np.array([0.0, 4.909, 4.881, -0.08, 0.01, -0.14]), np.array([0]), 6, [1.0, 3.0]))
     def test_matches_scalar_oracle(self, case):
         x, starts, wlen, epsilons = case
         fs = 4.0
@@ -311,9 +367,7 @@ class TestAzcWindowsProperty:
             window = x[s : s + wlen]
             np.testing.assert_array_equal(batch[w], azc_features(window, epsilons, fs))
             for eps in positive:
-                np.testing.assert_array_equal(
-                    np.flatnonzero(sig[w] > eps), polygonal_approximation(window, eps)
-                )
+                assert_exact_run_maxima(window, sig[w], eps)
 
 
 def make_record(fs=256, seconds=10.0, channels=1, freq=10.0, seed=0, labels=None):
@@ -398,6 +452,29 @@ class TestExtractFeatures:
         record.samples[1, 300] = -np.nextafter(_sample_limit(4 * 256), np.inf)
         with pytest.raises(DegenerateInputError, match="channel 'C1' has a sample of magnitude"):
             extract_features(record)
+
+    def test_band_powers_that_underflow_rejected(self):
+        record = make_record(seconds=6.0, channels=2, seed=3)
+        record.samples[1] *= 1e-200
+        with pytest.raises(DegenerateInputError, match=(
+                r"subject 's0' record 'r0': channel 'C1' spans only \S+e-19\d from min to max; "
+                r"its band powers underflow below a range of 1\.49\d*e-154")):
+            extract_features(record)
+
+    def test_range_not_peak_decides_underflow(self):
+        # a DC offset lifts the peak but not the range of a tiny signal
+        record = make_record(seconds=6.0, channels=2, seed=3)
+        record.samples[0] = record.samples[0] * 1e-160 + 1e-150
+        with pytest.raises(DegenerateInputError, match="channel 'C0' spans only"):
+            extract_features(record)
+
+    def test_tiny_signal_above_the_range_floor_kept(self):
+        record = make_record(seconds=6.0, channels=2, seed=3)
+        record.samples *= 1e-120
+        fm = extract_features(record)
+        assert np.isfinite(fm.values).all()
+        powers = [i for i, name in enumerate(fm.feature_names) if ":pow_" in name]
+        assert (fm.values[:, powers].max(axis=0) > 0).all()
 
     @pytest.mark.parametrize("fs", [32, 40])
     def test_rate_too_low_for_azc_band(self, fs):
@@ -486,9 +563,13 @@ class TestFlatChannelWarning:
     def test_one_differing_sample_is_not_flat(self):
         record = make_record(fs=64, seconds=20.0, seed=5)
         record.samples[0] = 0.0
-        record.samples[0, -1] = 1e-300
+        record.samples[0, -1] = 1e-150
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            extract_features(record)
+        # a differing sample below the range floor is no flat channel either
+        record.samples[0, -1] = 1e-300
+        with pytest.raises(DegenerateInputError, match="channel 'C0' spans only 1e-300"):
             extract_features(record)
 
 

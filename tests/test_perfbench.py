@@ -25,16 +25,20 @@ EXPECTED = {
         "generalization.merge_steps": 14,
     },
     "merge": {"generalization.merge_steps": 144},
+    "features": {"features.windows": 87, "features.samples": 6144},
 }
 
 #: layers each workload must reach: the tracer reports 0 for a name that is
-#: gone, so a protocol that stopped calling through `evaluation`'s globals
-#: would otherwise go unseen
+#: gone, so a protocol that stopped calling through `evaluation`'s globals,
+#: or a `bandpass_filter` whose time `features.kernel_s` absorbed, would
+#: otherwise go unseen
 REACHED = {
     "crossval": ("encoding.encode_s", "encoding.fit_ranges_s", "encoding.codebooks_s",
                  "training.train_s", "generalization.generalize_s", "hybrid.compose_s",
                  "evaluation.postprocess_s", "evaluation.metrics_s"),
     "merge": (),
+    "features": ("features.extract_s", "features.bandpass_s", "dataio.read_record_s",
+                 "dataio.write_features_s"),
 }
 
 
