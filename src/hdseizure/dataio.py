@@ -465,9 +465,10 @@ def _read_cohort_dir(dirpath, one):
 
 def read_cohort(dirpath):
     """The record cohort of `dirpath`. Every record must carry the first
-    record's channels in its order; IncompatibleModelsError names the
-    first record that does not, the first position where it differs and
-    the channel expected there."""
+    record's channels in its order, at its sampling rate;
+    IncompatibleModelsError names the first record that does not, with the
+    first position where it differs and the channel expected there, or
+    with both rates."""
     cohort = _read_cohort_dir(
         dirpath,
         lambda path, rid, sid: replace(read_record(path), record_id=rid, subject_id=sid),
@@ -482,6 +483,11 @@ def read_cohort(dirpath):
                 f"{'no channel' if got[k] is None else f'channel {got[k]!r}'} at position {k}, "
                 f"where subject {first.subject_id!r} record {first.record_id!r} has "
                 f"{'none' if want[k] is None else repr(want[k])}")
+        if rec.fs != first.fs:
+            raise IncompatibleModelsError(
+                f"subject {rec.subject_id!r} record {rec.record_id!r} is sampled at {rec.fs:g} Hz, "
+                f"where subject {first.subject_id!r} record {first.record_id!r} is sampled at "
+                f"{first.fs:g} Hz")
     return cohort
 
 

@@ -122,6 +122,106 @@ def _bandpass_design(fs: float, low: float, high: float):
     return design
 
 
+@dataclass(frozen=True)
+class _GustDesign:
+    """What Gustafsson's method needs of one bandpass design and horizon:
+    the least-squares matrix M, its dgeqrf factorization (packed qr, tau
+    and R = triu(qr[:width])) and the end-correction matrix W."""
+
+    M: np.ndarray
+    qr: np.ndarray
+    tau: np.ndarray
+    R: np.ndarray
+    W: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _gust_design(fs: float, low: float, high: float, m: int, full: bool) -> _GustDesign:
+    """The matrices of scipy's `_filtfilt_gust` for horizon m, built as it
+    builds them and factored once. `full` is m == n, where M and W are
+    (m, 2 * order) blocks side by side; otherwise they are (2m, 2 * order)
+    block-diagonal, one block per end of the signal."""
+    from scipy.linalg.lapack import dgeqrf
+    from scipy.signal import lfilter
+
+    b, a = _bandpass_design(fs, low, high)
+    order = len(a) - 1
+    obs = np.zeros((m, order))
+    zi = np.zeros(order)
+    zi[0] = 1
+    obs[:, 0] = lfilter(b, a, np.zeros(m), zi=zi)[0]
+    for k in range(1, order):
+        obs[k:, k] = obs[:-k, 0]
+    obsr = obs[::-1]
+    s = lfilter(b, a, obsr, axis=0)
+    sr = s[::-1]
+    if full:
+        M = np.hstack((sr - obs, obsr - s))
+        W = np.hstack((sr, obsr))
+    else:
+        M = np.zeros((2 * m, 2 * order))
+        M[:m, :order] = sr - obs
+        M[m:, order:] = obsr - s
+        W = np.zeros((2 * m, 2 * order))
+        W[:m, :order] = sr
+        W[m:, order:] = obsr
+    qr, tau, _, info = dgeqrf(M)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgeqrf failed with info={info}")
+    design = _GustDesign(M=M, qr=qr, tau=tau, R=np.triu(qr[: 2 * order]), W=W)
+    for matrix in vars(design).values():
+        matrix.setflags(write=False)
+    return design
+
+
+_EPS = np.finfo(np.float64).eps
+#: gelsd scales a right-hand side whose max-norm is nonzero and outside
+#: [dlamch('S') / dlamch('P'), its reciprocal]; a factor 2 inside keeps the
+#: cached solve clear of that boundary.
+_GELSD_UNSCALED = (2 * np.finfo(np.float64).tiny / _EPS, _EPS / np.finfo(np.float64).tiny / 2)
+
+
+def _gelsd_unscaled(rhs: np.ndarray) -> bool:
+    """Whether gelsd leaves `rhs` as it is, with a margin (false for NaN)."""
+    norm = np.max(np.abs(rhs))
+    return norm == 0 or _GELSD_UNSCALED[0] <= norm <= _GELSD_UNSCALED[1]
+
+
+def _gust_solve(design: _GustDesign, rhs: np.ndarray) -> np.ndarray:
+    """scipy.linalg.lstsq(design.M, rhs)[0], bit for bit, from the cached
+    factorization.
+
+    For an (m, 8) matrix with m >= 12 (ILAENV's crossover 1.6 * 8), gelsd
+    QR-factors it with dgeqrf, unblocked as 8 is below the block size,
+    applies Q^T to rhs with dormqr, and then solves the 8 x 8 problem on R
+    exactly as gelsd on R does. So dormqr with the cached factors followed
+    by gelsd on R repeats its arithmetic. The one step that can differ is
+    gelsd's scaling of a right-hand side whose max-norm is nonzero and
+    outside [dlamch('S') / dlamch('P'), its reciprocal]: the whole rhs and
+    (Q^T rhs)[:8] need not agree on that. The cached path runs only when
+    gelsd scales neither. (It never scales M or R: their max-norms grow
+    with the rate but stay below 1e5 up to 1024 Hz.) Otherwise, and
+    whenever LAPACK reports an error, scipy's lstsq on M runs, with the
+    same result or the same error as before.
+    """
+    from scipy.linalg import lstsq
+    from scipy.linalg.lapack import dgelsd, dgelsd_lwork, dormqr
+
+    if rhs.size and _gelsd_unscaled(rhs):
+        lwork = dormqr("L", "T", design.qr, design.tau, rhs, -1)[1][0]
+        qtb, _, info = dormqr("L", "T", design.qr, design.tau, rhs, int(lwork))
+        width = design.R.shape[1]
+        top = qtb[:width]
+        if info == 0 and _gelsd_unscaled(top):
+            nrhs = 1 if rhs.ndim == 1 else rhs.shape[1]
+            lwork, iwork, info = dgelsd_lwork(width, width, nrhs, _EPS)
+            if info == 0:
+                ic, _, _, info = dgelsd(design.R, top, int(lwork), iwork, _EPS)
+                if info == 0:
+                    return ic
+    return lstsq(design.M, rhs)[0]
+
+
 def bandpass_filter(x, fs: float, low: float, high: float):
     """Zero-phase Butterworth bandpass (forward-backward filtering).
 
@@ -129,22 +229,51 @@ def bandpass_filter(x, fs: float, low: float, high: float):
     prototype half as many poles). Initial conditions follow Gustafsson's
     method, which makes the result independent of the filtering direction,
     so reversing the input exactly reverses the output.
+
+    The result is scipy.signal.filtfilt(b, a, x, method="gust", irlen=...)
+    bit for bit, filtering along the last axis. It repeats that function's
+    arithmetic, but the least-squares matrix, which depends only on the
+    design and the horizon, is built and QR-factored once per key of
+    `_gust_design`; each call filters and solves for its own right-hand
+    side (see `_gust_solve`).
     """
     x = np.asarray(x, dtype=np.float64)
     if not (0 < low < high < fs / 2):
         raise ValueError(
             f"band edges must satisfy 0 < low < high < fs/2, got [{low}, {high}] at fs={fs}"
         )
-    if x.shape[-1] < 3 * AZC_FILTER_ORDER:
+    n = x.shape[-1]
+    if n < 3 * AZC_FILTER_ORDER:
         raise DegenerateInputError(
-            f"input of {x.shape[-1]} samples is too short for an order-{AZC_FILTER_ORDER} filter"
+            f"input of {n} samples is too short for an order-{AZC_FILTER_ORDER} filter"
         )
-    from scipy.signal import filtfilt  # only feature extraction filters
+    from scipy.signal import lfilter  # only feature extraction filters
 
     b, a = _bandpass_design(fs, low, high)
     # ~20 cycles of the low corner covers the impulse ring-down; capping the
     # least-squares horizon there keeps Gustafsson's method O(n) cheap.
-    return filtfilt(b, a, x, method="gust", irlen=int(20 * fs / low))
+    irlen = int(20 * fs / low)
+    m = n if n <= 2 * irlen else irlen
+    design = _gust_design(fs, low, high, m, m == n)
+    # naive forward-backward and backward-forward passes from zero state
+    y_fb = lfilter(b, a, lfilter(b, a, x)[..., ::-1])[..., ::-1]
+    y_bf = lfilter(b, a, lfilter(b, a, x[..., ::-1])[..., ::-1])
+    delta = y_bf - y_fb
+    if m != n:
+        delta = np.concatenate((delta[..., :m], delta[..., -m:]), axis=-1)
+    # one right-hand-side column per row of an N-D input
+    if delta.ndim == 1:
+        ic = _gust_solve(design, delta)
+    else:
+        ic = _gust_solve(design, delta.reshape(-1, delta.shape[-1]).T).T
+        ic = ic.reshape(delta.shape[:-1] + (ic.shape[-1],))
+    wic = ic.dot(design.W.T)
+    if m == n:
+        y_fb += wic
+    else:
+        y_fb[..., :m] += wic[..., :m]
+        y_fb[..., -m:] += wic[..., -m:]
+    return y_fb
 
 
 def _rdp_significance(y: np.ndarray, starts: np.ndarray, wlen: int, stop_eps: float) -> np.ndarray:

@@ -627,7 +627,8 @@ CHANNEL_MAPS = {swap_channels: {"ch01": "ch02", "ch02": "ch01"},
 
 class TestFeatureNames:
     """Records are pooled by feature name: every record of a cohort, and a
-    raw transfer source and its target, must carry the same names."""
+    raw transfer source and its target, must carry the same names. The
+    records of a cohort must share one sampling rate too."""
 
     @pytest.fixture(scope="class")
     def cohort(self, tmp_path_factory):
@@ -686,6 +687,21 @@ class TestFeatureNames:
         assert capsys.readouterr().err == (
             "DATA: subject 's001' record 'r01' has no channel at position 1, "
             "where subject 's000' record 'r00' has 'ch02'\n")
+
+    def test_features_rejects_a_record_at_another_rate(self, cohort, tmp_path, capsys):
+        other = tmp_path / "other"
+        assert run(["synth", *flags({**TINY_SETTINGS, "fs": "128"}, "synth"),
+                    "--out", str(other)]) == 0
+        records = self.records(cohort[0], tmp_path, lambda cells: cells)
+        (records / "s001__r02.csv").write_bytes((other / "s001__r02.csv").read_bytes())
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(["features", *TINY["features"], "--cohort", str(records),
+                    "--out", str(out)]) == 5
+        assert capsys.readouterr().err == (
+            "DATA: subject 's001' record 'r02' is sampled at 128 Hz, "
+            "where subject 's000' record 'r00' is sampled at 64 Hz\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("edit, first", [(swap_channels, "'ch02:mean_amplitude' in column 0"),
                                              (rename_channels, "'Fz:mean_amplitude' in column 0")])

@@ -16,6 +16,8 @@ from hdseizure.features import (
     SignalRecord,
     _azc_windows,
     _bandpass_design,
+    _gelsd_unscaled,
+    _gust_design,
     _rdp_significance,
     _sample_limit,
     bandpass_filter,
@@ -126,6 +128,108 @@ class TestBandpassFilter:
         np.testing.assert_array_equal(b, expected[0])
         np.testing.assert_array_equal(a, expected[1])
         assert not b.flags.writeable and not a.flags.writeable
+
+
+def filtfilt_oracle(x, fs, low=1.0, high=20.0):
+    """scipy's Gustafsson filtfilt with the horizon bandpass_filter uses."""
+    from scipy.signal import filtfilt
+
+    b, a = _bandpass_design(fs, low, high)
+    return filtfilt(b, a, x, method="gust", irlen=int(20 * fs / low))
+
+
+def assert_same_bytes(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes(), f"max |diff| {np.max(np.abs(got - want)):g}"
+
+
+def zero_margin_signal(scale, fs=256):
+    """10 s of noise at `scale` between 100 s of exact zeros on each side:
+    the filtered ends that Gustafsson's method solves for hold only the
+    ring-down, small enough that gelsd scales that right-hand side."""
+    noise = np.random.default_rng(0).standard_normal(10 * fs) * scale
+    pad = np.zeros(100 * fs)
+    return np.concatenate((pad, noise, pad))
+
+
+class TestBandpassOracle:
+    """bandpass_filter against scipy.signal.filtfilt(method="gust"), byte for byte."""
+
+    @pytest.mark.parametrize("fs", [64.0, 128.0, 173.61, 256.0])
+    @pytest.mark.parametrize("span", ["shortest", "whole", "truncated"])
+    @pytest.mark.parametrize("scale", [1e-150, 1e-60, 1.0, 1e3, 1e80, 1e149])
+    def test_matches_filtfilt(self, fs, span, scale):
+        irlen = int(20 * fs)
+        # whole: the horizon is the signal (m == n); truncated: two irlen ends
+        n = {"shortest": 3 * AZC_FILTER_ORDER, "whole": 2 * irlen, "truncated": 2 * irlen + 1}[span]
+        x = np.random.default_rng(int(fs) + n).standard_normal(n) * scale
+        assert_same_bytes(bandpass_filter(x, fs, 1.0, 20.0), filtfilt_oracle(x, fs))
+
+    @pytest.mark.parametrize("fs", [64.0, 256.0])
+    def test_matches_filtfilt_across_runs_of_zeros(self, fs):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(int(60 * fs)) * 40
+        x[: int(5 * fs)] = 0
+        x[int(20 * fs) : int(31 * fs)] = 0
+        x[-int(fs) :] = 0
+        assert_same_bytes(bandpass_filter(x, fs, 1.0, 20.0), filtfilt_oracle(x, fs))
+        x[:] = 0
+        assert_same_bytes(bandpass_filter(x, fs, 1.0, 20.0), filtfilt_oracle(x, fs))
+
+    @pytest.mark.parametrize("n", [500, 30_000])
+    def test_matches_filtfilt_row_by_row_of_2d_input(self, n):
+        x = np.random.default_rng(n).standard_normal((3, n)) * [[1e-3], [1.0], [1e5]]
+        assert_same_bytes(bandpass_filter(x, 256.0, 1.0, 20.0), filtfilt_oracle(x, 256.0))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(12, 3 * 20 * 128),
+           exponent=st.floats(-150, 149))
+    @settings(max_examples=40)
+    def test_matches_filtfilt_on_random_lengths(self, seed, n, exponent):
+        x = np.random.default_rng(seed).standard_normal(n) * 10.0**exponent
+        assert_same_bytes(bandpass_filter(x, 128.0, 1.0, 20.0), filtfilt_oracle(x, 128.0))
+
+    def test_cached_factorization_serves_ordinary_signals(self, monkeypatch):
+        import scipy.linalg
+
+        monkeypatch.setattr(scipy.linalg, "lstsq", None)  # any fallback would fail
+        x = np.random.default_rng(1).standard_normal(11_264) * 50
+        bandpass_filter(x, 256.0, 1.0, 20.0)
+
+    @pytest.mark.parametrize("scale", [1e-154, 1e-140])
+    def test_zero_margin_ends_fall_back_to_lstsq(self, scale, monkeypatch):
+        import scipy.linalg
+
+        x = zero_margin_signal(scale)
+        want = filtfilt_oracle(x, 256.0)
+        calls = []
+        lstsq = scipy.linalg.lstsq
+        monkeypatch.setattr(scipy.linalg, "lstsq", lambda *args: calls.append(1) or lstsq(*args))
+        assert_same_bytes(bandpass_filter(x, 256.0, 1.0, 20.0), want)
+        assert calls == [1]
+
+    def test_design_cache_hit_returns_the_same_read_only_arrays(self):
+        first = _gust_design(256.0, 1.0, 20.0, 5120, False)
+        again = _gust_design(256.0, 1.0, 20.0, 5120, False)
+        assert again is first
+        for name, matrix in vars(first).items():
+            assert matrix is getattr(again, name)
+            assert not matrix.flags.writeable, name
+        assert first.M.shape == first.W.shape == (10_240, 2 * AZC_FILTER_ORDER)
+
+    @pytest.mark.parametrize("fs", [64.0, 128.0, 173.61, 256.0, 1024.0])
+    def test_gelsd_never_scales_the_design(self, fs):
+        irlen = int(20 * fs)
+        for m, full in ((12, True), (irlen, False), (2 * irlen, True)):
+            design = _gust_design(fs, 1.0, 20.0, m, full)
+            assert _gelsd_unscaled(design.M) and _gelsd_unscaled(design.R)
+
+    def test_non_finite_input_is_rejected_as_filtfilt_rejects_it(self):
+        x = np.ones(1000)
+        x[500] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            filtfilt_oracle(x, 256.0)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            bandpass_filter(x, 256.0, 1.0, 20.0)
 
 
 class TestBandPowers:
