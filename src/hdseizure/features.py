@@ -6,9 +6,11 @@ The feature set per channel (22 values, named by FEATURE_NAMES):
     | line length (1) | approximate-zero-crossing counts at 6 tolerances (6)
 
 Windows default to 4 s with a 0.5 s step. Spectral features are computed
-on the raw window; the zero-crossing features run on a [1, 20] Hz
-zero-phase bandpass of the channel, simplified with Ramer-Douglas-Peucker
-at each tolerance before counting crossings.
+on the raw window; the zero-crossing features count the crossings of a
+[1, 20] Hz zero-phase bandpass of the channel, simplified with
+Ramer-Douglas-Peucker at each tolerance. One batched RDP pass per channel
+lists the split vertices of all its windows with their significance, and
+every tolerance counts the sign changes along the vertices it keeps.
 """
 
 from __future__ import annotations
@@ -276,23 +278,39 @@ def bandpass_filter(x, fs: float, low: float, high: float):
     return y_fb
 
 
-def _rdp_significance(y: np.ndarray, starts: np.ndarray, wlen: int, stop_eps: float) -> np.ndarray:
-    """Ramer-Douglas-Peucker significance of the points of every window,
-    exact wherever it can change a run's maximum.
+def _sign_changes(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(nonzero, changes): the indices of y's nonzero samples, and
+    changes[t], the sign changes between consecutive nonzero samples of
+    y[: t + 1]."""
+    nonzero = np.flatnonzero(y)
+    signs = np.sign(y[nonzero])
+    flips = np.zeros(y.size, dtype=np.intp)
+    flips[nonzero[1:]] = signs[1:] != signs[:-1]
+    return nonzero, np.cumsum(flips)
 
-    Window w is y[starts[w] : starts[w] + wlen]. sig[w, i] is the
-    ancestor-clamped perpendicular distance at which point i of window w
-    becomes a split vertex, so sig[w] > eps marks vertices that RDP keeps
-    at tolerance eps, for any eps >= stop_eps. Endpoints get +inf.
-    Refinement stops once a segment's max distance falls to stop_eps or
-    below, so those interior points keep sig = 0.
+
+def _rdp_significance(
+    y: np.ndarray, changes: np.ndarray, starts: np.ndarray, wlen: int, stop_eps: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ramer-Douglas-Peucker split vertices of every window and their
+    significance, exact wherever they can change a crossing count.
+
+    Window w is y[starts[w] : starts[w] + wlen], and `changes` is
+    `_sign_changes(y)[1]`. Returns (keys, values): key w * wlen + i names
+    interior point i of window w, and its value is the ancestor-clamped
+    perpendicular distance at which that point becomes a split vertex, so
+    the vertices with value > eps are vertices RDP keeps at tolerance eps,
+    for any eps >= stop_eps. The keys are unique and unordered; the
+    endpoints, which RDP always keeps, are not listed. Refinement stops
+    once a segment's max distance falls to stop_eps or below.
 
     A segment whose ends are nonzero and whose nonzero points change sign
-    at most once is not refined either: each of its nonzero points lies in
-    one of the two runs of equal sign that hold its ends, and its interior
-    is at most the split that made it while each end is at least that. Its
-    interior keeps sig = 0, so the maximum of sig over every run of equal
-    nonzero sign is exact, and so is every point the kernel evaluates.
+    at most once is not refined either. Each of its nonzero points shares
+    the sign of one of its ends, and RDP refines it only at tolerances that
+    keep both ends, so the vertices RDP keeps inside it add no sign change.
+    So at every eps >= stop_eps the signs along a window's nonzero
+    endpoints and listed vertices above eps change exactly as they do along
+    plain RDP's vertices.
 
     Each segment's max distance is its max unscaled distance
     |dy * (t - a) - (b - a) * (y[t] - y[a])| divided once by
@@ -305,30 +323,23 @@ def _rdp_significance(y: np.ndarray, starts: np.ndarray, wlen: int, stop_eps: fl
     the smallest normal float.
 
     Segments are held as absolute sample indices (a, b) into y; `base`
-    maps sample t of a segment's window to its flat index base + t in sig.
+    maps sample t of a segment's window to its key base + t.
     """
     if not stop_eps >= np.finfo(np.float64).tiny:
         raise ValueError(f"stop_eps must be at least the smallest normal float, got {stop_eps}")
     nwin = starts.size
-    sig = np.zeros((nwin, wlen))
-    sig[:, 0] = sig[:, -1] = np.inf
-    flat = sig.reshape(-1)
     nonzero = y != 0
-    # changes[t]: sign changes between consecutive nonzero samples of y[: t + 1]
-    signs = np.sign(y[nonzero])
-    flips = np.zeros(y.size, dtype=np.intp)
-    flips[np.flatnonzero(nonzero)[1:]] = signs[1:] != signs[:-1]
-    changes = np.cumsum(flips)
     steps = np.arange(nwin * max(wlen - 2, 0))
     ramp = steps.astype(np.float64)
     a = starts.astype(np.intp)
     b = a + (wlen - 1)
     base = np.arange(nwin, dtype=np.intp) * wlen - a
     parent = np.full(nwin, np.inf)
+    keys, values = [np.empty(0, dtype=np.intp)], [np.empty(0)]
     while True:
         live = (b - a >= 2) & ~(nonzero[a] & nonzero[b] & (changes[b] - changes[a] <= 1))
         if not live.any():
-            return sig
+            return np.concatenate(keys), np.concatenate(values)
         a, b, base, parent = a[live], b[live], base[live], parent[live]
         counts = b - a - 1
         offsets = np.cumsum(counts) - counts
@@ -362,7 +373,8 @@ def _rdp_significance(y: np.ndarray, starts: np.ndarray, wlen: int, stop_eps: fl
         split = t[hits]
         a, b, base = a[grow], b[grow], base[grow]
         value = np.minimum(dmax[grow], parent[grow])
-        flat[base + split] = value
+        keys.append(base + split)
+        values.append(value)
         a = np.concatenate((a, split))
         b = np.concatenate((split, b))
         base = np.concatenate((base, base))
@@ -374,34 +386,41 @@ def _azc_windows(filtered, starts, wlen: int, epsilons, fs: float) -> np.ndarray
     zero crossings per second of each RDP-simplified window, one column per
     tolerance. `filtered` is one already bandpass-filtered channel.
 
-    Within a window, each run of equal nonzero sign (exact zeros compressed
-    out) carries the max significance of its points. At tolerance eps the
-    runs with max > eps survive (all of them at eps = 0, where RDP keeps
-    every non-collinear point and collinear points lie on the kept chords),
-    and a crossing is a sign change between consecutive surviving runs.
+    At tolerance eps > 0 a window's crossings are the sign changes along
+    its nonzero endpoints and nonzero split vertices of significance above
+    eps, in position order. At eps = 0 RDP keeps every non-collinear point
+    and collinear points lie on the kept chords, so they are the sign
+    changes between all of the window's nonzero samples, a difference of
+    two prefix counts.
     """
     y = np.asarray(filtered, dtype=np.float64)
     starts = np.asarray(starts, dtype=np.intp)
     nwin = starts.size
-    sign = np.sign(y)[starts[:, None] + np.arange(wlen)].reshape(-1)
-    nonzero = np.flatnonzero(sign)
-    sign = sign[nonzero]
-    win = nonzero // wlen
-    cut = np.ones(sign.size, dtype=bool)
-    cut[1:] = (sign[1:] != sign[:-1]) | (win[1:] != win[:-1])
-    first = np.flatnonzero(cut)
-    run_sign, run_win = sign[first], win[first]
-    positive = [e for e in epsilons if e > 0]
-    if positive:
-        sig = _rdp_significance(y, starts, wlen, min(positive)).reshape(-1)
-        run_sig = np.maximum.reduceat(sig[nonzero], first)
+    nonzero, changes = _sign_changes(y)
+    ends = starts + (wlen - 1)
+    # each window's first nonzero sample, or its end if it has none
+    first = np.minimum(np.append(nonzero, y.size - 1)[np.searchsorted(nonzero, starts)], ends)
     seconds = wlen / fs
     out = np.empty((nwin, len(epsilons)))
+    out[:] = ((changes[ends] - changes[first]) / seconds)[:, None]
+    positive = [e for e in epsilons if e > 0]
+    if positive:
+        keys, values = _rdp_significance(y, changes, starts, wlen, min(positive))
+        head = np.arange(nwin, dtype=np.intp) * wlen
+        keys = np.concatenate((keys, head, head + (wlen - 1)))
+        values = np.concatenate((values, np.full(2 * nwin, np.inf)))
+        order = np.argsort(keys)
+        keys, values = keys[order], values[order]
+        win = keys // wlen
+        sign = np.sign(y[keys + (starts - head)[win]])
+        kept = sign != 0
+        sign, win, values = sign[kept], win[kept], values[kept]
     for k, eps in enumerate(epsilons):
-        keep = run_sig > eps if eps > 0 else slice(None)
-        s, w = run_sign[keep], run_win[keep]
-        flips = (s[1:] != s[:-1]) & (w[1:] == w[:-1])
-        out[:, k] = np.bincount(w[1:][flips], minlength=nwin) / seconds
+        if eps > 0:
+            keep = values > eps
+            s, w = sign[keep], win[keep]
+            flips = (s[1:] != s[:-1]) & (w[1:] == w[:-1])
+            out[:, k] = np.bincount(w[1:][flips], minlength=nwin) / seconds
     return out
 
 

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import azc_features, band_powers, line_length, mean_amplitude, polygonal_approximation
 
+from hdseizure import features
 from hdseizure.errors import DegenerateInputError
 from hdseizure.features import (
     AZC_FILTER_ORDER,
@@ -20,6 +21,7 @@ from hdseizure.features import (
     _gust_design,
     _rdp_significance,
     _sample_limit,
+    _sign_changes,
     bandpass_filter,
     extract_features,
     window_count,
@@ -58,20 +60,28 @@ def one_window_azc(x, epsilons, fs):
     return _azc_windows(x, np.array([0]), len(x), epsilons, fs)[0]
 
 
-def assert_exact_run_maxima(window, sig, eps):
-    """The significance kernel's contract on one window at tolerance eps:
-    a run of equal nonzero sign survives (its max sig > eps) exactly when it
-    holds a vertex of plain RDP, and every point it keeps is such a vertex."""
-    vertices = polygonal_approximation(window, eps)
-    kept = np.flatnonzero(sig > eps)
-    assert np.isin(kept, vertices).all(), f"eps {eps}: kept {kept}, RDP vertices {vertices}"
-    nonzero = np.flatnonzero(window)
-    if nonzero.size:
-        sign = np.sign(window[nonzero])
-        first = np.flatnonzero(np.r_[True, sign[1:] != sign[:-1]])
-        survives = np.maximum.reduceat(sig[nonzero], first) > eps
-        holds = np.logical_or.reduceat(np.isin(nonzero, vertices), first)
-        np.testing.assert_array_equal(survives, holds, err_msg=f"eps {eps}")
+def split_vertices(x, starts, wlen, stop_eps):
+    """The split-vertex kernel on windows x[s : s + wlen], s in starts."""
+    return _rdp_significance(x, _sign_changes(x)[1], np.asarray(starts), wlen, stop_eps)
+
+
+def assert_vertex_contract(x, starts, wlen, keys, values, eps):
+    """The split-vertex kernel's contract at tolerance eps: the keys are
+    unique interior points of their windows, every vertex above eps is a
+    vertex of plain RDP, and the signs along each window's nonzero endpoints
+    and those vertices change as often as along plain RDP's vertices."""
+    assert keys.dtype == np.intp and keys.shape == values.shape
+    assert np.unique(keys).size == keys.size
+    assert ((keys >= 0) & (keys < len(starts) * wlen)).all()
+    assert ((keys % wlen >= 1) & (keys % wlen <= wlen - 2)).all()
+    for w, s in enumerate(starts):
+        window = x[s : s + wlen]
+        mine = keys // wlen == w
+        index = np.sort(keys[mine][values[mine] > eps] - w * wlen)
+        vertices = polygonal_approximation(window, eps)
+        assert np.isin(index, vertices).all(), f"eps {eps}: kept {index}, RDP vertices {vertices}"
+        kept = window[np.r_[0, index, wlen - 1]]
+        assert crossings_of(kept) == crossings_of(window[vertices]), f"window {w}, eps {eps}"
 
 
 def crossings_of(values):
@@ -328,42 +338,41 @@ class TestPolygonalApproximation:
 
 
 class TestSplitSignificance:
-    """The batched significance kernel keeps plain RDP's run maxima exactly."""
+    """The batched split-vertex kernel keeps plain RDP's crossings exactly."""
 
-    def test_thresholding_keeps_plain_rdp_runs(self):
+    def test_thresholding_keeps_plain_rdp_crossings(self):
         rng = np.random.default_rng(31)
         epsilons = [0.25, 0.5, 1.0, 2.0, 4.0]
         windows = rng.standard_normal((6, 120)) * 3
         windows[0] = np.abs(windows[0])  # one sign throughout
         windows[1] = np.abs(windows[1]) * np.sign(np.arange(120) - 49.5)  # one sign change
         windows[2, [0, 60, 119]] = 0.0  # exact zeros at segment ends
-        sig = _rdp_significance(windows.reshape(-1), np.arange(6) * 120, 120, min(epsilons))
-        for r in range(windows.shape[0]):
-            for eps in epsilons:
-                assert_exact_run_maxima(windows[r], sig[r], eps)
+        x, starts = windows.reshape(-1), np.arange(6) * 120
+        keys, values = split_vertices(x, starts, 120, min(epsilons))
+        for eps in epsilons:
+            assert_vertex_contract(x, starts, 120, keys, values, eps)
 
     def test_segments_within_two_runs_are_skipped(self):
         rng = np.random.default_rng(37)
         positive = np.abs(rng.standard_normal(64)) * 5 + 0.1
         one_change = positive * np.sign(np.arange(64) - 20.5)
-        sig = _rdp_significance(np.concatenate((positive, one_change)), np.array([0, 64]), 64, 0.5)
-        assert (sig[:, 1:-1] == 0).all() and np.isinf(sig[:, [0, -1]]).all()
+        keys, values = split_vertices(np.concatenate((positive, one_change)), [0, 64], 64, 0.5)
+        assert keys.size == 0 and values.size == 0
         # a zero end is refined: it belongs to no run
         zero_end = positive.copy()
         zero_end[-1] = 0.0
-        sig = _rdp_significance(zero_end, np.array([0]), 64, 0.5)
-        assert (sig[0, 1:-1] > 0.5).any()
-        assert_exact_run_maxima(zero_end, sig[0], 0.5)
+        keys, values = split_vertices(zero_end, [0], 64, 0.5)
+        assert (values > 0.5).any()
+        assert_vertex_contract(zero_end, [0], 64, keys, values, 0.5)
 
     def test_handles_flat_rows(self):
-        sig = _rdp_significance(np.zeros(150), np.arange(3) * 50, 50, 0.5)
-        assert np.isinf(sig[:, 0]).all() and np.isinf(sig[:, -1]).all()
-        assert (sig[:, 1:-1] == 0).all()
+        keys, values = split_vertices(np.zeros(150), np.arange(3) * 50, 50, 0.5)
+        assert keys.size == 0 and values.size == 0
 
     @pytest.mark.parametrize("stop_eps", [0.0, 1e-310, np.nan])
     def test_stop_below_the_smallest_normal_rejected(self, stop_eps):
         with pytest.raises(ValueError, match="smallest normal float"):
-            _rdp_significance(np.arange(10.0) - 4.5, np.array([0]), 10, stop_eps)
+            split_vertices(np.arange(10.0) - 4.5, [0], 10, stop_eps)
 
 
 class TestAzcFeatures:
@@ -415,6 +424,57 @@ class TestAzcFeatures:
             )
 
 
+class TestAzcCountingPaths:
+    """Both ways `_azc_windows` counts: prefix counts of sign changes at
+    eps = 0, and the sign sequence of the split vertices above eps > 0."""
+
+    def test_zero_only_epsilons_never_call_the_kernel(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the split-vertex kernel ran for eps = 0 only")
+
+        monkeypatch.setattr(features, "_rdp_significance", refuse)
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(300)
+        x[rng.random(300) < 0.2] = 0.0
+        starts = np.arange(9) * 25
+        for epsilons in ([0.0], [0.0, 0.0]):
+            batch = _azc_windows(x, starts, 100, epsilons, 50.0)
+            for w, s in enumerate(starts):
+                np.testing.assert_array_equal(batch[w], azc_features(x[s : s + 100], epsilons, 50.0))
+
+    @pytest.mark.parametrize("wlen", [1, 2])
+    def test_one_and_two_sample_windows_through_extract_features(self, wlen):
+        fs = 64
+        record = make_record(fs=fs, seconds=4.0, seed=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # bands with no FFT bin
+            fm = extract_features(record, FeatureConfig(window_sec=wlen / fs, step_sec=1 / fs))
+        azc = fm.values[:, -len(DEFAULT_AZC_EPSILONS) :]
+        # an endpoint is always kept, so every tolerance counts the same
+        filtered = bandpass_filter(record.samples[0], fs, 1.0, 20.0)
+        changed = np.sign(filtered[: fm.num_windows]) != np.sign(filtered[wlen - 1 :])
+        expected = np.where(changed, fs / wlen, 0.0)[:, None]
+        np.testing.assert_array_equal(azc, np.repeat(expected, len(DEFAULT_AZC_EPSILONS), axis=1))
+        if wlen == 1:
+            np.testing.assert_array_equal(azc, 0.0)
+        else:
+            assert 0 < np.count_nonzero(changed) < changed.size
+
+    def test_full_size_channel_matches_the_oracle(self):
+        # 44 s at 256 Hz: 81 windows of 4 s, 0.5 s apart, refined through
+        # up to 79 levels of RDP splits; the property tests' windows of at
+        # most 40 samples reach far fewer
+        fs = 256
+        record = make_record(fs=fs, seconds=44.0, seed=21)
+        filtered = bandpass_filter(record.samples[0] * 4, fs, 1.0, 20.0)
+        starts = np.arange(81) * 128
+        batch = _azc_windows(filtered, starts, 1024, DEFAULT_AZC_EPSILONS, fs)
+        assert starts[-1] + 1024 == filtered.size
+        for w, s in enumerate(starts):
+            oracle = azc_features(filtered[s : s + 1024], DEFAULT_AZC_EPSILONS, fs)
+            assert batch[w].tobytes() == oracle.tobytes(), f"window {w}"
+
+
 @st.composite
 def azc_cases(draw):
     """Overlapping or disjoint windows over a signal with exact zeros, flat
@@ -450,13 +510,18 @@ def azc_cases(draw):
 
 class TestAzcWindowsProperty:
     """The one-pass kernel against the per-window scalar oracle: the AZC
-    counts exactly, and the run maxima of the significance kernel."""
+    counts exactly, and the split-vertex kernel's contract."""
 
     @settings(max_examples=300, deadline=None)
     @given(azc_cases())
     @example((np.array([1.0, 0.0, 0.0, -1.0, 1.0, 1.0, -2.0]), np.array([0]), 7, [0.0]))
     @example((np.array([2.0, 0.0, 2.0, -1.0, 3.0, 0.0, -3.0, 1.0]), np.arange(4), 5, [1.0, 0.25]))
     @example((np.array([1.0, -1.0, 1.0, -1.0, 1.0]), np.array([0, 3]), 2, [0.5, 0.0, 0.5]))
+    # an all-zero window among nonzero ones
+    @example((np.array([1.0, -2.0, 0.0, 0.0, 0.0, 3.0, -1.0]), np.arange(0, 5, 2), 3, [0.0, 0.5]))
+    # windows that start or end on a zero; at 2 and 5 the first nonzero
+    # sample's sign differs from the last nonzero one before the window
+    @example((np.array([2.0, -1.0, 0.0, 1.0, -3.0, 0.0, 0.0, 1.0]), np.arange(6), 3, [0.0, 0.5]))
     # points 1 and 2 lie 24.685 and 24.685000000000002 (unscaled) off the
     # first chord; their quotients tie, and RDP splits at the earlier point 1
     @example((np.array([0.0, 4.909, 4.881, -0.08, 0.01, -0.14]), np.array([0]), 6, [1.0, 3.0]))
@@ -465,13 +530,13 @@ class TestAzcWindowsProperty:
         fs = 4.0
         batch = _azc_windows(x, starts, wlen, epsilons, fs)
         assert batch.shape == (starts.size, len(epsilons))
-        positive = [e for e in epsilons if e > 0]
-        sig = _rdp_significance(x, starts, wlen, min(positive)) if positive else None
         for w, s in enumerate(starts):
-            window = x[s : s + wlen]
-            np.testing.assert_array_equal(batch[w], azc_features(window, epsilons, fs))
+            np.testing.assert_array_equal(batch[w], azc_features(x[s : s + wlen], epsilons, fs))
+        positive = [e for e in epsilons if e > 0]
+        if positive:
+            keys, values = split_vertices(x, starts, wlen, min(positive))
             for eps in positive:
-                assert_exact_run_maxima(window, sig[w], eps)
+                assert_vertex_contract(x, starts, wlen, keys, values, eps)
 
 
 def make_record(fs=256, seconds=10.0, channels=1, freq=10.0, seed=0, labels=None):
