@@ -31,9 +31,9 @@ print(f"generated {len(cohort)} subject(s), {len(cohort[0])} records of "
 
 fcfg = FeatureConfig(window_sec=4.0, step_sec=0.5)
 records = [extract_features(rec, fcfg) for rec in cohort[0]]
-fm = records[0]
+fm, channels = records[0], len(cohort[0][0].channels)
 print(f"features: {fm.values.shape[0]} windows x {fm.values.shape[1]} values "
-      f"({len(fm.channels)} channels x {fm.features_per_channel} per channel)")
+      f"({channels} channels x {fm.values.shape[1] // channels} per channel)")
 
 # small dimension keeps the demo fast; accuracy saturates long before 10000
 cfg = EvalConfig(dim=1024, num_levels=12, seed=5)

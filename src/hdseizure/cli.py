@@ -76,7 +76,6 @@ FIELDS = {
     "channels": [(CohortSpec, "num_channels")],
     "seizure_sec": [(CohortSpec, "seizure_sec")],
     "non_seizure_sec": [(CohortSpec, "non_seizure_sec")],
-    "shared_background_weight": [(CohortSpec, "shared_background_weight")],
     "seizure_freq_min": [(CohortSpec, "seizure_freq_range", 0)],
     "seizure_freq_max": [(CohortSpec, "seizure_freq_range", 1)],
     "seizure_amp_gain": [(CohortSpec, "seizure_amp_gain")],
@@ -86,16 +85,11 @@ FIELDS = {
     "dim": [(EvalConfig, "dim")],
     "levels": [(EvalConfig, "num_levels")],
     "train_mode": [(TrainConfig, "mode")],
-    "alpha": [(TrainConfig, "alpha")],
-    "epochs": [(TrainConfig, "epochs")],
     "method": [(MergeConfig, "method")],
     "alpha_corr": [(MergeConfig, "alpha_corr")],
     "alpha_wrong": [(MergeConfig, "alpha_wrong")],
     "iterations": [(MergeConfig, "iterations")],
     "wrong_weight_convention": [(MergeConfig, "wrong_weight_convention")],
-    "bayes_window_sec": [(EvalConfig, "bayes_window_sec")],
-    "bayes_threshold": [(EvalConfig, "bayes_threshold")],
-    "movavg_window_sec": [(EvalConfig, "movavg_window_sec")],
 }
 
 
@@ -104,11 +98,10 @@ def _field_default(cls, name, *index):
     return default[index[0]] if index else default
 
 
-#: setting -> default; the two that set no config field are the CLI's own
+#: setting -> default; `repetitions` sets no config field, it is the CLI's own
 DEFAULTS = {
     **{key: _field_default(*targets[0]) for key, targets in FIELDS.items()},
     "repetitions": 10,
-    "sweep_thresholds": "0.0:1.0:21",
 }
 
 
@@ -173,27 +166,6 @@ def eval_config(s: dict) -> EvalConfig:
     return _build(EvalConfig, s, train=_build(TrainConfig, s), merge=_build(MergeConfig, s))
 
 
-def _parse_thresholds(text: str) -> np.ndarray:
-    """Either 'start:stop:count' or a comma-separated list; at least one,
-    and every one finite."""
-    try:
-        if ":" in text:
-            start, stop, count = text.split(":")
-            # bounds near or at infinity give inf or NaN steps, rejected below
-            with np.errstate(invalid="ignore", over="ignore"):
-                values = np.linspace(float(start), float(stop), int(count))
-        else:
-            values = np.array([float(v) for v in text.split(",")])
-    except ValueError:
-        values = np.array([])
-    if not values.size or not np.isfinite(values).all():
-        raise ValueError(
-            "sweep_thresholds expects finite 'start:stop:count' with count >= 1 or a "
-            f"comma list, got {text!r}"
-        )
-    return values
-
-
 def _codebook_ref(books) -> str:
     h = hashlib.sha1()
     h.update(f"{books.seed}:{books.dim}:{books.num_levels}:{books.num_features}".encode())
@@ -215,13 +187,18 @@ def _load_model_dir(dirpath):
     )
     if not paths:
         raise InsufficientDataError(f"no .hdcm model files in {dirpath}")
-    models, books = [], None
+    models, books, owner = [], None, {}
     for path in paths:
         model, these = load_model(path)
         if books is None:
             books = these
         elif not _same_encoder(books, these):
             raise IncompatibleModelsError(f"{path} was built with a different encoder")
+        if model.subject_id:
+            first = owner.setdefault(model.subject_id, path)
+            if first != path:
+                raise IncompatibleModelsError(
+                    f"{first} and {path} both hold subject {model.subject_id!r}")
         models.append(model)
     return models, books
 
@@ -345,7 +322,6 @@ def cmd_hybrid(args, s):
 def cmd_eval(args, s):
     if args.emit_curves and args.mode != "both":
         raise ValueError("--emit-curves needs --mode both")
-    thresholds = _parse_thresholds(s["sweep_thresholds"]) if args.emit_curves else None
     cohort = _read_features_at_step(args.features, s["step_sec"])
     cfg = eval_config(s)
     # everything is computed before the first write, so a failure leaves no
@@ -363,7 +339,7 @@ def cmd_eval(args, s):
             stage: sweep_selection(
                 per_subject_scores(reports["generalized"], stage),
                 per_subject_scores(reports["personalized"], stage),
-                thresholds,
+                np.linspace(0.0, 1.0, 21),
             )
             for stage in ("raw", "bayes")
         }
@@ -402,7 +378,7 @@ def cmd_transfer(args, s):
 def _add_command(sub, name, func, help, reads=(), **paths):
     """A subcommand with --config, a flag for each setting it reads, and a
     required flag for each of `paths`, given as metavars."""
-    p = sub.add_parser(name, help=help)
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
     p.add_argument("--config", metavar="FILE",
                    help="settings file of 'key = value' lines, for any command")
     for key in reads:
@@ -446,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="FILE")
 
     p = _add_command(sub, "eval", cmd_eval, "cross-validated evaluation with reports",
-                     [*protocol, "repetitions", "sweep_thresholds"], features="DIR", out="DIR")
+                     [*protocol, "repetitions"], features="DIR", out="DIR")
     p.add_argument("--mode", choices=["personalized", "generalized", "both"],
                    default="both")
     p.add_argument("--emit-curves", action="store_true",
@@ -475,7 +451,7 @@ def main(argv=None) -> int:
         print(f"DATA: {exc}", file=sys.stderr)
         if exc.total_weight is not None:
             print(
-                f"hint: the class total weight is {0.0 - exc.total_weight:.4f} short of "
+                f"hint: the class total weight is {0.0 - exc.total_weight:.4g} short of "
                 f"positive; a smaller --alpha-wrong (now {settings['alpha_wrong']:g}) "
                 "subtracts less of each wrong-class model",
                 file=sys.stderr,

@@ -41,6 +41,8 @@ _FILE_ROWS = np.array([SEIZURE, NON_SEIZURE])
 BACKGROUND_RMS = 30.0
 #: seizure rhythm amplitude per unit of (gain - 1)
 RHYTHM_BASE_AMP = 15.0
+#: the cohort-shared component's share of each subject's background spectrum
+SHARED_BACKGROUND_WEIGHT = 0.7
 
 
 @dataclass
@@ -51,7 +53,6 @@ class CohortSpec:
     num_channels: int = 18
     seizure_sec: float = 60.0
     non_seizure_sec: float = 60.0  # 600 for a CHB-MIT-like 10:1 imbalance
-    shared_background_weight: float = 0.7
     seizure_freq_range: tuple = (3.0, 8.0)
     seizure_amp_gain: float = 3.0
     seed: int = 0
@@ -77,11 +78,6 @@ class CohortSpec:
                                  f"at {self.fs:g} Hz, got {span:g} s")
         if self.num_channels < 1:
             raise ValueError(f"num_channels must be >= 1, got {self.num_channels}")
-        if not 0.0 <= self.shared_background_weight <= 1.0:
-            raise ValueError(
-                f"shared_background_weight must be in [0, 1], "
-                f"got {self.shared_background_weight}"
-            )
         lo, hi = self.seizure_freq_range
         if not 0 < lo <= hi < self.fs / 2:
             raise ValueError(
@@ -112,7 +108,7 @@ def generate_synthetic_cohort(spec: CohortSpec):
     envelope = np.zeros_like(freqs)
     envelope[1:] = 1.0 / np.sqrt(freqs[1:])
     shared = _philox(spec.seed, 0).uniform(0.5, 1.5, freqs.size)
-    w = spec.shared_background_weight
+    w = SHARED_BACKGROUND_WEIGHT
     t = np.arange(n_total) / spec.fs
 
     cohort = []
@@ -238,9 +234,10 @@ def _read_numeric_csv(path, check_header, label_last: bool):
     """A header row over rows of numbers, as (header, data, lines).
 
     The header is the first non-blank row; `check_header(cells, line)` vets
-    its stripped cells before any other row is read. Every other non-blank
-    row must hold as many cells as the header, each one a float() number.
-    With `label_last`, the last cell, stripped, must be exactly 0 or 1.
+    its stripped cells, which must all differ, before any other row is
+    read. Every other non-blank row must hold as many cells as the header,
+    each one a float() number. With `label_last`, the last cell, stripped,
+    must be exactly 0 or 1.
     `data` is (rows, cells) float64, and `lines` holds the file line of the
     header and then of each data row, so every ParseError names the line
     as an editor shows it.
@@ -254,6 +251,9 @@ def _read_numeric_csv(path, check_header, label_last: bool):
         raise ParseError("empty file", line=1)
     header = [c.strip() for c in header]
     check_header(header, header_line)
+    if len(set(header)) < len(header):
+        name = next(c for k, c in enumerate(header) if c in header[:k])
+        raise ParseError(f"column {name!r} repeats in the header", line=header_line)
     data = _parse_body(raw, len(header), label_last) if header_line == 1 else None
     if data is not None:
         return header, data, range(1, len(data) + 2)
@@ -412,21 +412,11 @@ def read_features(path, record_id: str = "", subject_id: str = "") -> FeatureMat
     if bad.size:
         k = int(bad[0])
         raise ParseError(f"label must be 0 or 1, got {float(data[k, 1])!r}", line=lines[k + 1])
-    names = header[2:]
-    channels = []
-    for name in names:
-        prefix = name.split(":", 1)[0] if ":" in name else ""
-        if prefix and prefix not in channels:
-            channels.append(prefix)
-    if not channels or len(names) % len(channels):
-        channels = ["all"]
     return FeatureMatrix(
         values=data[:, 2:].copy(),
         window_labels=data[:, 1].astype(np.uint8),
         window_start_sec=data[:, 0].copy(),
-        feature_names=names,
-        channels=channels,
-        features_per_channel=len(names) // len(channels),
+        feature_names=header[2:],
         record_id=record_id,
         subject_id=subject_id,
     )

@@ -36,14 +36,9 @@ class EvalConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     merge: MergeConfig = field(default_factory=MergeConfig)
     step_sec: float = 0.5
-    bayes_window_sec: float = 5.0
-    bayes_threshold: float = 1.5
-    movavg_window_sec: float = 5.0
 
     def __post_init__(self):
-        _require_positive(step_sec=self.step_sec, bayes_window_sec=self.bayes_window_sec,
-                          bayes_threshold=self.bayes_threshold,
-                          movavg_window_sec=self.movavg_window_sec)
+        _require_positive(step_sec=self.step_sec)
 
 
 def _require_positive(**settings) -> None:
@@ -181,10 +176,8 @@ def _classify_rows(rows, model: ClassModel):
 def _report(subject_id, model_kind, truth, raw, p_seizure, cfg: EvalConfig) -> EvalReport:
     predictions = {
         "raw": raw,
-        "bayes": bayes_postprocess(
-            p_seizure, cfg.bayes_window_sec, cfg.bayes_threshold, cfg.step_sec
-        ),
-        "movavg": moving_average_postprocess(raw, cfg.movavg_window_sec, cfg.step_sec),
+        "bayes": bayes_postprocess(p_seizure, step_sec=cfg.step_sec),
+        "movavg": moving_average_postprocess(raw, step_sec=cfg.step_sec),
     }
     return EvalReport(
         subject_id=subject_id,

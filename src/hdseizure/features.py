@@ -87,14 +87,12 @@ class SignalRecord:
 
 @dataclass
 class FeatureMatrix:
-    """Windowed features: (windows, channels * features_per_channel)."""
+    """Windowed features: (windows, features), one named column each."""
 
     values: np.ndarray
     window_labels: np.ndarray
     window_start_sec: np.ndarray
     feature_names: list
-    channels: list
-    features_per_channel: int
     record_id: str = ""
     subject_id: str = ""
 
@@ -539,8 +537,6 @@ def extract_features(record: SignalRecord, config: FeatureConfig = None) -> Feat
         window_labels=window_labels,
         window_start_sec=starts,
         feature_names=names,
-        channels=list(record.channels),
-        features_per_channel=nfeat,
         record_id=record.record_id,
         subject_id=record.subject_id,
     )

@@ -127,7 +127,7 @@ def _merge_step(sums: _SignedSums, rows, corr, cfg: MergeConfig, first: bool) ->
 def _check_total_weight(total: float, class_name: str, where: str = "") -> None:
     if total <= 0:
         raise DegenerateCohortError(
-            f"non-positive total weight {total:.4f} for class {class_name}{where}; "
+            f"non-positive total weight {total:.4g} for class {class_name}{where}; "
             "cohort cancels itself out",
             total_weight=float(total),
         )

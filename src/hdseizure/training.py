@@ -13,7 +13,6 @@ total weight: the shared value, its complement, or the tie-break bits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,17 +80,11 @@ class ClassModel:
 @dataclass
 class TrainConfig:
     mode: str = "online"
-    alpha: float = 1.0
-    epochs: int = 1
     seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("standard", "online"):
             raise ValueError(f"mode must be 'standard' or 'online', got {self.mode!r}")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
 def _check_samples(samples, labels, dim: int, subject_id: str = ""):
@@ -153,14 +146,14 @@ def _side(total_weight: float) -> int:
 
 
 def train_online(samples, labels, cfg: TrainConfig, *, dim: int, stats: dict = None, **meta) -> ClassModel:
-    """OnlineHD-style single-pass training, repeated for cfg.epochs.
+    """OnlineHD-style single-pass training.
 
     Each class accumulator starts from the first sample of that class.
-    A sample of class C is added to acc_C with weight alpha * (1 - s_C),
-    where s_C is its similarity to the current binarized acc_C; when the
-    model currently predicts the wrong class W, the sample is also
-    subtracted from acc_W with weight alpha * s_W. Similarities are taken
-    before either accumulator is touched.
+    A sample of class C is added to acc_C with weight 1 - s_C, where s_C
+    is its similarity to the current binarized acc_C; when the model
+    currently predicts the wrong class W, the sample is also subtracted
+    from acc_W with weight s_W. Similarities are taken before either
+    accumulator is touched.
 
     The two accumulators are the rows of one `_SignedSums`, indexed by
     class, so every +-w lands exactly as in `Accumulator.add`. They hold
@@ -189,24 +182,23 @@ def train_online(samples, labels, cfg: TrainConfig, *, dim: int, stats: dict = N
     bipolar = _bipolar_rows(samples, sums.dim)
     seen = [False, False]
     mispredictions = 0
-    for _ in range(cfg.epochs):
-        for x, row, label in zip(samples, bipolar, labels.tolist()):
-            if not seen[label]:
-                seen[label] = True
-                sums.add((label,), (row,), (1.0,))
-                continue
-            other = 1 - label
-            counts = _hamming_counts(x, sums.signs()).tolist()
-            dist = [(n + flipped[_side(w)]) / dim for n, w in zip(counts, sums.total_weight)]
-            s_own, s_other = 1.0 - dist[label], 1.0 - dist[other]
-            sums.add((label,), (row,), (cfg.alpha * (1.0 - s_own),))
-            if seen[other]:
-                d_s = 1.0 - (s_own if label == SEIZURE else s_other)
-                d_ns = 1.0 - (s_other if label == SEIZURE else s_own)
-                predicted = SEIZURE if d_s < d_ns else NON_SEIZURE
-                if predicted != label:
-                    mispredictions += 1
-                    sums.add((other,), (row,), (-cfg.alpha * s_other,))
+    for x, row, label in zip(samples, bipolar, labels.tolist()):
+        if not seen[label]:
+            seen[label] = True
+            sums.add((label,), (row,), (1.0,))
+            continue
+        other = 1 - label
+        counts = _hamming_counts(x, sums.signs()).tolist()
+        dist = [(n + flipped[_side(w)]) / dim for n, w in zip(counts, sums.total_weight)]
+        s_own, s_other = 1.0 - dist[label], 1.0 - dist[other]
+        sums.add((label,), (row,), (1.0 - s_own,))
+        if seen[other]:
+            d_s = 1.0 - (s_own if label == SEIZURE else s_other)
+            d_ns = 1.0 - (s_other if label == SEIZURE else s_own)
+            predicted = SEIZURE if d_s < d_ns else NON_SEIZURE
+            if predicted != label:
+                mispredictions += 1
+                sums.add((other,), (row,), (-s_other,))
     if stats is not None:
         stats["mispredictions"] = mispredictions
     words = fill[[_side(w) for w in sums.total_weight]]

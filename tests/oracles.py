@@ -75,24 +75,23 @@ def train_online(samples, cfg: TrainConfig, stats: dict = None, **meta) -> Class
     samples = _split_classes(samples)
     acc = {SEIZURE: None, NON_SEIZURE: None}
     mispredictions = 0
-    for _ in range(cfg.epochs):
-        for x, label in samples:
-            if acc[label] is None:
-                acc[label] = Accumulator.from_vector(x)
-                continue
-            other = SEIZURE if label == NON_SEIZURE else NON_SEIZURE
-            s_own = 1.0 - hamming_distance(x, acc[label].normalize(cfg.seed))
-            s_other = None
-            if acc[other] is not None:
-                s_other = 1.0 - hamming_distance(x, acc[other].normalize(cfg.seed))
-            acc[label].add(x, cfg.alpha * (1.0 - s_own))
-            if s_other is not None:
-                d_s = 1.0 - (s_own if label == SEIZURE else s_other)
-                d_ns = 1.0 - (s_other if label == SEIZURE else s_own)
-                predicted = SEIZURE if d_s < d_ns else NON_SEIZURE
-                if predicted != label:
-                    mispredictions += 1
-                    acc[other].add(x, -cfg.alpha * s_other)
+    for x, label in samples:
+        if acc[label] is None:
+            acc[label] = Accumulator.from_vector(x)
+            continue
+        other = SEIZURE if label == NON_SEIZURE else NON_SEIZURE
+        s_own = 1.0 - hamming_distance(x, acc[label].normalize(cfg.seed))
+        s_other = None
+        if acc[other] is not None:
+            s_other = 1.0 - hamming_distance(x, acc[other].normalize(cfg.seed))
+        acc[label].add(x, 1.0 - s_own)
+        if s_other is not None:
+            d_s = 1.0 - (s_own if label == SEIZURE else s_other)
+            d_ns = 1.0 - (s_other if label == SEIZURE else s_own)
+            predicted = SEIZURE if d_s < d_ns else NON_SEIZURE
+            if predicted != label:
+                mispredictions += 1
+                acc[other].add(x, -s_other)
     if stats is not None:
         stats["mispredictions"] = mispredictions
     return ClassModel.from_vectors(

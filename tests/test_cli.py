@@ -17,14 +17,14 @@ from hdseizure import cli
 from hdseizure.dataio import load_model, read_features, read_record, save_model, synthetic_model_cohort
 from hdseizure.encoding import build_codebooks
 from hdseizure.errors import CorruptModelError, ParseError
+from hdseizure.features import FEATURE_NAMES
 
 COHORT_SETTINGS = ["subjects", "records_per_subject", "fs", "channels", "seizure_sec",
-                   "non_seizure_sec", "shared_background_weight", "seizure_freq_min",
-                   "seizure_freq_max", "seizure_amp_gain", "seed"]
-ENCODER_SETTINGS = ["dim", "levels", "seed", "train_mode", "alpha", "epochs"]
+                   "non_seizure_sec", "seizure_freq_min", "seizure_freq_max",
+                   "seizure_amp_gain", "seed"]
+ENCODER_SETTINGS = ["dim", "levels", "seed", "train_mode"]
 MERGE_SETTINGS = ["method", "alpha_corr", "alpha_wrong", "iterations", "wrong_weight_convention"]
-PROTOCOL_SETTINGS = [*ENCODER_SETTINGS, *MERGE_SETTINGS,
-                     "step_sec", "bayes_window_sec", "bayes_threshold", "movavg_window_sec"]
+PROTOCOL_SETTINGS = [*ENCODER_SETTINGS, *MERGE_SETTINGS, "step_sec"]
 #: the settings each command reads, as the config objects it builds and
 #: its own code read them; it takes a flag for these and for no other
 READS = {
@@ -35,10 +35,10 @@ READS = {
     "evolution": [*MERGE_SETTINGS, "seed", "repetitions"],
     "similarity": [],
     "hybrid": [],
-    "eval": [*PROTOCOL_SETTINGS, "repetitions", "sweep_thresholds"],
+    "eval": [*PROTOCOL_SETTINGS, "repetitions"],
     "transfer": PROTOCOL_SETTINGS,
 }
-#: all 28 settings
+#: all 21 settings
 SETTINGS = list(dict.fromkeys(name for reads in READS.values() for name in reads))
 
 
@@ -103,6 +103,16 @@ REQUIRED = {
 }
 
 
+#: the settings that were deleted as constants, and the commands that read them
+REMOVED = {
+    "shared_background_weight": ["synth"],
+    **dict.fromkeys(["alpha", "epochs"], ["train", "eval", "transfer"]),
+    **dict.fromkeys(["bayes_window_sec", "bayes_threshold", "movavg_window_sec"],
+                    ["eval", "transfer"]),
+    "sweep_thresholds": ["eval"],
+}
+
+
 class TestSettingFlags:
     """A command takes a flag for each setting it reads, and no other."""
 
@@ -120,8 +130,14 @@ class TestSettingFlags:
             assert exc.value.code == 2
             assert flag in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [["similarity", "--alpha", "nan"], ["features", "--dim", "7"],
-                                      ["generalize", "--dim", "4096", "--levels", "3"]])
+    @pytest.mark.parametrize("argv", [
+        ["similarity", "--alpha-corr", "nan"], ["features", "--dim", "7"],
+        ["generalize", "--dim", "4096", "--levels", "3"],
+        # a prefix of one flag, and of two (--alpha-corr and --alpha-wrong)
+        ["synth", "--sub", "2"], ["train", "--lev", "6"], ["transfer", "--alpha", "0.5"],
+        *([command, f"--{name.replace('_', '-')}", "1"]
+          for name, commands in REMOVED.items() for command in commands),
+    ])
     def test_unread_flag_is_usage_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         assert run([argv[0], *REQUIRED[argv[0]][:-1], str(out), *argv[1:]]) == 2
@@ -177,11 +193,13 @@ class TestConfigHandling:
         assert run(["synth", "--config", str(cfg), "--out", str(tmp_path / "cohort")]) == 0
         assert "2 subjects, 6 records" in capsys.readouterr().out
 
-    def test_unknown_config_key(self, tmp_path, capsys):
+    @pytest.mark.parametrize("name", ["frobnicate", *REMOVED])
+    def test_unknown_config_key(self, tmp_path, capsys, name):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("frobnicate = 1\n")
+        cfg.write_text(f"{name} = 1\n")
         assert run(["synth", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
-        assert capsys.readouterr().err.startswith("CONFIG:")
+        assert capsys.readouterr().err == f"CONFIG: {cfg}:1: unknown setting {name!r}\n"
+        assert not (tmp_path / "x").exists()
 
     def test_bad_config_value(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -446,6 +464,22 @@ class TestErrorPaths:
         assert rc == 5
         assert "different encoder" in capsys.readouterr().err
 
+    def test_two_files_of_one_subject_are_data_error(self, tmp_path, capsys):
+        _, feats, models = build_pipeline(tmp_path)
+        first, copy = (os.path.join(models, name) for name in ("s000.hdcm", "s000_copy.hdcm"))
+        Path(copy).write_bytes(Path(first).read_bytes())
+        out = str(tmp_path / "out")
+        for argv in (["generalize", "--models", models, "--out", out],
+                     ["evolution", "--repetitions", "2", "--models", models, "--out", out],
+                     ["similarity", "--models", models, "--out", out],
+                     ["transfer", "--source-models", models, "--target-features", feats,
+                      "--out", out]):
+            capsys.readouterr()
+            assert run([*argv[:1], *TINY[argv[0]], *argv[1:]]) == 5, argv[0]
+            err = capsys.readouterr().err
+            assert err == f"DATA: {first} and {copy} both hold subject 's000'\n", err
+            assert not os.path.exists(out)
+
     def test_flipped_id_bit_is_data_error(self, tmp_path, capsys):
         _, _, models = build_pipeline(tmp_path)
         path = tmp_path / "models" / "s001.hdcm"
@@ -679,6 +713,21 @@ class TestFeatureNames:
                        "where subject 's000' record 'r00' has 'ch01'\n"), err
         assert not out.exists()
 
+    def test_a_repeated_column_is_parse_error(self, cohort, tmp_path, capsys):
+        # ch02 renamed ch01 in one record's header, and in one feature file's
+        records = self.records(cohort[0], tmp_path,
+                               lambda cells: ["ch01" if c == "ch02" else c for c in cells])
+        feats = self.relabelled(cohort[1], tmp_path, {"ch02": "ch01"})
+        out = tmp_path / "out"
+        for argv, name in ((["features", "--cohort", str(records)], "ch01"),
+                           (["train", "--features", feats], f"ch01:{FEATURE_NAMES[0]}"),
+                           (["eval", "--features", feats], f"ch01:{FEATURE_NAMES[0]}")):
+            capsys.readouterr()
+            assert run([argv[0], *TINY[argv[0]], *argv[1:], "--out", str(out)]) == 4, argv[0]
+            err = capsys.readouterr().err
+            assert err == f"PARSE: line 1: column {name!r} repeats in the header\n", err
+            assert not out.exists()
+
     def test_features_rejects_a_missing_channel(self, cohort, tmp_path, capsys):
         records = self.records(cohort[0], tmp_path, lambda cells: [*cells[:2], cells[-1]])
         capsys.readouterr()
@@ -820,12 +869,6 @@ class TestBadInputExitCodes:
             (dest / name).write_text(text)
         return str(dest)
 
-    def test_non_finite_alpha_is_config_error(self, feats, tmp_path, capsys):
-        rc = run(["train", *TINY["train"], "--alpha", "inf", "--features", feats,
-                  "--out", str(tmp_path / "m")])
-        assert rc == 3
-        assert "alpha must be finite" in capsys.readouterr().err
-
     def test_nan_feature_is_data_error(self, feats, tmp_path, capsys):
         def nan_cell(i, line):
             if i != 3:
@@ -902,48 +945,21 @@ class TestBadInputExitCodes:
         assert run(["transfer", *TINY["transfer"], "--step-sec", "0.3", "--source-models", models,
                     "--target-features", odd, "--out", str(tmp_path / "t")]) == 0
 
-    @pytest.mark.parametrize("thresholds", ["0:1:0", "0:1:-2", "0.5,x", "0.5,nan", "0:inf:3"])
-    def test_bad_sweep_thresholds_fail_before_cross_validation(
-            self, feats, tmp_path, capsys, monkeypatch, thresholds):
-        def not_reached(*args, **kwargs):
-            pytest.fail("cross-validation ran before sweep_thresholds was checked")
-
-        monkeypatch.setattr(cli, "cv_personalized", not_reached)
-        out = tmp_path / "e"
-        rc = run(["eval", *TINY["eval"], "--sweep-thresholds", thresholds, "--emit-curves",
-                  "--features", feats, "--out", str(out)])
-        assert rc == 3
-        assert capsys.readouterr().err.startswith("CONFIG: sweep_thresholds expects")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("flag, value", [
-        ("--bayes-threshold", "nan"), ("--bayes-threshold", "inf"),
-        ("--bayes-window-sec", "inf"), ("--bayes-window-sec", "nan"),
-        ("--movavg-window-sec", "inf"), ("--movavg-window-sec", "nan"),
-        ("--step-sec", "inf"),
-    ])
     def test_non_finite_postprocessing_fails_before_any_fold(
-            self, feats, tmp_path, capsys, monkeypatch, flag, value):
+            self, feats, tmp_path, capsys, monkeypatch):
         def not_reached(*args, **kwargs):
             pytest.fail("a fold ran before the postprocessing settings were checked")
 
         for name in ("cv_personalized", "cv_generalized", "transfer_eval"):
             monkeypatch.setattr(cli, name, not_reached)
-        name = flag[2:].replace("-", "_")
         out = tmp_path / "out"
         for command in (["eval", "--features", feats],
                         ["transfer", "--source-features", feats, "--target-features", feats]):
-            rc = run([command[0], *TINY[command[0]], flag, value, *command[1:], "--out", str(out)])
+            rc = run([command[0], *TINY[command[0]], "--step-sec", "inf", *command[1:],
+                      "--out", str(out)])
             assert rc == 3, command[0]
-            assert capsys.readouterr().err.startswith(f"CONFIG: {name} must be finite and > 0")
+            assert capsys.readouterr().err.startswith("CONFIG: step_sec must be finite and > 0")
             assert not out.exists()
-
-    @pytest.mark.parametrize("flag", ["--bayes-window-sec", "--movavg-window-sec"])
-    def test_huge_postprocessing_window_runs(self, feats, tmp_path, flag):
-        # the window spans every series whole; its ratio to the step overflows
-        rc = run(["eval", *TINY["eval"], flag, "1e308", "--features", feats,
-                  "--out", str(tmp_path / "e")])
-        assert rc == 0
 
     def test_overflowing_alpha_is_config_error(self, feats, tmp_path):
         # run apart, so that a numpy overflow warning would be an error, not a pass
@@ -952,13 +968,23 @@ class TestBadInputExitCodes:
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = tmp_path / "e"
         proc = subprocess.run(
-            [sys.executable, "-m", "hdseizure.cli", "eval", *TINY["eval"], "--alpha", "1e308",
+            [sys.executable, "-m", "hdseizure.cli", "eval", *TINY["eval"], "--alpha-corr", "1e308",
              "--features", feats, "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 3, proc.stderr
         assert "\nCONFIG: the alpha weights overflow float64" in "\n" + proc.stderr
         assert not out.exists()
+
+    def test_huge_shortfall_prints_in_four_digits(self, feats, tmp_path, capsys):
+        rc = run(["eval", *TINY["eval"], "--alpha-wrong", "1e308", "--features", feats,
+                  "--out", str(tmp_path / "e")])
+        assert rc == 5
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("DATA: non-positive total weight -")
+        assert lines[1].startswith("hint: the class total weight is ")
+        # each number in at most four significant digits
+        assert all(len(line) < 160 for line in lines), lines
 
     def test_one_subject_is_data_error(self, feats, tmp_path, capsys):
         one = tmp_path / "one_subject"
@@ -1028,12 +1054,11 @@ CHAIN = [
 #: the chain step that first reads each setting
 FIRST_READER = {name: min(i for i, (template, _) in enumerate(CHAIN)
                           if name in READS[template.split()[0]]) for name in SETTINGS}
-HOSTILE_BASE = {**TINY_SETTINGS, "repetitions": "2", "sweep_thresholds": "0:1:3"}
+HOSTILE_BASE = {**TINY_SETTINGS, "repetitions": "2"}
 #: Untested: 2**31 for these settings, which would ask for that many
-#: dimensions, subjects, records, channels, epochs, merge passes or shuffles,
-#: and a sweep_thresholds count of 2**31. They get small values instead.
-LONG_RUN = {"dim", "subjects", "records_per_subject", "channels", "epochs", "iterations",
-            "repetitions"}
+#: dimensions, subjects, records, channels, merge passes or shuffles. They
+#: get small values instead.
+LONG_RUN = {"dim", "subjects", "records_per_subject", "channels", "iterations", "repetitions"}
 
 
 def hostile_values(name):
@@ -1042,9 +1067,6 @@ def hostile_values(name):
         return ["nan", "inf", "-inf", "0", "-1", "1e308", "5e-324"]
     if typ is int:
         return ["0", "-1", *(("1", "2") if name in LONG_RUN else ("2147483648", "-2147483648"))]
-    if name == "sweep_thresholds":
-        return ["nan:1:3", "0:inf:3", "-1e308:1e308:3", "0:1:0", "0:1:-1", "", "0,nan",
-                "5e-324", "1e308"]
     return ["", "x"]
 
 
@@ -1099,7 +1121,7 @@ def run_chain(root, inputs, start, stop, extra=None):
 
 
 class TestHostileSettings:
-    """One of the 28 settings at a hostile value, given to each command that
+    """One of the 21 settings at a hostile value, given to each command that
     reads it from the first to the end of the pipeline: the run fails with a usage, config,
     parse or data error, never an internal one (pytest also turns any
     RuntimeWarning into one), or it succeeds and writes only finite numbers."""
@@ -1111,7 +1133,7 @@ class TestHostileSettings:
         return {key: os.path.join(root, key) for _, key in CHAIN[:4]}
 
     def test_every_setting_has_a_reader(self):
-        assert set(FIRST_READER) == set(cli.DEFAULTS) and len(cli.DEFAULTS) == 28
+        assert set(FIRST_READER) == set(cli.DEFAULTS) and len(cli.DEFAULTS) == 21
 
     @pytest.mark.parametrize("name, value", [
         (name, value) for name in SETTINGS for value in hostile_values(name)

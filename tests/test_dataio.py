@@ -62,7 +62,6 @@ class TestCohortSpec:
         dict(num_channels=0),
         dict(seizure_sec=0.0),
         dict(non_seizure_sec=-1.0),
-        dict(shared_background_weight=1.5),
         dict(seizure_freq_range=(0.0, 8.0)),
         dict(seizure_freq_range=(8.0, 3.0)),
         dict(seizure_freq_range=(3.0, 200.0)),
@@ -361,8 +360,6 @@ def tiny_features(rng, nwin=9, nfeat=6):
         window_labels=(rng.random(nwin) < 0.4).astype(np.uint8),
         window_start_sec=np.arange(nwin) * 0.5,
         feature_names=[f"c{i % 2}:f{i}" for i in range(nfeat)],
-        channels=["c0", "c1"],
-        features_per_channel=3,
         record_id="r01",
         subject_id="s003",
     )
@@ -500,7 +497,7 @@ def record_fields(rec):
 
 def feature_fields(fm):
     return (fm.values.tobytes(), fm.values.shape, fm.window_labels.tobytes(),
-            fm.window_start_sec.tobytes(), fm.feature_names, fm.channels)
+            fm.window_start_sec.tobytes(), fm.feature_names)
 
 
 class TestNumericCsvPaths:
@@ -531,6 +528,26 @@ class TestNumericCsvPaths:
     def test_feature_paths_agree(self, tmp_path_factory, text):
         path = tmp_path_factory.getbasetemp() / "paths_features.csv"
         self.check_agree(path, text, read_features, feature_fields)
+
+
+class TestRepeatedColumns:
+    """A header may name a column once; the ParseError names the header's
+    line and the first repeated name, as stripped."""
+
+    @pytest.mark.parametrize("read, text, line, name", [
+        (read_record, "time_s,ch01,ch01,label\n0.0,1.0,2.0,0\n0.5,1.0,2.0,1\n", 1, "ch01"),
+        (read_record, "\ntime_s,c1, c2,c2 ,label\n0.0,1,2,3,0\n0.5,1,2,3,1\n", 2, "c2"),
+        (read_record, "time_s,time_s,label\n0.0,1.0,0\n0.5,1.0,1\n", 1, "time_s"),
+        (read_features, "start_sec,label,a:x,a:y,a:x\n0.0,0,1,2,3\n", 1, "a:x"),
+        (read_features, "start_sec,label,label\n0.0,0,1\n", 1, "label"),
+    ])
+    def test_repeated_column_is_parse_error(self, tmp_path, read, text, line, name):
+        path = tmp_path / "repeated.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read(path)
+        assert str(err.value) == f"line {line}: column {name!r} repeats in the header"
+        assert err.value.line == line
 
 
 class TestReadersDoNotWarn:
@@ -964,8 +981,7 @@ class TestAtomicWrites:
             # the codebook rows are written after the header and class rows
             return lambda p: save_model(model, books, p), (Codebooks, "words", property(_raise))
         fm = FeatureMatrix(values=rng.random((4, 2)), window_labels=np.array([0, 0, 1, 1]),
-                           window_start_sec=np.arange(4) * 0.5, feature_names=["a:x", "a:y"],
-                           channels=["a"], features_per_channel=2)
+                           window_start_sec=np.arange(4) * 0.5, feature_names=["a:x", "a:y"])
         return lambda p: write_features(fm, p), (dataio.np, "savetxt", _raise)
 
     @pytest.mark.parametrize("kind", ["report", "reports_csv", "model", "features"])

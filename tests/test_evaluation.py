@@ -292,11 +292,9 @@ class TestMovingAverage:
 
 class TestEvalConfig:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-    @pytest.mark.parametrize(
-        "name", ["step_sec", "bayes_window_sec", "bayes_threshold", "movavg_window_sec"])
-    def test_postprocessing_settings_finite_and_positive(self, name, value):
-        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
-            EvalConfig(**{name: value})
+    def test_postprocessing_settings_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="^step_sec must be finite and > 0"):
+            EvalConfig(step_sec=value)
 
 
 # ---- protocol tests on small synthetic feature cohorts ----
@@ -323,8 +321,6 @@ def make_subject(rng, subject_id, num_records=3, ns_windows=30, s_windows=10,
                 window_labels=labels,
                 window_start_sec=np.arange(labels.size) * 0.5,
                 feature_names=[f"c0:f{i}" for i in range(NFEAT)],
-                channels=["c0"],
-                features_per_channel=NFEAT,
                 record_id=f"{subject_id}-r{r}",
                 subject_id=subject_id,
             )
@@ -337,7 +333,7 @@ def small_cfg(**kw):
         dim=256,
         num_levels=8,
         seed=5,
-        train=TrainConfig(mode="online", alpha=1.0, epochs=1, seed=5),
+        train=TrainConfig(mode="online", seed=5),
         merge=MergeConfig(),
     )
     defaults.update(kw)
@@ -403,8 +399,6 @@ class TestCvPersonalized:
             window_labels=fm.window_labels,
             window_start_sec=fm.window_start_sec,
             feature_names=fm.feature_names[:-1],
-            channels=fm.channels,
-            features_per_channel=fm.features_per_channel - 1,
             record_id=fm.record_id,
             subject_id=fm.subject_id,
         )
@@ -695,8 +689,6 @@ class TestTransferEval:
                     window_labels=fm.window_labels,
                     window_start_sec=fm.window_start_sec,
                     feature_names=fm.feature_names[:4],
-                    channels=fm.channels,
-                    features_per_channel=4,
                     record_id=fm.record_id,
                     subject_id=fm.subject_id,
                 )

@@ -565,7 +565,6 @@ class TestExtractFeatures:
         assert fm.num_windows == 13
         assert window_count(2560, 1024, 128) == 13
         assert fm.values.shape == (13, 22)
-        assert fm.features_per_channel == 22
 
     def test_all_zero_record(self):
         record = SignalRecord(
@@ -653,8 +652,8 @@ class TestExtractFeatures:
 
     def test_feature_names(self):
         fm = extract_features(make_record(seconds=6.0, channels=2))
-        assert len(FEATURE_NAMES) == fm.features_per_channel == 22
-        assert fm.feature_names[:22] == [f"C0:{name}" for name in FEATURE_NAMES]
+        assert len(FEATURE_NAMES) == 22
+        assert fm.feature_names == [f"C{c}:{name}" for c in (0, 1) for name in FEATURE_NAMES]
         assert FEATURE_NAMES[-6:] == tuple(f"azc_{eps:g}" for eps in DEFAULT_AZC_EPSILONS)
 
     def test_window_labels_majority(self):

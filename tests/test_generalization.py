@@ -9,6 +9,7 @@ from hdseizure.generalization import (
     _SHUFFLE_BATCH,
     EvolutionCurve,
     MergeConfig,
+    _check_total_weight,
     _merge_step,
     evolution_curve,
     generalize,
@@ -150,6 +151,15 @@ class TestGeneralize:
         cohort = [make_model(s) for s in (20, 21, 22)]
         with pytest.raises(DegenerateCohortError):
             generalize(cohort, MergeConfig(method="wsub", alpha_wrong=50.0))
+
+    @pytest.mark.parametrize("total, shown", [
+        (0.0, "0"), (-1e-6, "-1e-06"), (-0.056789, "-0.05679"), (-1.5e307, "-1.5e+307"),
+    ])
+    def test_degenerate_total_weight_in_four_digits(self, total, shown):
+        with pytest.raises(DegenerateCohortError) as err:
+            _check_total_weight(total, "seizure")
+        assert str(err.value).startswith(f"non-positive total weight {shown} for class seizure;")
+        assert err.value.total_weight == total
 
     @pytest.mark.parametrize("alpha_corr, alpha_wrong", [(1e308, 0.5), (0.5, 1e308)])
     def test_overflowing_weights_rejected(self, alpha_corr, alpha_wrong):
