@@ -1,3 +1,4 @@
+import argparse
 import csv
 import filecmp
 import json
@@ -113,12 +114,18 @@ REMOVED = {
 }
 
 
+#: each command's own parser
+SUBPARSERS = next(action.choices for action in cli.build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction))
+
+
 class TestSettingFlags:
     """A command takes a flag for each setting it reads, and no other."""
 
     @pytest.mark.parametrize("command", READS)
-    @pytest.mark.parametrize("name", SETTINGS)
+    @pytest.mark.parametrize("name", [*SETTINGS, *REMOVED])
     def test_flag_parses_only_where_read(self, capsys, command, name):
+        # a removed setting is read by no command, so each one rejects its flag
         flag = f"--{name.replace('_', '-')}"
         argv = [command, *REQUIRED[command], flag, "2"]
         if name in READS[command]:
@@ -143,6 +150,18 @@ class TestSettingFlags:
         assert run([argv[0], *REQUIRED[argv[0]][:-1], str(out), *argv[1:]]) == 2
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, parser in SUBPARSERS.items()
+        for flag in parser._option_string_actions
+        if flag.startswith("--") and flag[:-1] not in parser._option_string_actions])
+    def test_flag_prefix_is_usage_error(self, capsys, command, flag):
+        # each subparser is built with allow_abbrev=False, so a flag less its
+        # last letter names no option, even where it could stand for only one
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args([command, *REQUIRED[command], flag[:-1], "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[:-1]} 1" in capsys.readouterr().err
 
     def test_each_field_of_a_setting_has_its_default(self):
         for name, targets in cli.FIELDS.items():

@@ -217,7 +217,7 @@ class TestBayesPostprocess:
         with pytest.raises(ValueError):
             bayes_postprocess(np.array([]), 5.0, 1.5, 0.5)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     @pytest.mark.parametrize("name", ["window_sec", "threshold", "step_sec"])
     def test_non_finite_arguments_named(self, name, value):
         kw = dict(window_sec=5.0, threshold=1.5, step_sec=0.5)
@@ -272,7 +272,7 @@ class TestMovingAverage:
         with pytest.raises(ValueError):
             moving_average_postprocess([0, 1], 5.0, 0.0)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     @pytest.mark.parametrize("name", ["window_sec", "step_sec"])
     def test_non_finite_arguments_named(self, name, value):
         kw = dict(window_sec=5.0, step_sec=0.5)
